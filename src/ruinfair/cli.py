@@ -5,6 +5,8 @@
 
 ``run`` executes the named sweep (or every sweep in the file) and writes
 ``sweep_<name>.csv`` and ``manifest_<name>.json`` into the output directory.
+``validate`` also prints each sweep's work size (values x replications x
+schemes x channels frames).
 Exit codes: 0 on success, 2 on configuration errors, 1 on runtime errors.
 """
 
@@ -18,6 +20,7 @@ from typing import Optional
 from .config import load_scenario
 from .errors import ConfigError
 from .experiment import emit_csv, emit_manifest, run_sweep
+from .sim import Scheme
 
 __all__ = ["main"]
 
@@ -45,8 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(config_path: str) -> int:
+    """Check the config and print each sweep's work size in simulated frames.
+
+    One frame is one long frame on one WAP's channel under one scheme.
+    """
     config = load_scenario(config_path)
     print(f"{config_path}: OK ({len(config.sweeps)} sweep(s): {', '.join(sorted(config.sweeps))})")
+    reps = config.seeds.replications
+    schemes = len(Scheme)
+    channels = config.topology.wap_count
+    for name in sorted(config.sweeps):
+        values = len(config.sweeps[name].values)
+        print(
+            f"  {name}: {values} values x {reps} replications x {schemes} schemes "
+            f"x {channels} channels = {values * reps * schemes * channels} frames"
+        )
     return EXIT_OK
 
 

@@ -36,6 +36,7 @@ from typing import Any, Optional
 
 from .duty import DutyCyclePolicy, FrameConfig, PolicyKind
 from .errors import ConfigError
+from .prng import _POISSON_LAM_MAX
 from .sim import PathLossModel, RadioConfig, TopologyConfig, TrafficConfig
 
 __all__ = ["Sweep", "SeedConfig", "ScenarioConfig", "load_scenario", "scenario_to_dict"]
@@ -177,6 +178,38 @@ def _parse_sweeps(raw: Any) -> dict[str, Sweep]:
     return sweeps
 
 
+def _check_sweeps_runnable(
+    frame: FrameConfig, topology: TopologyConfig, traffic: TrafficConfig,
+    sweeps: dict[str, Sweep],
+) -> None:
+    """Cross-field limits every sweep value must meet for ``run`` to finish.
+
+    Each channel's collision rate ``lambda_base * wst_count`` must stay
+    within the Poisson sampler's cap, and the ``wst_count`` and
+    ``lambda_base`` sweeps compute the ruin probability, which needs a
+    positive premium (``r_reserved >= 1``).
+    """
+    for name, sweep in sweeps.items():
+        if sweep.variable == "wst_count":
+            pairs = [(traffic.lambda_base, int(v)) for v in sweep.values]
+        elif sweep.variable == "lambda_base":
+            pairs = [(float(v), topology.wst_per_wap) for v in sweep.values]
+        else:
+            pairs = [(traffic.lambda_base, topology.wst_per_wap)]
+        for lambda_base, wst in pairs:
+            if not lambda_base * wst <= _POISSON_LAM_MAX:
+                raise ConfigError(
+                    f"sweeps.{name}: lambda_base x wst_count = {lambda_base} x {wst} = "
+                    f"{lambda_base * wst} exceeds the collision-rate cap {_POISSON_LAM_MAX}"
+                )
+        if sweep.variable != "psi" and frame.r_reserved < 1:
+            raise ConfigError(
+                f"frame.r_reserved: must be >= 1 for sweeps.{name} "
+                f"({sweep.variable}), which computes the ruin probability; "
+                f"got {frame.r_reserved}"
+            )
+
+
 def parse_scenario(data: Any) -> ScenarioConfig:
     """Build a fully-resolved :class:`ScenarioConfig` from parsed JSON."""
     root = dict(_expect_mapping(data, "scenario"))
@@ -237,6 +270,8 @@ def parse_scenario(data: Any) -> ScenarioConfig:
     )
     _reject_unknown(seeds_raw, "seeds")
 
+    sweeps = _parse_sweeps(sweeps_raw)
+    _check_sweeps_runnable(frame, topology, traffic, sweeps)
     return ScenarioConfig(
         frame=frame,
         topology=topology,
@@ -244,7 +279,7 @@ def parse_scenario(data: Any) -> ScenarioConfig:
         radio=radio,
         policy=_parse_policy(policy_raw),
         seeds=seeds,
-        sweeps=_parse_sweeps(sweeps_raw),
+        sweeps=sweeps,
     )
 
 

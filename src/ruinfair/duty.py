@@ -23,6 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import _kernels
+from .prng import _POISSON_LAM_MAX
 from .ruin import SurplusParams, effective_claim_rate, ruin_probability_exact
 
 __all__ = [
@@ -36,9 +37,6 @@ __all__ = [
     "duty_cycle_from_surplus",
     "verify_chance_constraint",
 ]
-
-# Knuth Poisson sampling multiplies uniforms against exp(-lam); keep lam sane.
-_LAMBDA_MAX = 500.0
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,9 @@ class CollisionModel:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda_k) and 0.0 < self.lambda_k <= _LAMBDA_MAX):
+        if not (math.isfinite(self.lambda_k) and 0.0 < self.lambda_k <= _POISSON_LAM_MAX):
             raise ValueError(
-                f"lambda_k must be in (0, {_LAMBDA_MAX}], got {self.lambda_k}"
+                f"lambda_k must be in (0, {_POISSON_LAM_MAX}], got {self.lambda_k}"
             )
         if not (math.isfinite(self.mu) and self.mu > 0.0):
             raise ValueError(f"mu must be > 0, got {self.mu}")

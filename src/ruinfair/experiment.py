@@ -6,6 +6,19 @@ and reports mean and sample standard deviation over replications.  The same
 replication seeds are reused at every sweep value (common random numbers),
 so monotone per-seed effects survive aggregation untouched.
 
+Each quantity is computed once, at the level where it varies:
+
+* per sweep value: topology, ruin-fair duty cycle, link budget;
+* per (value, scheme): LTE-U airtime and the water-filled sum rate of
+  each channel (none of it depends on the replication seed);
+* per (value, replication): the collision total of each channel, shared by
+  all four schemes;
+* per (value, replication, scheme): the frame accounting
+  (``sim.channel_outcomes``), summed over channels in channel order.
+
+The result equals calling ``sim.simulate_long_frame`` for every
+(replication, scheme) bit for bit.
+
 Outputs are deterministic byte-for-byte: all randomness is seeded, rows are
 assembled in sweep order, replications are reduced in index order, and
 floats are printed with 9 significant digits.
@@ -14,6 +27,7 @@ floats are printed with 9 significant digits.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -26,7 +40,15 @@ from .config import ScenarioConfig, Sweep, scenario_to_dict
 from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
 from .prng import substream_seed
-from .sim import Scheme, generate_topology, simulate_long_frame
+from .sim import (
+    Scheme,
+    channel_outcomes,
+    collision_totals,
+    generate_topology,
+    link_budget,
+    lte_sum_rates,
+    scheme_lte_time,
+)
 
 __all__ = ["SweepRow", "run_sweep", "emit_csv", "emit_manifest"]
 
@@ -102,20 +124,28 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         scenario = _scenario_at(config, sweep, value)
         topology = generate_topology(scenario.seeds.topology, scenario.topology)
         duty = _ruin_duty_at(scenario, sweep, value)
+        waps = sorted(topology.waps, key=lambda w: w.channel)
+        gains = link_budget(topology, scenario.radio)
+        t_total = scenario.frame.total_duration
+        lte_time = {s: scheme_lte_time(s, t_total, duty) for s in _SCHEME_ORDER}
+        lte_rates = {
+            s: lte_sum_rates(lte_time[s], scenario.radio.bandwidth, gains, waps)
+            for s in _SCHEME_ORDER
+        }
 
         wifi = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
         lte = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
         for r, rep_seed in enumerate(rep_seeds):
+            collisions = collision_totals(waps, scenario.traffic, rep_seed)
             for scheme in _SCHEME_ORDER:
-                outcomes = simulate_long_frame(
-                    topology,
-                    scenario.frame,
+                outcomes = channel_outcomes(
                     scheme,
-                    scenario.traffic,
-                    scenario.policy,
-                    scenario.radio,
-                    rep_seed,
-                    ruin_duty=duty if scheme is Scheme.RUIN_FAIR else None,
+                    waps,
+                    t_total,
+                    lte_time[scheme],
+                    lte_rates[scheme],
+                    collisions,
+                    scenario.radio.wifi_phy_rate,
                 )
                 wifi[scheme][r] = sum(o.wifi_throughput for o in outcomes)
                 lte[scheme][r] = sum(o.lte_sum_rate for o in outcomes)
@@ -142,8 +172,25 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; on any failure the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
-    """Write sweep rows as UTF-8 CSV with a fixed column schema."""
+    """Write sweep rows as UTF-8 CSV with a fixed column schema, atomically."""
     if not rows:
         raise ValueError("emit_csv needs at least one row")
     path = Path(path)
@@ -159,7 +206,7 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
             ]
         cells += [_fmt(row.alpha_star), _fmt(row.psi)]
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -169,7 +216,7 @@ def emit_manifest(
     path: str | Path,
     artifact_versions: Optional[dict[str, str]] = None,
 ) -> Path:
-    """Write the fully-resolved scenario plus provenance as JSON.
+    """Write the fully-resolved scenario plus provenance as JSON, atomically.
 
     The embedded ``scenario`` block (defaults expanded, seeds included) is
     itself a valid config file: re-running it regenerates the CSV byte for
@@ -186,9 +233,5 @@ def emit_manifest(
         "scenario": scenario_to_dict(config),
     }
     path = Path(path)
-    path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -21,6 +21,19 @@ WiFi window never shows less successful WiFi airtime on the same seed.
 Successful WiFi airtime converts to throughput at a fixed nominal PHY rate
 (default 54 Mb/s); collision time beyond the WiFi window is clipped, since
 nothing can collide while LTE-U holds the channel.
+
+A long frame is assembled from parts computed at the level where they vary:
+
+* :func:`link_budget` depends on the topology and radio only;
+* :func:`scheme_lte_time` and :func:`lte_sum_rates` (water-filling per
+  channel) depend on the scheme and the duty cycle, not on the seed;
+* :func:`collision_totals` depends on the seed (and the station counts),
+  not on the scheme;
+* :func:`channel_outcomes` is the per-channel frame accounting that
+  combines them.
+
+:func:`simulate_long_frame` computes all of them for one (scheme, seed);
+``experiment.run_sweep`` computes each once per level and reuses it.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ import numpy as np
 from .allocation import ChannelUserGains, water_fill
 from .duty import DutyCyclePolicy, DutyCycleResult, FrameConfig, duty_cycle_from_surplus
 from .errors import ConfigError
-from .prng import SplitMix64, substream_seed
+from .prng import _POISSON_LAM_MAX, SplitMix64, substream_seed
 
 __all__ = [
     "Scheme",
@@ -52,10 +65,12 @@ __all__ = [
     "path_gain",
     "sample_collisions",
     "link_budget",
+    "scheme_lte_time",
+    "lte_sum_rates",
+    "collision_totals",
+    "channel_outcomes",
     "simulate_long_frame",
 ]
-
-_LAMBDA_MAX = 500.0
 
 
 class Scheme(Enum):
@@ -240,8 +255,8 @@ def generate_topology(seed: int, config: TopologyConfig) -> Topology:
 
 def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
     """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
-    if not (math.isfinite(lambda_k) and 0.0 < lambda_k <= _LAMBDA_MAX):
-        raise ValueError(f"lambda_k must be in (0, {_LAMBDA_MAX}], got {lambda_k}")
+    if not (math.isfinite(lambda_k) and 0.0 < lambda_k <= _POISSON_LAM_MAX):
+        raise ValueError(f"lambda_k must be in (0, {_POISSON_LAM_MAX}], got {lambda_k}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be > 0, got {mu}")
     rng = SplitMix64(seed)
@@ -271,6 +286,80 @@ def link_budget(
     return ChannelUserGains.from_link_budget(power, np.asarray(gains), radio.noise)
 
 
+def scheme_lte_time(
+    scheme: Scheme, t_total: float, ruin_duty: Optional[DutyCycleResult] = None
+) -> float:
+    """LTE-U airtime (seconds) of one long frame of length ``t_total``.
+
+    ``ruin_duty`` is the ruin policy's grant; only ``RUIN_FAIR`` reads it,
+    and it must be given for that scheme.
+    """
+    if scheme is Scheme.PURE_WIFI:
+        return 0.0
+    if scheme is Scheme.EQUAL_SHARING:
+        return 0.5 * t_total
+    if scheme is Scheme.LTE_DOMINANT:
+        return t_total
+    return ruin_duty.alpha_star
+
+
+def lte_sum_rates(
+    lte_time: float, bandwidth: float, gains: ChannelUserGains, waps
+) -> list[float]:
+    """Water-filled LTE-U sum rate on each WAP's channel, in the order given."""
+    if lte_time > 0.0:
+        return [water_fill(lte_time, bandwidth, gains.gamma[:, w.channel]).sum_rate for w in waps]
+    return [0.0] * len(waps)
+
+
+def collision_totals(waps, traffic: TrafficConfig, seed: int) -> list[float]:
+    """Total collision time on each WAP's channel, in the order given.
+
+    Channel k draws from the substream seed (seed, k), whatever the scheme.
+    """
+    return [
+        sample_collisions(
+            traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(seed, w.channel)
+        ).total
+        for w in waps
+    ]
+
+
+def channel_outcomes(
+    scheme: Scheme,
+    waps,
+    t_total: float,
+    lte_time: float,
+    lte_rates: list[float],
+    collisions: list[float],
+    wifi_phy_rate: float,
+) -> list[FrameOutcome]:
+    """Frame accounting on each WAP's channel, in the order given.
+
+    WiFi gets the window left by LTE-U; collision time beyond that window is
+    clipped, and the rest of the window is successful WiFi airtime.
+    """
+    wifi_window = t_total - lte_time
+    outcomes = []
+    for wap, lte_rate, collision_total in zip(waps, lte_rates, collisions):
+        collision_time = min(collision_total, wifi_window)
+        wifi_success = max(0.0, wifi_window - collision_time)
+        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
+        outcomes.append(
+            FrameOutcome(
+                scheme=scheme,
+                channel=wap.channel,
+                wifi_success_time=wifi_success,
+                collision_time=collision_time,
+                lte_time=lte_time,
+                idle_time=idle,
+                wifi_throughput=wifi_phy_rate * wifi_success,
+                lte_sum_rate=lte_rate,
+            )
+        )
+    return outcomes
+
+
 def simulate_long_frame(
     topology: Topology,
     frame: FrameConfig,
@@ -294,46 +383,17 @@ def simulate_long_frame(
     Returns one :class:`FrameOutcome` per channel, in channel order.
     """
     t_total = frame.total_duration
+    if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
+        ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
+    lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
 
-    if scheme is Scheme.PURE_WIFI:
-        lte_time = 0.0
-    elif scheme is Scheme.EQUAL_SHARING:
-        lte_time = 0.5 * t_total
-    elif scheme is Scheme.LTE_DOMINANT:
-        lte_time = t_total
-    else:
-        duty = ruin_duty if ruin_duty is not None else duty_cycle_from_surplus(
-            frame, traffic.mu, policy=policy
-        )
-        lte_time = duty.alpha_star
-
-    gains = link_budget(topology, radio)
-
-    outcomes = []
-    for wap in sorted(topology.waps, key=lambda w: w.channel):
-        k = wap.channel
-        lte_rate = (
-            water_fill(lte_time, radio.bandwidth, gains.gamma[:, k]).sum_rate
-            if lte_time > 0.0
-            else 0.0
-        )
-        draw = sample_collisions(
-            traffic.lambda_base * wap.wst_count, traffic.mu, substream_seed(seed, k)
-        )
-        wifi_window = t_total - lte_time
-        collision_time = min(draw.total, wifi_window)
-        wifi_success = max(0.0, wifi_window - collision_time)
-        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
-        outcomes.append(
-            FrameOutcome(
-                scheme=scheme,
-                channel=k,
-                wifi_success_time=wifi_success,
-                collision_time=collision_time,
-                lte_time=lte_time,
-                idle_time=idle,
-                wifi_throughput=radio.wifi_phy_rate * wifi_success,
-                lte_sum_rate=lte_rate,
-            )
-        )
-    return outcomes
+    waps = sorted(topology.waps, key=lambda w: w.channel)
+    return channel_outcomes(
+        scheme,
+        waps,
+        t_total,
+        lte_time,
+        lte_sum_rates(lte_time, radio.bandwidth, link_budget(topology, radio), waps),
+        collision_totals(waps, traffic, seed),
+        radio.wifi_phy_rate,
+    )

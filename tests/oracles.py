@@ -118,3 +118,80 @@ def grid_best_three_users(
         pad = 3 * spacing
         lo0, hi0 = max(0.0, y0[idx[0]] - pad), min(budget, y0[idx[0]] + pad)
         lo1, hi1 = max(0.0, y1[idx[1]] - pad), min(budget, y1[idx[1]] + pad)
+
+
+def sweep_rows_per_frame(config, sweep_name: str) -> list:
+    """``run_sweep`` rows from one ``simulate_long_frame`` call per frame.
+
+    The straightforward sweep loop: for every sweep value, replication and
+    scheme, simulate the long frame on every channel from scratch (link
+    budget, water-filling, collision draws) and sum the outcomes over
+    channels.  Unlike the oracles above it runs the package's simulator; it
+    pins the sweep runner's reuse of work across replications and schemes,
+    not the simulator itself.
+    """
+    from dataclasses import replace
+
+    from ruinfair import (
+        DutyCycleResult,
+        Scheme,
+        duty_cycle_from_surplus,
+        generate_topology,
+        lte_duty_cycle,
+        simulate_long_frame,
+    )
+    from ruinfair.experiment import SweepRow
+    from ruinfair.prng import substream_seed
+
+    sweep = config.sweeps[sweep_name]
+    reps = config.seeds.replications
+    rows = []
+    for value in sweep.values:
+        scenario = config
+        ruin_duty = None
+        if sweep.variable == "wst_count":
+            scenario = replace(config, topology=replace(config.topology, wst_per_wap=int(value)))
+        elif sweep.variable == "lambda_base":
+            scenario = replace(config, traffic=replace(config.traffic, lambda_base=float(value)))
+        else:
+            psi = float(value)
+            ruin_duty = DutyCycleResult(lte_duty_cycle(psi, config.frame, config.policy), psi)
+        duty = ruin_duty if ruin_duty is not None else duty_cycle_from_surplus(
+            scenario.frame, scenario.traffic.mu, policy=scenario.policy
+        )
+        topology = generate_topology(scenario.seeds.topology, scenario.topology)
+
+        wifi = {scheme: [] for scheme in Scheme}
+        lte = {scheme: [] for scheme in Scheme}
+        for r in range(reps):
+            seed = substream_seed(config.seeds.traffic, r)
+            for scheme in Scheme:
+                outcomes = simulate_long_frame(
+                    topology,
+                    scenario.frame,
+                    scheme,
+                    scenario.traffic,
+                    scenario.policy,
+                    scenario.radio,
+                    seed,
+                    ruin_duty=ruin_duty,
+                )
+                wifi[scheme].append(sum(o.wifi_throughput for o in outcomes))
+                lte[scheme].append(sum(o.lte_sum_rate for o in outcomes))
+
+        def std(samples):
+            return float(np.std(samples, ddof=1)) if reps > 1 else 0.0
+
+        rows.append(
+            SweepRow(
+                variable=sweep.variable,
+                value=float(value),
+                wifi_mean={s: float(np.mean(wifi[s])) for s in Scheme},
+                wifi_std={s: std(wifi[s]) for s in Scheme},
+                lte_mean={s: float(np.mean(lte[s])) for s in Scheme},
+                lte_std={s: std(lte[s]) for s in Scheme},
+                alpha_star=duty.alpha_star,
+                psi=duty.psi,
+            )
+        )
+    return rows

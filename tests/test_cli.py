@@ -29,6 +29,37 @@ def test_validate_ok(config_file, capsys):
     assert "OK" in out and "psi" in out and "wst" in out
 
 
+def test_validate_prints_work_size(config_file, capsys):
+    assert main(["validate", "--config", str(config_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "psi: 3 values x 10 replications x 4 schemes x 3 channels = 360 frames" in lines[1]
+    assert "wst: 2 values x 10 replications x 4 schemes x 3 channels = 240 frames" in lines[2]
+
+
+UNRUNNABLE = [
+    (
+        {
+            "traffic": {"lambda_base": 30},
+            "sweeps": {"wst": {"variable": "wst_count", "values": [5, 10, 15, 20]}},
+        },
+        "600.0",
+    ),
+    ({"frame": {"r_reserved": 0}}, "frame.r_reserved"),
+]
+
+
+@pytest.mark.parametrize("scenario,needle", UNRUNNABLE)
+def test_unrunnable_config_exits_2_everywhere(tmp_path, capsys, scenario, needle):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and needle in err
+    assert not out.exists()
+
+
 def test_validate_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"traffic": {"mu": -5}}')

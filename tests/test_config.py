@@ -128,3 +128,70 @@ def test_scenario_requires_at_least_one_sweep():
 def test_sweep_variable_whitelist():
     with pytest.raises(ConfigError):
         Sweep(variable="frequency", values=(1.0, 2.0))
+
+
+class TestCrossFieldLimits:
+    """Every sweep value must be runnable, so ``validate`` accepting means ``run`` finishes."""
+
+    @pytest.mark.parametrize(
+        "data,needle",
+        [
+            (
+                {
+                    "traffic": {"lambda_base": 30},
+                    "sweeps": {"wst": {"variable": "wst_count", "values": [5, 10, 15, 20]}},
+                },
+                "sweeps.wst: lambda_base x wst_count = 30.0 x 20 = 600.0",
+            ),
+            (
+                {"sweeps": {"lam": {"variable": "lambda_base", "values": [10, 60]}}},
+                "sweeps.lam: lambda_base x wst_count = 60.0 x 10 = 600.0",
+            ),
+            (
+                {
+                    "traffic": {"lambda_base": 60},
+                    "sweeps": {"psi": {"variable": "psi", "values": [0.5]}},
+                },
+                "sweeps.psi: lambda_base x wst_count = 60.0 x 10",
+            ),
+            ({"frame": {"r_reserved": 0}}, "frame.r_reserved"),
+            (
+                {
+                    "frame": {"r_reserved": 0},
+                    "sweeps": {"lam": {"variable": "lambda_base", "values": [0.1]}},
+                },
+                "frame.r_reserved",
+            ),
+        ],
+    )
+    def test_unrunnable_sweep_is_config_error(self, data, needle):
+        with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+            parse_scenario(data)
+
+    def test_rate_exactly_at_the_cap_is_accepted(self):
+        config = parse_scenario(
+            {
+                "traffic": {"lambda_base": 25},
+                "sweeps": {"wst": {"variable": "wst_count", "values": [10, 20]}},
+            }
+        )
+        assert config.traffic.lambda_base * 20 == 500.0
+
+    def test_psi_sweep_needs_no_premium(self):
+        config = parse_scenario(
+            {
+                "frame": {"r_reserved": 0},
+                "sweeps": {"psi": {"variable": "psi", "values": [0.0, 1.0]}},
+            }
+        )
+        assert config.frame.r_reserved == 0
+
+    def test_base_scenario_outside_every_sweep_is_not_checked(self):
+        # The wst sweep overrides wst_per_wap, so 60 x 10 is never simulated.
+        config = parse_scenario(
+            {
+                "traffic": {"lambda_base": 60},
+                "sweeps": {"wst": {"variable": "wst_count", "values": [2, 5]}},
+            }
+        )
+        assert config.sweeps["wst"].values == (2, 5)

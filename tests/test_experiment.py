@@ -1,8 +1,9 @@
 """Sweep runner and emitters: aggregation, determinism, reproducibility."""
 
 import pytest
+from oracles import sweep_rows_per_frame
 
-from ruinfair import ConfigError, PolicyKind, Scheme
+from ruinfair import ConfigError, PolicyKind, Scheme, experiment, sim
 from ruinfair.config import parse_scenario
 from ruinfair.experiment import CSV_COLUMNS, emit_csv, emit_manifest, run_sweep
 
@@ -102,6 +103,100 @@ class TestRunSweep:
         )
         row = run_sweep(config, "psi")[0]
         assert all(s == 0.0 for s in row.wifi_std.values())
+
+
+class TestWorkReuse:
+    """The runner computes each quantity once per level, with the same bits."""
+
+    @pytest.mark.parametrize("name", ["wst", "psi", "lam"])
+    def test_rows_equal_per_frame_oracle(self, small_config, name):
+        assert run_sweep(small_config, name) == sweep_rows_per_frame(small_config, name)
+
+    def test_per_level_call_counts(self, monkeypatch):
+        calls = {"water_fill": 0, "sample_collisions": 0, "link_budget": 0}
+
+        def counting(name):
+            real = getattr(sim, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sim, name, counting(name))
+        # run_sweep calls link_budget through its own import of the name.
+        monkeypatch.setattr(experiment, "link_budget", sim.link_budget)
+
+        counts = {}
+        for reps in (1, 6):
+            config = parse_scenario(dict(SMALL, seeds={"replications": reps}))
+            for name in calls:
+                calls[name] = 0
+            run_sweep(config, "wst")
+            counts[reps] = dict(calls)
+
+        values = len(SMALL["sweeps"]["wst"]["values"])
+        channels = parse_scenario(SMALL).topology.wap_count
+        assert counts[1]["water_fill"] == counts[6]["water_fill"] > 0
+        assert counts[6]["link_budget"] == values
+        assert counts[6]["sample_collisions"] == values * 6 * channels
+
+
+class _FailingHalfway:
+    """File handle stand-in: writes half the text, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        self.handle.flush()
+        raise OSError("disk full")
+
+
+@pytest.fixture()
+def failing_open(monkeypatch):
+    def fake_open(*args, **kwargs):
+        return _FailingHalfway(open(*args, **kwargs))
+
+    monkeypatch.setattr(experiment, "open", fake_open, raising=False)
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_leaves_nothing(self, tmp_path, psi_rows, failing_open):
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv(psi_rows, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, psi_rows, failing_open):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"previous run\n")
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv(psi_rows, path)
+        assert path.read_bytes() == b"previous run\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_manifest_write_leaves_nothing(self, tmp_path, small_config, failing_open):
+        with pytest.raises(OSError, match="disk full"):
+            emit_manifest(small_config, "psi", tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_nothing(self, tmp_path, psi_rows, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(experiment.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            emit_csv(psi_rows, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmitCsv:

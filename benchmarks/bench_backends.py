@@ -3,7 +3,10 @@
 
 Every backend produces bit-identical results (asserted here while timing);
 the only difference is speed.  The compiled backend is timed only where it
-was built.  Usage:
+was built.  Cases with many draws per trial run a fraction of ``--trials``
+(shown in the case name), so the scalar reference stays quick; the
+``chance_mc_count`` cases at lam = 100 and 500 make the lockstep kernel
+carry its Poisson products and duration totals over many blocks.  Usage:
 
     python benchmarks/bench_backends.py [--trials N] [--repeat R]
 """
@@ -22,21 +25,37 @@ def _load_fast():
     return _fast
 
 
+# (name, kernel, arguments before trials and seed, share of --trials)
 CASES = [
     (
         "ruin_mc_count (u=0.01, c=0.001, rate=450, n=10)",
         "ruin_mc_count",
         (0.01, 0.001, 450.0, 10),
+        1,
     ),
     (
         "ruin_mc_count (u=5, c=2, rate=0.5, n=20)",
         "ruin_mc_count",
         (5.0, 2.0, 0.5, 20),
+        1,
     ),
     (
         "chance_mc_count (alpha=4ms, thr=9ms, lam=1, mu=450)",
         "chance_mc_count",
         (0.004, 0.009, 1.0, 450.0),
+        1,
+    ),
+    (
+        "chance_mc_count (alpha=4ms, thr=0.3s, lam=100, mu=450), trials/100",
+        "chance_mc_count",
+        (0.004, 0.3, 100.0, 450.0),
+        1 / 100,
+    ),
+    (
+        "chance_mc_count (alpha=4ms, thr=1.1s, lam=500, mu=450), trials/500",
+        "chance_mc_count",
+        (0.004, 1.1, 500.0, 450.0),
+        1 / 500,
     ),
 ]
 
@@ -64,7 +83,7 @@ def main():
     else:
         backends.append(fast)
 
-    name_width = max(len(name) for name, _, _ in CASES)
+    name_width = max(len(name) for name, _, _, _ in CASES)
     header = f"{'case':<{name_width}}"
     for backend in backends:
         header += f"  {backend.BACKEND:>10}"
@@ -73,8 +92,8 @@ def main():
     print(header)
     print("-" * len(header))
 
-    for name, kernel, kernel_args in CASES:
-        call_args = (*kernel_args, args.trials, 42)
+    for name, kernel, kernel_args, share in CASES:
+        call_args = (*kernel_args, max(1, round(args.trials * share)), 42)
         pure_time, pure_result = _time(getattr(_pure, kernel), call_args, args.repeat)
         line = f"{name:<{name_width}}  {pure_time:>9.3f}s"
         for backend in backends[1:]:

@@ -1,11 +1,14 @@
 """Backend selection for the Monte Carlo kernels.
 
 Prefers the compiled extension (``_fast``, built from Cython at install
-time).  Without it, the NumPy lockstep kernel (``_lockstep``) is used: it
-needs no build step and runs ``ruin_mc_count`` about 10x faster than the
-scalar reference ``_pure``.  ``RUINFAIR_BACKEND=cython``, ``=lockstep`` or
-``=pure`` forces a choice (forcing ``cython`` raises if the extension was not
-built).  All backends are bit-identical; the choice only affects speed.
+time).  Without it, the NumPy lockstep kernels (``_lockstep``) are used:
+they need no build step and run ``ruin_mc_count`` and ``chance_mc_count``
+about 10x faster than the scalar reference ``_pure``.
+``RUINFAIR_BACKEND=cython``, ``=lockstep`` or ``=pure`` forces a choice
+(forcing ``cython`` raises if the extension was not built).  All backends
+are bit-identical; the choice only affects speed.  The sweep's collision
+draws (``sim.collision_totals``) call ``_lockstep.compound_poisson_totals``
+whatever the backend; it has no compiled twin.
 """
 
 from __future__ import annotations

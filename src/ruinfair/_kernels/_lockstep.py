@@ -1,28 +1,37 @@
-"""NumPy lockstep Monte Carlo ruin kernel (default backend without a build).
+"""NumPy lockstep Monte Carlo kernels (default backend without a build).
 
-``ruin_mc_count`` advances the SplitMix64 streams of all trials at once
-instead of one trial at a time.  Substreams are counter-based (the seed of
-trial ``t`` is ``mix64(seed + (t+1)*gamma)``, see :mod:`ruinfair.prng`), so
+The kernels advance the SplitMix64 streams of all trials at once instead of
+one trial at a time.  Substreams are counter-based (the seed of trial ``t``
+is ``mix64(seed + (t+1)*gamma)``, and draw ``j`` of a stream seeded with
+``s`` comes from the state ``s + j*gamma``, see :mod:`ruinfair.prng`), so
 every stream can be derived and stepped in one ``uint64`` array whose
-wrap-around is exactly the ``& MASK64`` of the scalar code.  Each period then repeats the
-scalar recipe of ``_pure.py`` with the same IEEE-754 double operations, in
-the same order:
+wrap-around is exactly the ``& MASK64`` of the scalar code.  Each step
+repeats the scalar recipe of ``_pure.py`` with the same IEEE-754 double
+operations, in the same order:
 
 * uniform ``(z >> 11) * 2**-53`` (exact: ``z >> 11`` fits in 53 bits);
-* claim ``-log(1 - u) / rate``, accumulated as ``claims += claim``;
-* ruin test ``u + s*c - claims < 0.0``.
+* exponential ``-log(1 - u) / rate``;
+* ``ruin_mc_count``: claims accumulated as ``claims += claim``, ruin test
+  ``u + s*c - claims < 0.0``;
+* :func:`compound_poisson_totals` (used by ``chance_mc_count`` and the
+  sweep's collision draws): Knuth's Poisson count ``p = u1; p *= u2; ...``
+  while ``p > exp(-lam)``, then the durations added left to right from
+  ``0.0``.  Both run as ``np.multiply.accumulate`` / ``np.add.accumulate``
+  along a block of draws, each element one multiply or add of the previous
+  one, with the running product or total carried from block to block.
 
 The logarithm must be libm's, taken through ``math.log``: NumPy's ``np.log``
 has its own SIMD implementation, which differs from glibc in the last bit on
-some inputs, and any such bit can flip a ruin decision and break the
-bit-identity with the scalar kernel that the frozen golden values rely on.
-Paths that ruin are dropped from the working arrays as they go, so the cost
-of a period is proportional to the paths still alive.
+some inputs, and any such bit can flip a ruin decision or a collision total
+and break the bit-identity with the scalar kernel that the frozen golden
+values rely on.  Streams that finish (ruined paths, completed Poisson counts
+and duration sums) are dropped from the working arrays as they go, so the
+cost of a step is proportional to the streams still live.
 
-The count is bit-identical to ``_pure.ruin_mc_count`` for every argument;
-``tests/test_kernels.py`` pins that.  ``surplus_path_values`` and
-``chance_mc_count`` are not on a hot path and are re-exported from
-``_pure`` unchanged.
+The counts are bit-identical to ``_pure`` for every argument, and the
+totals to ``sim.sample_collisions(...).total``; ``tests/test_kernels.py``
+pins that.  ``surplus_path_values`` is not on a hot path and is re-exported
+from ``_pure`` unchanged.
 """
 
 from __future__ import annotations
@@ -33,14 +42,27 @@ import operator
 import numpy as np
 
 from .. import prng
-from ._pure import chance_mc_count, surplus_path_values
+from ._pure import surplus_path_values
 
 BACKEND = "lockstep"
 
-__all__ = ["BACKEND", "ruin_mc_count", "surplus_path_values", "chance_mc_count"]
+__all__ = [
+    "BACKEND",
+    "ruin_mc_count",
+    "surplus_path_values",
+    "chance_mc_count",
+    "compound_poisson_totals",
+    "substream_states",
+]
 
 # Trials advanced together; bounds the working memory of one call.
 _CHUNK = 1 << 16
+
+# Draws per block of compound_poisson_totals: a block is n_live x width with
+# width at most max(1, _BLOCK // n_live).  Wider blocks cost peak memory: a
+# 10,000-trial chance audit at lam = 2 adds about 3.6 MB with 2**16 and
+# 1.7 MB with 2**14.
+_BLOCK = 1 << 14
 
 _GAMMA = np.uint64(prng._GOLDEN)
 _MIX1 = np.uint64(prng._MIX1)
@@ -55,18 +77,39 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
+def substream_states(seeds, index) -> np.ndarray:
+    """``prng.substream_seed(seed, i)`` for every seed (rows) and index ``i``
+    (columns), as a uint64 array of shape ``(len(seeds), len(index))``."""
+    seeds = np.array([s & prng._MASK64 for s in seeds], dtype=np.uint64)
+    return _mix64(seeds[:, None] + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA)
+
+
 def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
     """States of trials ``start .. stop-1``: ``substream_seed(seed, t)`` each."""
-    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    return _mix64(np.uint64(seed & prng._MASK64) + index * _GAMMA)
+    return substream_states([seed], np.arange(start, stop, dtype=np.uint64))[0]
+
+
+def _to_uniform(z: np.ndarray) -> np.ndarray:
+    """``SplitMix64.uniform`` from the advanced states ``z``."""
+    return (_mix64(z) >> _S11).astype(np.float64) * prng._INV_2_53
+
+
+def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Uniforms ``start+1 .. start+width`` of each stream, one row per stream."""
+    steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
+    return _to_uniform(states[:, None] + steps)
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of every element of a 1-D array."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
 
 
 def _exponential(state: np.ndarray, rate: float) -> np.ndarray:
     """One ``SplitMix64.exponential(rate)`` draw per stream; advances ``state``
     in place.  The rate is not checked here."""
     state += _GAMMA
-    one_minus_u = 1.0 - (_mix64(state) >> _S11).astype(np.float64) * prng._INV_2_53
-    return -np.fromiter(map(math.log, one_minus_u.tolist()), np.float64, len(state)) / rate
+    return -_libm_log(1.0 - _to_uniform(state)) / rate
 
 
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
@@ -107,3 +150,106 @@ def ruin_mc_count(
         _chunk_ruins(u, c, mu_prime, n, seed, start, min(start + _CHUNK, trials))
         for start in range(0, trials, _CHUNK)
     )
+
+
+def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
+    """``SplitMix64(s).poisson(lam)`` for every state ``s``.
+
+    The running products only shrink (each uniform is below 1), so a
+    stream's count is the number of products above ``exp(-lam)``; it is
+    complete at the first block where some product is not.  A count of k
+    takes k + 1 uniforms; blocks are no wider than the mean plus three
+    standard deviations of that, so few draws are wasted.
+    """
+    limit = math.exp(-lam)
+    typical = math.ceil(lam + 3.0 * math.sqrt(lam)) + 1
+    counts = np.zeros(len(states), dtype=np.int64)
+    product = np.ones(len(states))
+    live = np.arange(len(states))
+    drawn = 0
+    while len(live):
+        width = max(1, min(_BLOCK // len(live), typical))
+        block = _uniforms(states[live], drawn, width)
+        block[:, 0] *= product[live]
+        block = np.multiply.accumulate(block, axis=1)
+        above = np.count_nonzero(block > limit, axis=1)
+        counts[live] += above
+        product[live] = block[:, -1]
+        live = live[above == width]
+        drawn += width
+    return counts
+
+
+def _duration_totals(states: np.ndarray, counts: np.ndarray, mu: float) -> np.ndarray:
+    """Sum of the ``counts[i]`` exponential(``mu``) draws that follow the
+    Poisson draws of stream ``i``, added left to right from ``0.0``."""
+    totals = np.zeros(len(states))
+    live = np.flatnonzero(counts)
+    if not len(live):
+        return totals
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"exponential rate must be positive and finite, got {mu}")
+    # A count of k took k + 1 uniforms; the durations start after them.
+    after = states + (counts.astype(np.uint64) + 1) * _GAMMA
+    drawn = 0
+    while len(live):
+        left = counts[live] - drawn
+        width = max(1, min(_BLOCK // len(live), int(left.max())))
+        one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
+        wanted = np.arange(width) < left[:, None]
+        # Padding past a stream's last duration adds 0.0, which leaves the
+        # total's bits unchanged (it starts at 0.0, so it is never -0.0).
+        durations = np.zeros(one_minus_u.shape)
+        durations[wanted] = -_libm_log(one_minus_u[wanted]) / mu
+        durations[:, 0] += totals[live]
+        totals[live] = np.add.accumulate(durations, axis=1)[:, -1]
+        live = live[left > width]
+        drawn += width
+    return totals
+
+
+def compound_poisson_totals(states: np.ndarray, lam: float, mu: float) -> np.ndarray:
+    """Compound-Poisson total of every stream, drawn in lockstep.
+
+    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
+    by Knuth's method, then that many exponential(``mu``) durations, added
+    left to right.  Each total equals ``sim.sample_collisions(lam, mu,
+    states[i]).total`` bit for bit.  Draws are made in blocks of at most
+    ``max(_BLOCK, len(states))`` elements.
+
+    Raises:
+        ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
+            ``lam`` is not in ``[0, prng._POISSON_LAM_MAX]``; as
+            ``SplitMix64.exponential`` does, if some count is positive and
+            ``mu`` is not a positive finite rate.  Each is checked once per
+            call.
+    """
+    if not len(states):
+        return np.zeros(0)
+    if not 0.0 <= lam <= prng._POISSON_LAM_MAX:
+        raise ValueError(
+            f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {lam}"
+        )
+    return _duration_totals(states, _poisson_counts(states, lam), mu)
+
+
+def chance_mc_count(
+    alpha_total: float,
+    threshold: float,
+    lam: float,
+    mu: float,
+    trials: int,
+    seed: int,
+) -> int:
+    """Trials in which total collision time + ``alpha_total`` fits under ``threshold``.
+
+    Trial ``t`` draws its compound-Poisson collision time from the substream
+    ``substream_seed(seed, t)``, as ``_pure.chance_mc_count`` does.
+    """
+    seed = operator.index(seed)
+    ok = 0
+    for start in range(0, trials, _CHUNK):
+        states = _substreams(seed, start, min(start + _CHUNK, trials))
+        totals = compound_poisson_totals(states, lam, mu)
+        ok += int(np.count_nonzero(totals + alpha_total <= threshold))
+    return ok

@@ -3,7 +3,8 @@
 The specification the other backends are checked against: one trial and
 one draw at a time, exactly as documented in :mod:`ruinfair.prng`.
 ``_fast.pyx`` mirrors it operation for operation and ``_lockstep.py``
-vectorizes ``ruin_mc_count`` across trials; every floating-point step is an
+vectorizes ``ruin_mc_count`` and ``chance_mc_count`` across trials; every
+floating-point step is an
 IEEE-754 double op shared with them (same libm ``log`` / ``exp``), so all
 backends return bit-identical results for identical arguments;
 ``tests/test_kernels.py`` pins that equivalence.  Selectable at run time

@@ -11,13 +11,16 @@ Each quantity is computed once, at the level where it varies:
 * per sweep value: topology, ruin-fair duty cycle, link budget;
 * per (value, scheme): LTE-U airtime and the water-filled sum rate of
   each channel (none of it depends on the replication seed);
-* per (value, replication): the collision total of each channel, shared by
-  all four schemes;
+* per value, for all replications at once: the collision total of each
+  (replication, channel), drawn by the lockstep compound-Poisson kernel
+  (``sim.collision_totals``) and shared by all four schemes;
 * per (value, replication, scheme): the frame accounting
-  (``sim.channel_outcomes``), summed over channels in channel order.
+  (``sim.channel_outcomes``), summed over channels left to right in
+  channel order.
 
-The result equals calling ``sim.simulate_long_frame`` for every
-(replication, scheme) bit for bit.
+The result equals calling ``sim.simulate_long_frame`` (whose collision
+draws are the scalar ``sim.sample_collisions``) for every (replication,
+scheme) bit for bit.
 
 Outputs are deterministic byte-for-byte: all randomness is seeded, rows are
 assembled in sweep order, replications are reduced in index order, and
@@ -135,8 +138,8 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
 
         wifi = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
         lte = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
-        for r, rep_seed in enumerate(rep_seeds):
-            collisions = collision_totals(waps, scenario.traffic, rep_seed)
+        collisions = collision_totals(waps, scenario.traffic, rep_seeds).tolist()
+        for r in range(reps):
             for scheme in _SCHEME_ORDER:
                 outcomes = channel_outcomes(
                     scheme,
@@ -144,11 +147,16 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
                     t_total,
                     lte_time[scheme],
                     lte_rates[scheme],
-                    collisions,
+                    collisions[r],
                     scenario.radio.wifi_phy_rate,
                 )
-                wifi[scheme][r] = sum(o.wifi_throughput for o in outcomes)
-                lte[scheme][r] = sum(o.lte_sum_rate for o in outcomes)
+                # Left to right: sum() compensates on Python >= 3.12.
+                wifi_total = lte_total = 0.0
+                for outcome in outcomes:
+                    wifi_total += outcome.wifi_throughput
+                    lte_total += outcome.lte_sum_rate
+                wifi[scheme][r] = wifi_total
+                lte[scheme][r] = lte_total
 
         def _std(samples: np.ndarray) -> float:
             return float(np.std(samples, ddof=1)) if reps > 1 else 0.0

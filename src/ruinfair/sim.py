@@ -27,12 +27,15 @@ A long frame is assembled from parts computed at the level where they vary:
 * :func:`link_budget` depends on the topology and radio only;
 * :func:`scheme_lte_time` and :func:`lte_sum_rates` (water-filling per
   channel) depend on the scheme and the duty cycle, not on the seed;
-* :func:`collision_totals` depends on the seed (and the station counts),
-  not on the scheme;
+* the collision totals depend on the seed (and the station counts), not
+  on the scheme: :func:`collision_totals` draws them for many seeds at once
+  with the lockstep compound-Poisson kernel, bit-identical to one
+  :func:`sample_collisions` call per (seed, channel);
 * :func:`channel_outcomes` is the per-channel frame accounting that
   combines them.
 
-:func:`simulate_long_frame` computes all of them for one (scheme, seed);
+:func:`simulate_long_frame` computes all of them for one (scheme, seed),
+drawing the collisions with the scalar :func:`sample_collisions`;
 ``experiment.run_sweep`` computes each once per level and reuses it.
 """
 
@@ -45,6 +48,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels._lockstep import compound_poisson_totals, substream_states
 from .allocation import ChannelUserGains, water_fill
 from .duty import DutyCyclePolicy, DutyCycleResult, FrameConfig, duty_cycle_from_surplus
 from .errors import ConfigError
@@ -192,7 +196,12 @@ class CollisionDraw:
 
     @property
     def total(self) -> float:
-        return sum(self.durations)
+        """Durations added left to right from 0.0 (``sum`` compensates on
+        Python >= 3.12, which the lockstep kernel does not)."""
+        total = 0.0
+        for duration in self.durations:
+            total += duration
+        return total
 
 
 @dataclass(frozen=True)
@@ -253,12 +262,16 @@ def generate_topology(seed: int, config: TopologyConfig) -> Topology:
     )
 
 
-def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
-    """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
+def _check_collision_rates(lambda_k: float, mu: float) -> None:
     if not (math.isfinite(lambda_k) and 0.0 < lambda_k <= _POISSON_LAM_MAX):
         raise ValueError(f"lambda_k must be in (0, {_POISSON_LAM_MAX}], got {lambda_k}")
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be > 0, got {mu}")
+
+
+def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
+    """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
+    _check_collision_rates(lambda_k, mu)
     rng = SplitMix64(seed)
     count = rng.poisson(lambda_k)
     durations = tuple(rng.exponential(mu) for _ in range(count))
@@ -312,17 +325,22 @@ def lte_sum_rates(
     return [0.0] * len(waps)
 
 
-def collision_totals(waps, traffic: TrafficConfig, seed: int) -> list[float]:
-    """Total collision time on each WAP's channel, in the order given.
+def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
+    """Total collision time per seed (rows) and WAP channel (columns, in the
+    order given).
 
-    Channel k draws from the substream seed (seed, k), whatever the scheme.
+    Channel k of seed s draws from the substream seed (s, k), whatever the
+    scheme: entry ``[r, j]`` equals ``sample_collisions(lambda_k, mu,
+    substream_seed(seeds[r], waps[j].channel)).total`` bit for bit.  All
+    seeds of a channel are drawn in one lockstep kernel call.
     """
-    return [
-        sample_collisions(
-            traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(seed, w.channel)
-        ).total
-        for w in waps
-    ]
+    states = substream_states(seeds, [w.channel for w in waps])
+    totals = np.empty(states.shape)
+    for j, wap in enumerate(waps):
+        lambda_k = traffic.lambda_base * wap.wst_count
+        _check_collision_rates(lambda_k, traffic.mu)
+        totals[:, j] = compound_poisson_totals(states[:, j], lambda_k, traffic.mu)
+    return totals
 
 
 def channel_outcomes(
@@ -388,12 +406,18 @@ def simulate_long_frame(
     lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
 
     waps = sorted(topology.waps, key=lambda w: w.channel)
+    collisions = [
+        sample_collisions(
+            traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(seed, w.channel)
+        ).total
+        for w in waps
+    ]
     return channel_outcomes(
         scheme,
         waps,
         t_total,
         lte_time,
         lte_sum_rates(lte_time, radio.bandwidth, link_budget(topology, radio), waps),
-        collision_totals(waps, traffic, seed),
+        collisions,
         radio.wifi_phy_rate,
     )

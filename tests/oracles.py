@@ -128,7 +128,9 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
     budget, water-filling, collision draws) and sum the outcomes over
     channels.  Unlike the oracles above it runs the package's simulator; it
     pins the sweep runner's reuse of work across replications and schemes,
-    not the simulator itself.
+    and its lockstep collision draws against the scalar
+    ``sample_collisions`` that ``simulate_long_frame`` calls, not the
+    simulator itself.
     """
     from dataclasses import replace
 
@@ -176,8 +178,13 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
                     seed,
                     ruin_duty=ruin_duty,
                 )
-                wifi[scheme].append(sum(o.wifi_throughput for o in outcomes))
-                lte[scheme].append(sum(o.lte_sum_rate for o in outcomes))
+                # Left to right: sum() compensates on Python >= 3.12.
+                wifi_total = lte_total = 0.0
+                for outcome in outcomes:
+                    wifi_total += outcome.wifi_throughput
+                    lte_total += outcome.lte_sum_rate
+                wifi[scheme].append(wifi_total)
+                lte[scheme].append(lte_total)
 
         def std(samples):
             return float(np.std(samples, ddof=1)) if reps > 1 else 0.0

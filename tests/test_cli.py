@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, artifacts on disk."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ruinfair.cli import main
+from ruinfair.prng import _POISSON_LAM_MAX
 
 SMALL_SCENARIO = {
     "topology": {"ue_count": 4},
@@ -122,3 +127,68 @@ def test_manifest_replay_matches_cli_output(config_file, tmp_path):
     replay_out = tmp_path / "second"
     assert main(["run", "--config", str(replay_config), "--sweep", "wst", "--out", str(replay_out)]) == 0
     assert (out / "sweep_wst.csv").read_bytes() == (replay_out / "sweep_wst.csv").read_bytes()
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenarios of one replication, many with ``lambda_base x wst`` at the cap.
+
+    A rate is drawn as ``cap / wst`` for one of the station counts in play,
+    scaled either a hair below, at or above 1, so that the cross-field
+    check is exercised on both sides of its edge, or by a factor up to 1.
+    """
+    wst = draw(st.integers(1, 60))
+    wst_values = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=3)))
+
+    def rate(stations):
+        scale = st.one_of(
+            st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12]), st.floats(1e-6, 1.0)
+        )
+        return scale.map(lambda k: _POISSON_LAM_MAX / stations * k)
+
+    stations = draw(st.sampled_from([wst, wst_values[-1], max(wst, wst_values[-1])]))
+    lambda_base = draw(rate(stations))
+    lambda_values = sorted(draw(st.sets(rate(wst), min_size=1, max_size=3)))
+    psi_values = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=1, max_size=3)))
+    sweeps = {
+        "wst": {"variable": "wst_count", "values": wst_values},
+        "lam": {"variable": "lambda_base", "values": lambda_values},
+        "psi": {"variable": "psi", "values": psi_values},
+    }
+    chosen = draw(st.sets(st.sampled_from(sorted(sweeps)), min_size=1))
+    n_short = draw(st.integers(1, 20))
+    return {
+        "frame": {
+            "n_short": n_short,
+            "delta": draw(st.floats(1e-4, 1e-2)),
+            "r_reserved": draw(st.integers(0, n_short)),
+        },
+        "topology": {
+            "wap_count": draw(st.integers(1, 3)),
+            "wst_per_wap": wst,
+            "ue_count": draw(st.integers(1, 4)),
+        },
+        "traffic": {"lambda_base": lambda_base, "mu": draw(st.floats(1.0, 2000.0))},
+        "policy": {
+            "kind": draw(st.sampled_from(["linear", "thresholded_linear"])),
+            "psi_cutoff": draw(st.floats(0.0, 1.0)),
+        },
+        "seeds": {
+            "topology": draw(st.integers(-(2**63), 2**64)),
+            "traffic": draw(st.integers(-(2**63), 2**64)),
+            "replications": 1,
+        },
+        "sweeps": {name: sweeps[name] for name in chosen},
+    }
+
+
+@given(_scenarios())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_validated_scenario_runs(scenario):
+    """Whatever ``validate`` accepts, ``run`` completes with exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        if main(["validate", "--config", str(path)]) != 0:
+            return
+        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")]) == 0

@@ -113,7 +113,12 @@ class TestWorkReuse:
         assert run_sweep(small_config, name) == sweep_rows_per_frame(small_config, name)
 
     def test_per_level_call_counts(self, monkeypatch):
-        calls = {"water_fill": 0, "sample_collisions": 0, "link_budget": 0}
+        calls = {
+            "water_fill": 0,
+            "sample_collisions": 0,
+            "collision_totals": 0,
+            "link_budget": 0,
+        }
 
         def counting(name):
             real = getattr(sim, name)
@@ -126,8 +131,9 @@ class TestWorkReuse:
 
         for name in calls:
             monkeypatch.setattr(sim, name, counting(name))
-        # run_sweep calls link_budget through its own import of the name.
+        # run_sweep calls these through its own import of the names.
         monkeypatch.setattr(experiment, "link_budget", sim.link_budget)
+        monkeypatch.setattr(experiment, "collision_totals", sim.collision_totals)
 
         counts = {}
         for reps in (1, 6):
@@ -138,10 +144,11 @@ class TestWorkReuse:
             counts[reps] = dict(calls)
 
         values = len(SMALL["sweeps"]["wst"]["values"])
-        channels = parse_scenario(SMALL).topology.wap_count
         assert counts[1]["water_fill"] == counts[6]["water_fill"] > 0
         assert counts[6]["link_budget"] == values
-        assert counts[6]["sample_collisions"] == values * 6 * channels
+        # All replications' collisions are drawn in one call per value.
+        assert counts[1]["collision_totals"] == counts[6]["collision_totals"] == values
+        assert counts[6]["sample_collisions"] == 0
 
 
 class _FailingHalfway:

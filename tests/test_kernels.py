@@ -6,11 +6,13 @@ cases are skipped where the ``_fast`` extension was not built.
 
 import math
 
+import numpy as np
 import pytest
 
 from ruinfair import _kernels
 from ruinfair._kernels import _lockstep, _pure
 from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.sim import sample_collisions
 
 try:
     from ruinfair._kernels import _fast
@@ -40,11 +42,11 @@ def test_ruin_count_bit_identical(seed, impl):
     assert _pure.ruin_mc_count(*args, seed) == impl.ruin_mc_count(*args, seed)
 
 
-@needs_fast
+@pytest.mark.parametrize("impl", [LOCKSTEP, FAST])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_chance_count_bit_identical(seed):
+def test_chance_count_bit_identical(seed, impl):
     args = (0.004, 0.009, 1.5, 400.0, 3000)
-    assert _pure.chance_mc_count(*args, seed) == _fast.chance_mc_count(*args, seed)
+    assert _pure.chance_mc_count(*args, seed) == impl.chance_mc_count(*args, seed)
 
 
 def test_selected_backend_exposes_kernel_surface():
@@ -65,14 +67,16 @@ def test_ruin_count_matches_per_trial_paths(impl):
     assert impl.ruin_mc_count(u, c, rate, n, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE, FAST])
+@pytest.mark.parametrize("impl", [PURE, FAST, LOCKSTEP])
 def test_chance_count_matches_manual_loop(impl):
     """The kernel replays the documented draw recipe: Poisson count, then durations."""
     alpha, threshold, lam, mu, trials, seed = 0.003, 0.009, 1.2, 350.0, 500, 5
     expected = 0
     for t in range(trials):
         rng = SplitMix64(substream_seed(seed, t))
-        total = sum(rng.exponential(mu) for _ in range(rng.poisson(lam)))
+        total = 0.0  # left to right: sum() compensates on Python >= 3.12
+        for _ in range(rng.poisson(lam)):
+            total += rng.exponential(mu)
         expected += total + alpha <= threshold
     assert impl.chance_mc_count(alpha, threshold, lam, mu, trials, seed) == expected
 
@@ -137,3 +141,83 @@ def test_lockstep_chunks_match_scalar(monkeypatch):
 def test_ruin_count_rejects_bad_rate(impl, rate):
     with pytest.raises(ValueError, match="exponential rate"):
         impl.ruin_mc_count(0.3, 0.8, rate, 1, 10, 42)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 0.009, 1e-9, 450.0, 50),  # almost never a collision
+        (0.0, 0.5, 500.0, 450.0, 40),  # the Poisson cap
+        (0.001, 0.02, 12.0, 450.0, 1),  # a single trial
+        (0.001, 0.02, 0.0, 450.0, 30),  # lam = 0: no draw beyond the first
+    ],
+    ids=["tiny-lam", "lam-cap", "one-trial", "lam0"],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lockstep_chance_edges_match_scalar(args, seed):
+    assert _lockstep.chance_mc_count(*args, seed) == _pure.chance_mc_count(*args, seed)
+
+
+def test_lockstep_chance_chunks_match_scalar(monkeypatch):
+    """Trials split across several chunks, the last one short, count as one batch."""
+    monkeypatch.setattr(_lockstep, "_CHUNK", 7)
+    args = (0.002, 0.009, 3.0, 450.0, 100, 77)
+    assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("lam", [0.7, 40.0, 500.0])
+def test_compound_blocks_carry_over(monkeypatch, block, lam):
+    """Products and totals carried across many narrow blocks keep every bit."""
+    monkeypatch.setattr(_lockstep, "_BLOCK", block)
+    seeds = [substream_seed(11, t) for t in range(24)]
+    totals = _lockstep.compound_poisson_totals(np.array(seeds, dtype=np.uint64), lam, 450.0)
+    assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
+    args = (0.0, 0.5, lam, 450.0, 24, 11)
+    assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+
+
+@pytest.mark.parametrize("lam,streams", [(1e-9, 100), (1.0, 4096), (150.0, 100), (500.0, 100)])
+def test_compound_totals_match_scalar_streams(lam, streams):
+    """Every lockstep total equals the scalar collision draw's, bit for bit.
+
+    A last-bit difference in the logarithm (``np.log`` in place of libm's)
+    is lost in a sum of hundreds of durations, but not in the one-duration
+    totals that are common at ``lam = 1``.
+    """
+    seeds = [substream_seed(2024, t) for t in range(streams)]
+    states = _lockstep.substream_states([2024], range(streams))[0]
+    assert states.tolist() == seeds
+    totals = _lockstep.compound_poisson_totals(states, lam, 450.0)
+    assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
+
+
+def test_compound_totals_of_no_streams():
+    """No stream draws anything, so even a bad rate goes unchecked."""
+    no_streams = np.array([], dtype=np.uint64)
+    assert _lockstep.compound_poisson_totals(no_streams, 2.0, 450.0).shape == (0,)
+    assert _lockstep.compound_poisson_totals(no_streams, math.nan, 0.0).shape == (0,)
+
+
+def _outcome(impl, args):
+    try:
+        return ("count", impl.chance_mc_count(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize(
+    "lam,mu,trials",
+    [
+        *[(lam, 450.0, 10) for lam in (-1.0, 500.5, math.nan, math.inf)],
+        *[(lam, 450.0, 0) for lam in (-1.0, math.nan)],  # no trial, no draw
+        *[(2.0, mu, 10) for mu in (0.0, -1.0, math.nan, math.inf)],
+        *[(0.0, mu, 10) for mu in (0.0, math.nan)],  # no collision, no duration
+        (1e-9, 0.0, 10),  # no trial draws a collision either
+        (2.0, 0.0, 0),
+    ],
+)
+def test_lockstep_chance_errors_match_scalar(lam, mu, trials):
+    """The same ValueError as the scalar draws, or the same count."""
+    args = (0.001, 0.009, lam, mu, trials, 42)
+    assert _outcome(_lockstep, args) == _outcome(_pure, args)

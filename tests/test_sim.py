@@ -1,6 +1,7 @@
 """Frame-level simulator: topology, collisions, and scheme accounting."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,8 @@ from ruinfair import (
     simulate_long_frame,
     snr_utility,
 )
+from ruinfair.prng import substream_seed
+from ruinfair.sim import WapSite, collision_totals
 
 LINEAR = DutyCyclePolicy(kind=PolicyKind.LINEAR)
 FRAME = FrameConfig(n_short=10, delta=0.001, r_reserved=1)
@@ -92,7 +95,10 @@ class TestSampleCollisions:
         for seed in range(200):
             draw = sample_collisions(2.0, 500.0, seed)
             assert draw.count == len(draw.durations)
-            assert draw.total == sum(draw.durations)
+            total = 0.0  # left to right: sum() compensates on Python >= 3.12
+            for duration in draw.durations:
+                total += duration
+            assert draw.total == total
             assert all(d >= 0.0 for d in draw.durations)
 
     def test_poisson_mean_self_check(self):
@@ -122,6 +128,40 @@ class TestSampleCollisions:
             sample_collisions(1.0, 0.0, 0)
         with pytest.raises(ValueError):
             sample_collisions(600.0, 500.0, 0)
+
+
+class TestCollisionTotals:
+    WAPS = tuple(
+        WapSite(position=(0.0, 0.0), radius=50.0, wst_count=wst, channel=channel)
+        for wst, channel in ((3, 0), (40, 2), (1, 5))
+    )
+
+    def test_equals_one_scalar_draw_per_seed_and_channel(self):
+        traffic = TrafficConfig(lambda_base=2.5, mu=450.0)
+        seeds = [substream_seed(99, r) for r in range(12)] + [-3, 2**64 - 1]
+        totals = collision_totals(self.WAPS, traffic, seeds)
+        assert totals.shape == (len(seeds), len(self.WAPS))
+        expected = [
+            [
+                sample_collisions(
+                    traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(s, w.channel)
+                ).total
+                for w in self.WAPS
+            ]
+            for s in seeds
+        ]
+        assert totals.tolist() == expected
+
+    @pytest.mark.parametrize("lambda_base,mu", [(20.0, 450.0), (0.2, 0.0)])
+    def test_rejects_what_sample_collisions_rejects(self, lambda_base, mu):
+        """A rate of 800 on the second channel, or a zero duration rate."""
+        # TrafficConfig itself rejects mu = 0; the function reads two fields.
+        traffic = SimpleNamespace(lambda_base=lambda_base, mu=mu)
+        with pytest.raises(ValueError) as scalar:
+            sample_collisions(lambda_base * self.WAPS[1].wst_count, mu, 0)
+        with pytest.raises(ValueError) as batched:
+            collision_totals(self.WAPS, traffic, [0])
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestLinkBudget:

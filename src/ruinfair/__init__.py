@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from ._kernels import BACKEND
 from .allocation import (
     AllocationResult,
-    ChannelUserGains,
     snr_utility,
     sum_rate,
     water_fill,
@@ -77,7 +76,6 @@ __all__ = [
     "duty_cycle_from_surplus",
     "verify_chance_constraint",
     # allocation
-    "ChannelUserGains",
     "AllocationResult",
     "snr_utility",
     "water_fill",

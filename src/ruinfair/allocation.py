@@ -1,4 +1,4 @@
-"""Per-user bandwidth sharing of the LTE-U duty cycle (one channel at a time).
+"""Per-user bandwidth sharing of the LTE-U duty cycle on a channel.
 
 Given the duty cycle ``alpha*`` granted on a channel, the cell splits the
 bandwidth-time budget ``B * alpha*`` across users to maximize
@@ -8,6 +8,12 @@ bandwidth-time budget ``B * alpha*`` across users to maximize
 where ``gamma_i = log(1 + P_i * g_i / sigma^2)`` is the user's SNR utility.
 The problem is concave with a water-filling optimum: every served user sits
 at the common water level, ``y_i = alpha*/nu - 1/gamma_i`` clipped at zero.
+:func:`water_fill` finds it exactly, without iteration, by sorting the users
+and scanning the prefix water levels (the sort-based solution of Palomar and
+Fonollosa, "Practical algorithms for a family of waterfilling solutions",
+IEEE Trans. Signal Processing 53(2), 2005).  Path loss is frequency-flat, so
+one utility per user serves every channel.
+
 Logs are natural throughout (utilities in nats); rescaling the log base only
 scales the objective and moves no argmax.
 """
@@ -22,15 +28,11 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "ChannelUserGains",
     "AllocationResult",
     "snr_utility",
     "water_fill",
     "sum_rate",
 ]
-
-_BISECT_WIDTH = 1e-12
-_BISECT_MAX_ITER = 200
 
 
 def snr_utility(power: float, gain: float, noise: float) -> float:
@@ -42,55 +44,6 @@ def snr_utility(power: float, gain: float, noise: float) -> float:
     if not (math.isfinite(gain) and gain >= 0.0):
         raise ValueError(f"gain must be >= 0, got {gain}")
     return math.log1p(power * gain / noise)
-
-
-@dataclass(frozen=True)
-class ChannelUserGains:
-    """Link budget for all users on all channels.
-
-    ``gamma[i, k]`` must equal ``ln(1 + power[i] * gain[i, k] / noise)``;
-    build instances through :meth:`from_link_budget` to guarantee it.
-    """
-
-    gamma: np.ndarray
-    power: np.ndarray
-    gain: np.ndarray
-    noise: float
-
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        power = np.asarray(self.power, dtype=float)
-        gain = np.asarray(self.gain, dtype=float)
-        if gamma.ndim != 2 or gain.shape != gamma.shape:
-            raise ValueError(
-                f"gamma and gain must both be [users x channels], got "
-                f"{gamma.shape} and {gain.shape}"
-            )
-        if power.shape != (gamma.shape[0],):
-            raise ValueError(
-                f"power must have one entry per user, got shape {power.shape}"
-            )
-        if not (np.all(np.isfinite(gamma)) and np.all(gamma >= 0.0)):
-            raise ValueError("gamma entries must be finite and >= 0")
-        if not np.all(power > 0.0):
-            raise ValueError("power entries must be > 0")
-        if not (math.isfinite(self.noise) and self.noise > 0.0):
-            raise ValueError(f"noise must be > 0, got {self.noise}")
-        expected = np.log1p(power[:, None] * gain / self.noise)
-        if not np.allclose(gamma, expected, rtol=1e-12, atol=1e-15):
-            raise ValueError("gamma is inconsistent with power, gain and noise")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "gain", gain)
-
-    @classmethod
-    def from_link_budget(
-        cls, power: np.ndarray, gain: np.ndarray, noise: float
-    ) -> "ChannelUserGains":
-        power = np.asarray(power, dtype=float)
-        gain = np.asarray(gain, dtype=float)
-        gamma = np.log1p(power[:, None] * gain / noise)
-        return cls(gamma=gamma, power=power, gain=gain, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -126,25 +79,23 @@ def sum_rate(alpha_star: float, y, gammas) -> float:
     return alpha_star * float(np.sum(np.log1p(y * gammas)))
 
 
-def _share_total(nu: float, alpha_star: float, inv_gamma: np.ndarray) -> float:
-    return float(np.sum(np.maximum(0.0, alpha_star / nu - inv_gamma)))
-
-
 def water_fill(alpha_star: float, bandwidth: float, gammas) -> AllocationResult:
     """Split the budget ``bandwidth * alpha_star`` across users by water-filling.
 
-    The water level is located by bisection on nu (the share total is
-    continuous and decreasing in nu), then snapped to the closed form for
-    the active user set so the budget binds to machine precision:
+    The solution is exact, with no iteration: users sorted by falling
+    utility fill up in order, and the served set ``A`` is the longest prefix
+    whose weakest user still lies strictly below the water level of the
+    prefix.  The budget-constraint multiplier of that set is
 
         nu = |A| * alpha* / (bandwidth * alpha* + sum_{i in A} 1/gamma_i)
 
-    Zero duty cycle, or no user with positive utility, yields an all-zero
-    allocation with an infinite water level.
+    and every user gets ``y_i = max(0, alpha*/nu - 1/gamma_i)``; a user
+    exactly at the level gets 0.  Zero duty cycle, or no user with positive
+    utility, yields an all-zero allocation with an infinite water level.
 
     Raises:
-        NumericalError: If no bracket for nu can be established (cannot
-            happen for finite positive inputs; guarded anyway).
+        NumericalError: If rounding leaves the budget unspent (inputs so
+            lopsided that ``bandwidth * alpha*`` vanishes next to 1/gamma).
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or gammas.size == 0:
@@ -165,44 +116,18 @@ def water_fill(alpha_star: float, bandwidth: float, gammas) -> AllocationResult:
     usable = gammas > 0.0
     inv_gamma[usable] = 1.0 / gammas[usable]
 
-    # Bracket: at nu = alpha*·gamma_max the best user gets exactly zero, so
-    # the share total is 0 <= budget; halve downward until it covers budget.
-    hi = alpha_star * float(np.max(gammas))
-    lo = hi
-    for _ in range(4000):
-        if _share_total(lo, alpha_star, inv_gamma) >= budget:
-            break
-        lo *= 0.5
-    else:
-        raise NumericalError("failed to bracket the water level")
-
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        if _share_total(mid, alpha_star, inv_gamma) >= budget:
-            lo = mid
-        else:
-            hi = mid
-
-    # Snap to the exact solution of the active set the bisection identified;
-    # re-derive the set until stable (at most a couple of passes).
-    nu = 0.5 * (lo + hi)
-    for _ in range(gammas.size + 1):
-        active = alpha_star / nu > inv_gamma
-        if not np.any(active):
-            raise NumericalError("water level collapsed to an empty active set")
-        nu_next = (
-            int(np.count_nonzero(active))
-            * alpha_star
-            / (budget + float(np.sum(inv_gamma[active])))
-        )
-        if nu_next == nu:
-            break
-        nu = nu_next
+    # Prefix k of the users by rising 1/gamma has the level
+    # (budget + sum of its 1/gamma) / k.  The strongest user is always served.
+    order = np.argsort(inv_gamma, kind="stable")
+    inv_sorted = inv_gamma[order]
+    levels = (budget + np.cumsum(inv_sorted)) / np.arange(1, gammas.size + 1)
+    served = int(np.max(np.flatnonzero(inv_sorted < levels), initial=0)) + 1
+    active = np.zeros(gammas.size, dtype=bool)
+    active[order[:served]] = True
+    # Summed in index order, not the scan's: another order can move nu an ulp.
+    nu = served * alpha_star / (budget + float(np.sum(inv_gamma[active])))
 
     y = np.maximum(0.0, alpha_star / nu - inv_gamma)
-    y[~usable] = 0.0
     consumed = float(np.sum(y))
     if not math.isclose(consumed, budget, rel_tol=1e-9):
         raise NumericalError(

@@ -9,8 +9,9 @@ so monotone per-seed effects survive aggregation untouched.
 Each quantity is computed once, at the level where it varies:
 
 * per sweep value: topology, ruin-fair duty cycle, link budget;
-* per (value, scheme): LTE-U airtime and the water-filled sum rate of
-  each channel (none of it depends on the replication seed);
+* per (value, scheme): LTE-U airtime and the water-filled sum rate, one
+  water-filling for every channel (none of it depends on the replication
+  seed);
 * per value, for all replications at once: the collision total of each
   (replication, channel), drawn by the lockstep compound-Poisson kernel
   (``sim.collision_totals``) and shared by all four schemes;

@@ -25,8 +25,9 @@ nothing can collide while LTE-U holds the channel.
 A long frame is assembled from parts computed at the level where they vary:
 
 * :func:`link_budget` depends on the topology and radio only;
-* :func:`scheme_lte_time` and :func:`lte_sum_rates` (water-filling per
-  channel) depend on the scheme and the duty cycle, not on the seed;
+* :func:`scheme_lte_time` and :func:`lte_sum_rates` (one water-filling,
+  whose rate every channel gets) depend on the scheme and the duty cycle,
+  not on the seed;
 * the collision totals depend on the seed (and the station counts), not
   on the scheme: :func:`collision_totals` draws them for many seeds at once
   with the lockstep compound-Poisson kernel, bit-identical to one
@@ -49,10 +50,16 @@ from typing import Optional
 import numpy as np
 
 from ._kernels._lockstep import compound_poisson_totals, substream_states
-from .allocation import ChannelUserGains, water_fill
-from .duty import DutyCyclePolicy, DutyCycleResult, FrameConfig, duty_cycle_from_surplus
+from .allocation import water_fill
+from .duty import (
+    CollisionModel,
+    DutyCyclePolicy,
+    DutyCycleResult,
+    FrameConfig,
+    duty_cycle_from_surplus,
+)
 from .errors import ConfigError
-from .prng import _POISSON_LAM_MAX, SplitMix64, substream_seed
+from .prng import SplitMix64, substream_seed
 
 __all__ = [
     "Scheme",
@@ -262,41 +269,29 @@ def generate_topology(seed: int, config: TopologyConfig) -> Topology:
     )
 
 
-def _check_collision_rates(lambda_k: float, mu: float) -> None:
-    if not (math.isfinite(lambda_k) and 0.0 < lambda_k <= _POISSON_LAM_MAX):
-        raise ValueError(f"lambda_k must be in (0, {_POISSON_LAM_MAX}], got {lambda_k}")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be > 0, got {mu}")
-
-
 def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
     """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
-    _check_collision_rates(lambda_k, mu)
+    CollisionModel(lambda_k, mu)  # checks both rates
     rng = SplitMix64(seed)
     count = rng.poisson(lambda_k)
     durations = tuple(rng.exponential(mu) for _ in range(count))
     return CollisionDraw(count=count, durations=durations)
 
 
-def link_budget(
-    topology: Topology, radio: RadioConfig, channels: Optional[int] = None
-) -> ChannelUserGains:
-    """Downlink SNR utilities of every UE on every channel.
+def link_budget(topology: Topology, radio: RadioConfig) -> np.ndarray:
+    """Downlink SNR utility ``ln(1 + P * g / sigma^2)`` of every UE, in UE order.
 
-    Path loss is frequency-flat here, so the per-channel columns coincide;
-    the matrix form keeps the allocator's contract explicit.  Every UE is
-    eligible on every channel (the cell aggregates across all of them).
+    Path loss is frequency-flat here, so one utility per UE holds on every
+    channel.  Every UE is eligible on every channel (the cell aggregates
+    across all of them).
     """
-    if channels is None:
-        channels = max(w.channel for w in topology.waps) + 1
     gains = []
     for ue in topology.ues:
         dx = ue.position[0] - topology.sbs_position[0]
         dy = ue.position[1] - topology.sbs_position[1]
         distance = max(math.hypot(dx, dy), radio.path.ref_distance)
-        gains.append([path_gain(distance, radio.path)] * channels)
-    power = np.full(len(topology.ues), radio.tx_power)
-    return ChannelUserGains.from_link_budget(power, np.asarray(gains), radio.noise)
+        gains.append(path_gain(distance, radio.path))
+    return np.log1p(radio.tx_power * np.asarray(gains) / radio.noise)
 
 
 def scheme_lte_time(
@@ -316,13 +311,14 @@ def scheme_lte_time(
     return ruin_duty.alpha_star
 
 
-def lte_sum_rates(
-    lte_time: float, bandwidth: float, gains: ChannelUserGains, waps
-) -> list[float]:
-    """Water-filled LTE-U sum rate on each WAP's channel, in the order given."""
-    if lte_time > 0.0:
-        return [water_fill(lte_time, bandwidth, gains.gamma[:, w.channel]).sum_rate for w in waps]
-    return [0.0] * len(waps)
+def lte_sum_rates(lte_time: float, bandwidth: float, gammas: np.ndarray, waps) -> list[float]:
+    """Water-filled LTE-U sum rate on each WAP's channel, in the order given.
+
+    ``gammas`` is :func:`link_budget`'s utility per UE, the same on every
+    channel, so one water-filling serves them all.
+    """
+    rate = water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
+    return [rate] * len(waps)
 
 
 def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
@@ -337,9 +333,8 @@ def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
     states = substream_states(seeds, [w.channel for w in waps])
     totals = np.empty(states.shape)
     for j, wap in enumerate(waps):
-        lambda_k = traffic.lambda_base * wap.wst_count
-        _check_collision_rates(lambda_k, traffic.mu)
-        totals[:, j] = compound_poisson_totals(states[:, j], lambda_k, traffic.mu)
+        model = CollisionModel(traffic.lambda_base * wap.wst_count, traffic.mu)
+        totals[:, j] = compound_poisson_totals(states[:, j], model.lambda_k, model.mu)
     return totals
 
 

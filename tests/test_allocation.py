@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from ruinfair import (
-    ChannelUserGains,
+    RadioConfig,
+    TopologyConfig,
+    generate_topology,
+    link_budget,
     snr_utility,
     sum_rate,
     water_fill,
@@ -35,36 +38,6 @@ class TestSnrUtility:
             snr_utility(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             snr_utility(1.0, -0.5, 1.0)
-
-
-class TestChannelUserGains:
-    def test_from_link_budget_is_consistent(self):
-        power = np.array([1.0, 2.0])
-        gain = np.array([[1.0, 0.5], [0.25, 2.0]])
-        gains = ChannelUserGains.from_link_budget(power, gain, noise=0.5)
-        for i in range(2):
-            for k in range(2):
-                assert gains.gamma[i, k] == pytest.approx(
-                    snr_utility(power[i], gain[i, k], 0.5), rel=1e-14
-                )
-
-    def test_rejects_inconsistent_gamma(self):
-        with pytest.raises(ValueError):
-            ChannelUserGains(
-                gamma=np.array([[1.0]]),
-                power=np.array([1.0]),
-                gain=np.array([[1.0]]),
-                noise=1.0,
-            )
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ChannelUserGains(
-                gamma=np.zeros((2, 2)),
-                power=np.array([1.0, 1.0, 1.0]),
-                gain=np.zeros((2, 2)),
-                noise=1.0,
-            )
 
 
 class TestSumRate:
@@ -124,6 +97,60 @@ class TestWaterFillClosedForms:
         assert result.y.tolist() == [0.0, 0.0]
         assert result.sum_rate == 0.0
         assert result.water_level == math.inf
+
+
+class TestWaterFillExact:
+    def test_user_at_the_level_gets_nothing(self):
+        # level (1 + 1/1) / 1 = 2 is exactly the second user's 1/gamma
+        result = water_fill(1.0, 1.0, [1.0, 0.5])
+        assert result.y.tolist() == [1.0, 0.0]
+        assert result.water_level == 0.5
+
+    def test_tied_users_at_the_level_get_nothing(self):
+        for gammas in ([1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]):
+            result = water_fill(1.0, 1.0, gammas)
+            assert result.y.tolist() == [1.0 if g == 1.0 else 0.0 for g in gammas]
+            assert result.water_level == 0.5
+            assert result.budget == 1.0
+
+    def test_thousand_users(self):
+        rng = np.random.default_rng(1000)
+        gammas = 10.0 ** rng.uniform(-2.0, 1.0, size=1000)
+        gammas[::7] = 0.0
+        result = water_fill(0.5, 200.0, gammas)
+        level = 0.5 / result.water_level
+        served = result.y > 0.0
+        assert 0 < np.count_nonzero(served) < np.count_nonzero(gammas)
+        assert result.budget == pytest.approx(100.0, rel=1e-12)
+        assert result.y[gammas == 0.0].tolist() == [0.0] * np.count_nonzero(gammas == 0.0)
+        np.testing.assert_allclose(result.y[served], level - 1.0 / gammas[served], rtol=1e-12)
+        # the weakest served user is stronger than the strongest unserved one
+        assert np.min(gammas[served]) > np.max(gammas[~served])
+        assert np.all(level <= 1.0 / gammas[~served & (gammas > 0.0)])
+
+    @pytest.mark.parametrize(
+        "alpha,water_level,rate",
+        [
+            # Frozen from the bisection solver this one replaced.
+            (0.005, 7.499767903892997e-07, 0.7809398632634094),
+            (0.01, 7.499883950150851e-07, 1.6658494826317845),
+        ],
+    )
+    def test_default_cell_golden(self, alpha, water_level, rate):
+        radio = RadioConfig()
+        gammas = link_budget(generate_topology(7, TopologyConfig()), radio)
+        result = water_fill(alpha, radio.bandwidth, gammas)
+        assert result.water_level == water_level
+        assert result.sum_rate == rate
+
+    def test_partly_served_golden(self):
+        # 11 of 40 users served; summing their 1/gamma in sorted rather than
+        # index order moves both numbers by an ulp.
+        rng = np.random.default_rng(4)
+        result = water_fill(0.5, 2.0, 10.0 ** rng.uniform(-2.0, 1.0, size=40))
+        assert np.count_nonzero(result.y) == 11
+        assert result.water_level == 2.0367947825555532
+        assert result.sum_rate == 2.678874060215869
 
 
 def _random_instance(rng, users):

@@ -136,19 +136,24 @@ class TestWorkReuse:
         monkeypatch.setattr(experiment, "collision_totals", sim.collision_totals)
 
         counts = {}
-        for reps in (1, 6):
-            config = parse_scenario(dict(SMALL, seeds={"replications": reps}))
+        for reps, waps in ((1, 3), (6, 3), (6, 1)):
+            topology = dict(SMALL["topology"], wap_count=waps)
+            config = parse_scenario(
+                dict(SMALL, topology=topology, seeds={"replications": reps})
+            )
             for name in calls:
                 calls[name] = 0
             run_sweep(config, "wst")
-            counts[reps] = dict(calls)
+            counts[reps, waps] = dict(calls)
 
         values = len(SMALL["sweeps"]["wst"]["values"])
-        assert counts[1]["water_fill"] == counts[6]["water_fill"] > 0
-        assert counts[6]["link_budget"] == values
+        assert counts[1, 3]["water_fill"] == counts[6, 3]["water_fill"] > 0
+        # One water-filling serves every channel.
+        assert counts[6, 1]["water_fill"] == counts[6, 3]["water_fill"]
+        assert counts[6, 3]["link_budget"] == values
         # All replications' collisions are drawn in one call per value.
-        assert counts[1]["collision_totals"] == counts[6]["collision_totals"] == values
-        assert counts[6]["sample_collisions"] == 0
+        assert counts[1, 3]["collision_totals"] == counts[6, 3]["collision_totals"] == values
+        assert counts[6, 3]["sample_collisions"] == 0
 
 
 class _FailingHalfway:

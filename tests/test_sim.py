@@ -165,23 +165,20 @@ class TestCollisionTotals:
 
 
 class TestLinkBudget:
-    def test_matrix_shape_and_flat_channels(self):
-        topology = small_topology(seed=6)
-        gains = link_budget(topology, RADIO)
-        assert gains.gamma.shape == (6, 3)
-        # frequency-flat path loss: identical utility on every channel
-        for k in range(1, 3):
-            assert gains.gamma[:, k].tolist() == gains.gamma[:, 0].tolist()
+    def test_one_utility_per_ue(self):
+        # frequency-flat path loss: one utility serves every channel
+        gammas = link_budget(small_topology(seed=6), RADIO)
+        assert gammas.shape == (6,)
 
     def test_matches_scalar_utility_per_ue(self):
         topology = small_topology(seed=6)
-        gains = link_budget(topology, RADIO)
+        gammas = link_budget(topology, RADIO)
         for i, ue in enumerate(topology.ues):
             distance = max(math.hypot(*ue.position), RADIO.path.ref_distance)
             expected = snr_utility(
                 RADIO.tx_power, path_gain(distance, RADIO.path), RADIO.noise
             )
-            assert gains.gamma[i, 0] == pytest.approx(expected, rel=1e-12)
+            assert gammas[i] == pytest.approx(expected, rel=1e-12)
 
 
 def run_scheme(scheme, seed=11, topology=None, policy=LINEAR, traffic=TRAFFIC):

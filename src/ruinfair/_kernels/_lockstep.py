@@ -1,4 +1,4 @@
-"""NumPy lockstep Monte Carlo kernels (default backend without a build).
+"""NumPy lockstep Monte Carlo kernels: the one backend of :mod:`ruinfair._kernels`.
 
 The kernels advance the SplitMix64 streams of all trials at once instead of
 one trial at a time.  Substreams are counter-based (the seed of trial ``t``
@@ -13,25 +13,61 @@ operations, in the same order:
 * exponential ``-log(1 - u) / rate``;
 * ``ruin_mc_count``: claims accumulated as ``claims += claim``, ruin test
   ``u + s*c - claims < 0.0``;
-* :func:`compound_poisson_totals` (used by ``chance_mc_count`` and the
-  sweep's collision draws): Knuth's Poisson count ``p = u1; p *= u2; ...``
+* :func:`compound_poisson_totals` (the sweep's collision draws) and
+  ``chance_mc_count``: Knuth's Poisson count ``p = u1; p *= u2; ...``
   while ``p > exp(-lam)``, then the durations added left to right from
   ``0.0``.  Both run as ``np.multiply.accumulate`` / ``np.add.accumulate``
   along a block of draws, each element one multiply or add of the previous
   one, with the running product or total carried from block to block.
 
-The logarithm must be libm's, taken through ``math.log``: NumPy's ``np.log``
-has its own SIMD implementation, which differs from glibc in the last bit on
-some inputs, and any such bit can flip a ruin decision or a collision total
-and break the bit-identity with the scalar kernel that the frozen golden
-values rely on.  Streams that finish (ruined paths, completed Poisson counts
-and duration sums) are dropped from the working arrays as they go, so the
-cost of a step is proportional to the streams still live.
+Streams that finish (ruined paths, completed Poisson counts and duration
+sums) are dropped from the working arrays as they go, so the cost of a step
+is proportional to the streams still live.
+
+**Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
+which differs from glibc's in the last bit on some inputs; libm's is taken
+element by element through ``math.log`` (:func:`_libm_log`), about 17x
+slower.  Values that are returned need libm's bits, so the sweep's
+collision totals (:func:`compound_poisson_totals`) use libm throughout.
+A count needs only the sign of each decision, so ``ruin_mc_count`` and
+``chance_mc_count`` decide with ``np.log`` and use libm only to replay the
+few trials whose decision the faster logarithm could have flipped: a
+floating-point filter with an exact fallback (Shewchuk, "Adaptive
+precision floating-point arithmetic and fast robust geometric
+predicates", Discrete Comput. Geom. 18, 1997).
+
+**The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
+taken with ``np.log`` is off from the libm term by at most a few ulps,
+i.e. by a few ``eps`` times the term: the two logarithms of the same
+argument differ by at most a few ulps (``tests/test_kernels.py`` checks
+that the largest gap over 10**6 uniforms stays far below ``_K``), and the
+division adds half an ulp.  All the terms are positive, so after ``s``
+left-to-right additions each sum is within ``(s - 1) * eps / 2`` times
+itself of the exact sum of its own terms, and the two sums differ by at
+most about ``(s + m) * eps * claims`` for an ``m``-ulp logarithm.  The
+decision takes the sign of ``fl(a - b)``, which is the sign of ``a - b``
+(round-to-nearest subtraction is exact in sign, and zero only when
+``a == b``), so a decision taken with ``np.log`` is the libm one whenever
+``|a - b|`` exceeds the gap between the two sums.  A trial is therefore
+*unsure*, and replayed with libm, when
+
+    |u + s*c - claims|               <= _K * s * (eps * (claims + |u + s*c|) + tiny)
+    |threshold - (total + alpha)|    <= _K * (k + 1) * (eps * (total + |alpha| + |threshold|) + tiny)
+
+for period ``s`` of a surplus path, or for a chance trial whose total sums
+``k`` durations.  The ``eps`` terms bound the relative error above and the
+rounding of ``total + alpha``; ``tiny = 2**-1074`` bounds the absolute
+error of an operation whose result is subnormal, where relative bounds fail
+(claims of a rate near the largest double).  ``_K = 64`` leaves a wide
+margin over the few ulps needed.  An infinite bound (an infinite or
+overflowing argument) marks the trial unsure and a NaN margin decides
+"no" on both paths, so non-finite arguments count as in ``_pure`` too.
 
 The counts are bit-identical to ``_pure`` for every argument, and the
 totals to ``sim.sample_collisions(...).total``; ``tests/test_kernels.py``
-pins that.  ``surplus_path_values`` is not on a hot path and is re-exported
-from ``_pure`` unchanged.
+pins that, also with every trial replayed (``_K`` huge) and with none
+(``_K = 0``).  ``surplus_path_values`` is not on a hot path and is
+re-exported from ``_pure`` unchanged.
 """
 
 from __future__ import annotations
@@ -63,6 +99,12 @@ _CHUNK = 1 << 16
 # 10,000-trial chance audit at lam = 2 adds about 3.6 MB with 2**16 and
 # 1.7 MB with 2**14.
 _BLOCK = 1 << 14
+
+# Error bound of the np.log filter, in ulps per summed term (see the module
+# docstring); 0 replays no trial, a huge value replays every one.
+_K = 64
+_EPS = 2.0**-52
+_TINY = math.ulp(0.0)
 
 _GAMMA = np.uint64(prng._GOLDEN)
 _MIX1 = np.uint64(prng._MIX1)
@@ -112,9 +154,10 @@ def _exponential(state: np.ndarray, rate: float) -> np.ndarray:
     return -_libm_log(1.0 - _to_uniform(state)) / rate
 
 
-def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
-    """Ruined paths among trials ``start .. stop-1``."""
-    state = _substreams(seed, start, stop)
+def _ruins(state: np.ndarray, u, c, mu_prime, n: int) -> int:
+    """Ruined paths among the streams ``state``, with libm's logarithm.
+
+    Steps ``state`` in place."""
     claims = np.zeros(len(state))
     ruined = 0
     for s in range(1, n + 1):
@@ -128,6 +171,42 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
             claims = claims[alive]
             if not len(state):
                 break
+    return ruined
+
+
+def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
+    """Ruined paths among trials ``start .. stop-1``.
+
+    Steps every path with ``np.log``; a path leaves at its ruin or at the
+    first period where it is unsure, and the unsure ones are replayed from
+    their start states by :func:`_ruins`.
+    """
+    starts = _substreams(seed, start, stop)
+    state = starts.copy()
+    paths = np.arange(len(state))
+    claims = np.zeros(len(state))
+    unsure = []
+    ruined = 0
+    for s in range(1, n + 1):
+        state += _GAMMA
+        claims += -np.log(1.0 - _to_uniform(state)) / mu_prime
+        level = u + s * c
+        margin = level - claims
+        bound = claims * (_K * s * _EPS) + _K * s * (abs(level) * _EPS + _TINY)
+        # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
+        leave = margin <= bound
+        if leave.any():
+            close = np.abs(margin[leave]) <= bound[leave]
+            ruined += len(close) - int(np.count_nonzero(close))
+            unsure.append(paths[leave][close])
+            stay = ~leave
+            state = state[stay]
+            claims = claims[stay]
+            paths = paths[stay]
+            if not len(state):
+                break
+    if unsure:
+        ruined += _ruins(starts[np.concatenate(unsure)], u, c, mu_prime, n)
     return ruined
 
 
@@ -160,7 +239,15 @@ def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
     complete at the first block where some product is not.  A count of k
     takes k + 1 uniforms; blocks are no wider than the mean plus three
     standard deviations of that, so few draws are wasted.
+
+    Raises:
+        ValueError: As ``SplitMix64.poisson`` does, if ``lam`` is not in
+            ``[0, prng._POISSON_LAM_MAX]``.
     """
+    if not 0.0 <= lam <= prng._POISSON_LAM_MAX:
+        raise ValueError(
+            f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {lam}"
+        )
     limit = math.exp(-lam)
     typical = math.ceil(lam + 3.0 * math.sqrt(lam)) + 1
     counts = np.zeros(len(states), dtype=np.int64)
@@ -180,9 +267,12 @@ def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
     return counts
 
 
-def _duration_totals(states: np.ndarray, counts: np.ndarray, mu: float) -> np.ndarray:
+def _duration_totals(
+    states: np.ndarray, counts: np.ndarray, mu: float, log=_libm_log
+) -> np.ndarray:
     """Sum of the ``counts[i]`` exponential(``mu``) draws that follow the
-    Poisson draws of stream ``i``, added left to right from ``0.0``."""
+    Poisson draws of stream ``i``, added left to right from ``0.0``, each
+    ``-log(1 - u) / mu``."""
     totals = np.zeros(len(states))
     live = np.flatnonzero(counts)
     if not len(live):
@@ -200,7 +290,7 @@ def _duration_totals(states: np.ndarray, counts: np.ndarray, mu: float) -> np.nd
         # Padding past a stream's last duration adds 0.0, which leaves the
         # total's bits unchanged (it starts at 0.0, so it is never -0.0).
         durations = np.zeros(one_minus_u.shape)
-        durations[wanted] = -_libm_log(one_minus_u[wanted]) / mu
+        durations[wanted] = -log(one_minus_u[wanted]) / mu
         durations[:, 0] += totals[live]
         totals[live] = np.add.accumulate(durations, axis=1)[:, -1]
         live = live[left > width]
@@ -226,10 +316,6 @@ def compound_poisson_totals(states: np.ndarray, lam: float, mu: float) -> np.nda
     """
     if not len(states):
         return np.zeros(0)
-    if not 0.0 <= lam <= prng._POISSON_LAM_MAX:
-        raise ValueError(
-            f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {lam}"
-        )
     return _duration_totals(states, _poisson_counts(states, lam), mu)
 
 
@@ -244,12 +330,23 @@ def chance_mc_count(
     """Trials in which total collision time + ``alpha_total`` fits under ``threshold``.
 
     Trial ``t`` draws its compound-Poisson collision time from the substream
-    ``substream_seed(seed, t)``, as ``_pure.chance_mc_count`` does.
+    ``substream_seed(seed, t)``, as ``_pure.chance_mc_count`` does.  The
+    durations are summed with ``np.log``; the trials whose decision that
+    could flip are summed again with libm's logarithm.
+
+    Raises:
+        ValueError: As :func:`compound_poisson_totals` does.
     """
     seed = operator.index(seed)
     ok = 0
     for start in range(0, trials, _CHUNK):
         states = _substreams(seed, start, min(start + _CHUNK, trials))
-        totals = compound_poisson_totals(states, lam, mu)
+        counts = _poisson_counts(states, lam)
+        totals = _duration_totals(states, counts, mu, log=np.log)
+        margin = threshold - (totals + alpha_total)
+        scale = totals + (abs(alpha_total) + abs(threshold))
+        unsure = np.abs(margin) <= (counts + 1) * (_K * (scale * _EPS + _TINY))
+        if unsure.any():
+            totals[unsure] = _duration_totals(states[unsure], counts[unsure], mu)
         ok += int(np.count_nonzero(totals + alpha_total <= threshold))
     return ok

@@ -1,23 +1,19 @@
 """Pure-Python Monte Carlo kernels (the scalar reference).
 
-The specification the other backends are checked against: one trial and
-one draw at a time, exactly as documented in :mod:`ruinfair.prng`.
-``_fast.pyx`` mirrors it operation for operation and ``_lockstep.py``
-vectorizes ``ruin_mc_count`` and ``chance_mc_count`` across trials; every
-floating-point step is an
-IEEE-754 double op shared with them (same libm ``log`` / ``exp``), so all
-backends return bit-identical results for identical arguments;
-``tests/test_kernels.py`` pins that equivalence.  Selectable at run time
-with ``RUINFAIR_BACKEND=pure``.
+The specification the lockstep kernels of ``_lockstep.py`` are checked
+against: one trial and one draw at a time, exactly as documented in
+:mod:`ruinfair.prng`, with libm's ``log`` / ``exp``.  ``_lockstep.py``
+vectorizes ``ruin_mc_count`` and ``chance_mc_count`` across trials and
+returns bit-identical counts for identical arguments (it re-exports
+``surplus_path_values`` from here); ``tests/test_kernels.py`` pins that
+equivalence.
 """
 
 from __future__ import annotations
 
 from ..prng import SplitMix64, substream_seed
 
-BACKEND = "pure"
-
-__all__ = ["BACKEND", "ruin_mc_count", "surplus_path_values", "chance_mc_count"]
+__all__ = ["ruin_mc_count", "surplus_path_values", "chance_mc_count"]
 
 
 def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:

@@ -89,13 +89,18 @@ def water_fill(alpha_star: float, bandwidth: float, gammas) -> AllocationResult:
 
         nu = |A| * alpha* / (bandwidth * alpha* + sum_{i in A} 1/gamma_i)
 
-    and every user gets ``y_i = max(0, alpha*/nu - 1/gamma_i)``; a user
-    exactly at the level gets 0.  Zero duty cycle, or no user with positive
+    and every served user gets ``y_i = alpha*/nu - 1/gamma_i``, computed as
+
+        y_i = max(0, (bandwidth * alpha* + (sum_{i in A} 1/gamma_i - |A|/gamma_i)) / |A|)
+
+    so that the budget survives a 1/gamma far above it (one served user
+    gets the budget exactly); every other user gets 0, as does a user
+    exactly at the level.  Zero duty cycle, or no user with positive
     utility, yields an all-zero allocation with an infinite water level.
 
     Raises:
-        NumericalError: If rounding leaves the budget unspent (inputs so
-            lopsided that ``bandwidth * alpha*`` vanishes next to 1/gamma).
+        NumericalError: If the shares do not add up to the budget within a
+            relative 1e-9.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or gammas.size == 0:
@@ -125,9 +130,16 @@ def water_fill(alpha_star: float, bandwidth: float, gammas) -> AllocationResult:
     active = np.zeros(gammas.size, dtype=bool)
     active[order[:served]] = True
     # Summed in index order, not the scan's: another order can move nu an ulp.
-    nu = served * alpha_star / (budget + float(np.sum(inv_gamma[active])))
+    inv_served = float(np.sum(inv_gamma[active]))
+    nu = served * alpha_star / (budget + inv_served)
 
-    y = np.maximum(0.0, alpha_star / nu - inv_gamma)
+    # y_i = level - 1/gamma_i, written relative to the other served users so
+    # that a 1/gamma far above the budget does not cancel it away: with one
+    # user it is the budget exactly.
+    y = np.zeros_like(gammas)
+    y[active] = np.maximum(
+        0.0, (budget + (inv_served - served * inv_gamma[active])) / served
+    )
     consumed = float(np.sum(y))
     if not math.isclose(consumed, budget, rel_tol=1e-9):
         raise NumericalError(

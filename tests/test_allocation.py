@@ -152,6 +152,23 @@ class TestWaterFillExact:
         assert result.water_level == 2.0367947825555532
         assert result.sum_rate == 2.678874060215869
 
+    def test_single_user_far_below_the_level_takes_the_budget(self):
+        # budget + 1/gamma rounds to 1/gamma; the share must not cancel to 0
+        result = water_fill(1.0, 1.0, [1e-20])
+        assert result.y.tolist() == [1.0]
+        assert result.budget == 1.0
+
+    @pytest.mark.parametrize("users", [1, 2, 15])
+    def test_inverse_utility_swamps_the_budget(self, users):
+        # 1/gamma = 1e12 against a budget of 1: tied users split it evenly
+        result = water_fill(1.0, 1.0, np.full(users, 1e-12))
+        assert result.y.tolist() == pytest.approx([1.0 / users] * users, rel=1e-9)
+        assert result.budget == pytest.approx(1.0, rel=1e-9)
+        # 1/gamma values 1e9 apart: the strongest user takes all of it
+        spread = 1e-12 / (1.0 + 1e-3 * np.arange(users))
+        result = water_fill(1.0, 1.0, spread)
+        assert result.y.tolist() == [1.0] + [0.0] * (users - 1)
+
 
 def _random_instance(rng, users):
     gammas = 10.0 ** rng.uniform(-2.0, 1.0, size=users)

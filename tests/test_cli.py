@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruinfair.cli import main
@@ -117,6 +117,14 @@ def test_run_output_collision_exits_1(config_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_steep_path_loss_runs(tmp_path):
+    """Every UE's 1/gamma swamps the water-filling budget; the run completes."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"radio": {"path_exponent": 20.0}}))
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_manifest_replay_matches_cli_output(config_file, tmp_path):
     out = tmp_path / "first"
     assert main(["run", "--config", str(config_file), "--sweep", "wst", "--out", str(out)]) == 0
@@ -183,6 +191,18 @@ def _scenarios(draw):
 
 
 @given(_scenarios())
+# Found by Hypothesis: alpha* is so small next to the one UE's 1/gamma that
+# water-filling used to lose the budget to cancellation (exit 1).
+@example(
+    {
+        "frame": {"n_short": 13, "delta": 0.0018259299482822143, "r_reserved": 5},
+        "topology": {"wap_count": 1, "wst_per_wap": 1, "ue_count": 1},
+        "traffic": {"lambda_base": 499.9999999995, "mu": 3.638351253904456},
+        "policy": {"kind": "linear", "psi_cutoff": 0.0},
+        "seeds": {"topology": 0, "traffic": 0, "replications": 1},
+        "sweeps": {"wst": {"variable": "wst_count", "values": [1]}},
+    }
+)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_validated_scenario_runs(scenario):
     """Whatever ``validate`` accepts, ``run`` completes with exit 0."""

@@ -1,7 +1,8 @@
-"""Backend equivalence: every kernel must agree bit-for-bit with ``_pure``.
+"""Kernel equivalence: the lockstep kernels must agree bit-for-bit with ``_pure``.
 
-The lockstep kernel needs no build and is checked everywhere; the compiled
-cases are skipped where the ``_fast`` extension was not built.
+The counts are decided with ``np.log`` and replayed with libm where unsure,
+so they are checked with the filter as shipped, with every trial replayed
+and with none.
 """
 
 import math
@@ -14,35 +15,20 @@ from ruinfair._kernels import _lockstep, _pure
 from ruinfair.prng import SplitMix64, substream_seed
 from ruinfair.sim import sample_collisions
 
-try:
-    from ruinfair._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernel extension not built")
-
-FAST = pytest.param(_fast, id="cython", marks=needs_fast)
 LOCKSTEP = pytest.param(_lockstep, id="lockstep")
 PURE = pytest.param(_pure, id="pure")
 
 SEEDS = [0, 1, 42, 2**63 + 5, -17, 987654321]
 
 
-@needs_fast
-@pytest.mark.parametrize("seed", SEEDS)
-def test_surplus_path_bit_identical(seed):
-    args = (0.5, 1.0, 1.2, 25)
-    assert _pure.surplus_path_values(*args, seed) == _fast.surplus_path_values(*args, seed)
-
-
-@pytest.mark.parametrize("impl", [LOCKSTEP, FAST])
+@pytest.mark.parametrize("impl", [LOCKSTEP])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ruin_count_bit_identical(seed, impl):
     args = (0.3, 0.8, 1.5, 12, 3000)
     assert _pure.ruin_mc_count(*args, seed) == impl.ruin_mc_count(*args, seed)
 
 
-@pytest.mark.parametrize("impl", [LOCKSTEP, FAST])
+@pytest.mark.parametrize("impl", [LOCKSTEP])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chance_count_bit_identical(seed, impl):
     args = (0.004, 0.009, 1.5, 400.0, 3000)
@@ -50,13 +36,13 @@ def test_chance_count_bit_identical(seed, impl):
 
 
 def test_selected_backend_exposes_kernel_surface():
-    assert _kernels.BACKEND in ("pure", "cython", "lockstep")
+    assert _kernels.BACKEND == "lockstep"
     assert callable(_kernels.ruin_mc_count)
     assert callable(_kernels.surplus_path_values)
     assert callable(_kernels.chance_mc_count)
 
 
-@pytest.mark.parametrize("impl", [PURE, FAST, LOCKSTEP])
+@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
 def test_ruin_count_matches_per_trial_paths(impl):
     """The batched count is exactly the sum over per-trial path simulations."""
     u, c, rate, n, trials, seed = 0.4, 0.9, 1.3, 8, 400, 77
@@ -67,7 +53,7 @@ def test_ruin_count_matches_per_trial_paths(impl):
     assert impl.ruin_mc_count(u, c, rate, n, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE, FAST, LOCKSTEP])
+@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
 def test_chance_count_matches_manual_loop(impl):
     """The kernel replays the documented draw recipe: Poisson count, then durations."""
     alpha, threshold, lam, mu, trials, seed = 0.003, 0.009, 1.2, 350.0, 500, 5
@@ -81,7 +67,7 @@ def test_chance_count_matches_manual_loop(impl):
     assert impl.chance_mc_count(alpha, threshold, lam, mu, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE, FAST])
+@pytest.mark.parametrize("impl", [PURE])
 def test_path_values_follow_premium_and_claims(impl):
     """values[s] = u + s*c - (sum of the first s exponential draws)."""
     u, c, rate, n, seed = 2.0, 0.5, 0.8, 10, 31
@@ -221,3 +207,114 @@ def test_lockstep_chance_errors_match_scalar(lam, mu, trials):
     """The same ValueError as the scalar draws, or the same count."""
     args = (0.001, 0.009, lam, mu, trials, 42)
     assert _outcome(_lockstep, args) == _outcome(_pure, args)
+
+
+RUIN_ARGS = [
+    (0.3, 0.8, 1.5, 12, 3000),
+    (0.0, 1e-300, 1.0, 5, 200),  # every path ruins in period 1
+    (5.0, 2.0, 0.5, 20, 500),  # few ruins, long paths
+]
+CHANCE_ARGS = [
+    (0.004, 0.009, 1.5, 400.0, 3000),
+    (0.0, 0.5, 500.0, 450.0, 40),
+    (0.001, 0.02, 0.0, 450.0, 30),
+]
+
+
+def _count_replays(monkeypatch):
+    """Count the trials that the filter replays with libm's logarithm."""
+    replayed = {"ruin": 0, "chance": 0}
+    ruins, totals = _lockstep._ruins, _lockstep._duration_totals
+
+    def counted_ruins(state, *args):
+        replayed["ruin"] += len(state)
+        return ruins(state, *args)
+
+    def counted_totals(states, counts, mu, **log):
+        if not log:
+            replayed["chance"] += len(states)
+        return totals(states, counts, mu, **log)
+
+    monkeypatch.setattr(_lockstep, "_ruins", counted_ruins)
+    monkeypatch.setattr(_lockstep, "_duration_totals", counted_totals)
+    return replayed
+
+
+@pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
+def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
+    """Counts equal ``_pure`` whether every trial is replayed with libm or none is."""
+    monkeypatch.setattr(_lockstep, "_K", k)
+    replayed = _count_replays(monkeypatch)
+    for args in RUIN_ARGS:
+        assert _lockstep.ruin_mc_count(*args, 42) == _pure.ruin_mc_count(*args, 42)
+    for args in CHANCE_ARGS:
+        assert _lockstep.chance_mc_count(*args, 42) == _pure.chance_mc_count(*args, 42)
+    if replay_all:
+        assert replayed == {
+            "ruin": sum(args[-1] for args in RUIN_ARGS),
+            "chance": sum(args[-1] for args in CHANCE_ARGS),
+        }
+    else:
+        assert replayed == {"ruin": 0, "chance": 0}
+
+
+NONFINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
+def test_ruin_count_nonfinite_arguments(x):
+    for args in ((x, 0.8, 1.5, 6, 50), (0.3, x, 1.5, 6, 50), (x, -x, 1.5, 6, 50)):
+        assert _lockstep.ruin_mc_count(*args, 9) == _pure.ruin_mc_count(*args, 9)
+
+
+@pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
+def test_chance_count_nonfinite_arguments(x):
+    for args in ((0.001, x, 2.0, 450.0, 50), (x, 0.009, 2.0, 450.0, 50), (x, x, 2.0, 450.0, 50)):
+        assert _lockstep.chance_mc_count(*args, 9) == _pure.chance_mc_count(*args, 9)
+
+
+def test_np_log_stays_within_the_filter_premise():
+    """``np.log`` and libm's ``log`` differ by far fewer ulps than ``_K`` allows.
+
+    The filter's error bound assumes a few ulps; ``_K = 64`` leaves the
+    margin.  Checked on the arguments the kernels take, ``1 - u``.
+    """
+    one_minus_u = 1.0 - _lockstep._to_uniform(_lockstep._substreams(3, 0, 1_000_000))
+    exact = _lockstep._libm_log(one_minus_u)
+    gap = np.abs(np.log(one_minus_u) - exact) / np.spacing(np.abs(exact))
+    assert float(np.max(gap)) * 16 <= _lockstep._K
+
+
+def _first_flip(exact, fast):
+    """Index of the first value that ``np.log`` puts above libm's."""
+    above = np.flatnonzero(fast > exact)
+    if not len(above):
+        pytest.skip("np.log agrees with libm on these draws")
+    return int(above[0])
+
+
+def test_filter_catches_np_log_flips(monkeypatch):
+    """A decision that ``np.log`` flips is replayed; without the filter it is wrong.
+
+    Trial ``t`` is the first whose claim (or collision total) comes out
+    above libm's with ``np.log``; the capital (or threshold) is set to
+    libm's value, a tie that ``_pure`` decides as "not ruined" (or "fits").
+    """
+    rate, seed = 450.0, 5
+    states = _lockstep._substreams(seed, 0, 4096)
+    fast = -np.log(1.0 - _lockstep._to_uniform(states + _lockstep._GAMMA)) / rate
+    exact = _lockstep._exponential(states.copy(), rate)
+    t = _first_flip(exact, fast)
+    ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
+
+    counts = _lockstep._poisson_counts(states, 2.0)
+    exact = _lockstep._duration_totals(states, counts, rate)
+    fast = _lockstep._duration_totals(states, counts, rate, log=np.log)
+    t = _first_flip(exact, fast)
+    chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
+
+    expected = _pure.ruin_mc_count(*ruin), _pure.chance_mc_count(*chance)
+    assert (_lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)) == expected
+    monkeypatch.setattr(_lockstep, "_K", 0)
+    flipped = _lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)
+    assert flipped[0] != expected[0] and flipped[1] != expected[1]

@@ -343,9 +343,12 @@ def chance_mc_count(
         states = _substreams(seed, start, min(start + _CHUNK, trials))
         counts = _poisson_counts(states, lam)
         totals = _duration_totals(states, counts, mu, log=np.log)
-        margin = threshold - (totals + alpha_total)
-        scale = totals + (abs(alpha_total) + abs(threshold))
-        unsure = np.abs(margin) <= (counts + 1) * (_K * (scale * _EPS + _TINY))
+        # Equal infinite arguments make the margin inf - inf = NaN, which
+        # decides "no" on both paths (see the module docstring).
+        with np.errstate(invalid="ignore"):
+            margin = threshold - (totals + alpha_total)
+            scale = totals + (abs(alpha_total) + abs(threshold))
+            unsure = np.abs(margin) <= (counts + 1) * (_K * (scale * _EPS + _TINY))
         if unsure.any():
             totals[unsure] = _duration_totals(states[unsure], counts[unsure], mu)
         ok += int(np.count_nonzero(totals + alpha_total <= threshold))

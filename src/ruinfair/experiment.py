@@ -9,15 +9,14 @@ so monotone per-seed effects survive aggregation untouched.
 Each quantity is computed once, at the level where it varies:
 
 * per sweep value: topology, ruin-fair duty cycle, link budget;
-* per (value, scheme): LTE-U airtime and the water-filled sum rate, one
-  water-filling for every channel (none of it depends on the replication
-  seed);
 * per value, for all replications at once: the collision total of each
   (replication, channel), drawn by the lockstep compound-Poisson kernel
   (``sim.collision_totals``) and shared by all four schemes;
-* per (value, replication, scheme): the frame accounting
-  (``sim.channel_outcomes``), summed over channels left to right in
-  channel order.
+* per (value, scheme): LTE-U airtime, the water-filled sum rate
+  (``sim.lte_sum_rate``, one water-filling for every channel, none of it
+  depending on the replication seed), and the frame accounting as array
+  operations on the replications x channels collision array, summed over
+  channels left to right in channel order.
 
 The result equals calling ``sim.simulate_long_frame`` (whose collision
 draws are the scalar ``sim.sample_collisions``) for every (replication,
@@ -46,11 +45,10 @@ from .errors import ConfigError
 from .prng import substream_seed
 from .sim import (
     Scheme,
-    channel_outcomes,
     collision_totals,
     generate_topology,
     link_budget,
-    lte_sum_rates,
+    lte_sum_rate,
     scheme_lte_time,
 )
 
@@ -131,33 +129,24 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         waps = sorted(topology.waps, key=lambda w: w.channel)
         gains = link_budget(topology, scenario.radio)
         t_total = scenario.frame.total_duration
-        lte_time = {s: scheme_lte_time(s, t_total, duty) for s in _SCHEME_ORDER}
-        lte_rates = {
-            s: lte_sum_rates(lte_time[s], scenario.radio.bandwidth, gains, waps)
-            for s in _SCHEME_ORDER
-        }
+        collisions = collision_totals(waps, scenario.traffic, rep_seeds)
 
-        wifi = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
-        lte = {scheme: np.empty(reps) for scheme in _SCHEME_ORDER}
-        collisions = collision_totals(waps, scenario.traffic, rep_seeds).tolist()
-        for r in range(reps):
-            for scheme in _SCHEME_ORDER:
-                outcomes = channel_outcomes(
-                    scheme,
-                    waps,
-                    t_total,
-                    lte_time[scheme],
-                    lte_rates[scheme],
-                    collisions[r],
-                    scenario.radio.wifi_phy_rate,
-                )
-                # Left to right: sum() compensates on Python >= 3.12.
-                wifi_total = lte_total = 0.0
-                for outcome in outcomes:
-                    wifi_total += outcome.wifi_throughput
-                    lte_total += outcome.lte_sum_rate
-                wifi[scheme][r] = wifi_total
-                lte[scheme][r] = lte_total
+        wifi, lte = {}, {}
+        for scheme in _SCHEME_ORDER:
+            lte_time = scheme_lte_time(scheme, t_total, duty)
+            # WiFi gets the window left by LTE-U; collision time beyond it is
+            # clipped, as in sim.simulate_long_frame.
+            window = t_total - lte_time
+            success = np.maximum(0.0, window - np.minimum(collisions, window))
+            throughput = scenario.radio.wifi_phy_rate * success
+            rate = lte_sum_rate(lte_time, scenario.radio.bandwidth, gains)
+            # Left to right: sum() compensates on Python >= 3.12.
+            wifi[scheme] = np.zeros(reps)
+            lte_total = 0.0
+            for column in throughput.T:
+                wifi[scheme] += column
+                lte_total += rate
+            lte[scheme] = np.full(reps, lte_total)
 
         def _std(samples: np.ndarray) -> float:
             return float(np.std(samples, ddof=1)) if reps > 1 else 0.0

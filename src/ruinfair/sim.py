@@ -25,19 +25,19 @@ nothing can collide while LTE-U holds the channel.
 A long frame is assembled from parts computed at the level where they vary:
 
 * :func:`link_budget` depends on the topology and radio only;
-* :func:`scheme_lte_time` and :func:`lte_sum_rates` (one water-filling,
+* :func:`scheme_lte_time` and :func:`lte_sum_rate` (one water-filling,
   whose rate every channel gets) depend on the scheme and the duty cycle,
   not on the seed;
 * the collision totals depend on the seed (and the station counts), not
   on the scheme: :func:`collision_totals` draws them for many seeds at once
   with the lockstep compound-Poisson kernel, bit-identical to one
-  :func:`sample_collisions` call per (seed, channel);
-* :func:`channel_outcomes` is the per-channel frame accounting that
-  combines them.
+  :func:`sample_collisions` call per (seed, channel).
 
-:func:`simulate_long_frame` computes all of them for one (scheme, seed),
-drawing the collisions with the scalar :func:`sample_collisions`;
-``experiment.run_sweep`` computes each once per level and reuses it.
+:func:`simulate_long_frame` is the scalar specification of a long frame: it
+computes all of them for one (scheme, seed), drawing the collisions with
+:func:`sample_collisions`, and does the frame accounting channel by channel.
+``experiment.run_sweep`` computes each part once per level and does the
+same accounting as array operations, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ __all__ = [
     "sample_collisions",
     "link_budget",
     "scheme_lte_time",
-    "lte_sum_rates",
+    "lte_sum_rate",
     "collision_totals",
-    "channel_outcomes",
     "simulate_long_frame",
 ]
 
@@ -311,14 +310,13 @@ def scheme_lte_time(
     return ruin_duty.alpha_star
 
 
-def lte_sum_rates(lte_time: float, bandwidth: float, gammas: np.ndarray, waps) -> list[float]:
-    """Water-filled LTE-U sum rate on each WAP's channel, in the order given.
+def lte_sum_rate(lte_time: float, bandwidth: float, gammas: np.ndarray) -> float:
+    """Water-filled LTE-U sum rate on one channel.
 
     ``gammas`` is :func:`link_budget`'s utility per UE, the same on every
-    channel, so one water-filling serves them all.
+    channel, so every channel gets this rate.
     """
-    rate = water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
-    return [rate] * len(waps)
+    return water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
 
 
 def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
@@ -336,41 +334,6 @@ def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
         model = CollisionModel(traffic.lambda_base * wap.wst_count, traffic.mu)
         totals[:, j] = compound_poisson_totals(states[:, j], model.lambda_k, model.mu)
     return totals
-
-
-def channel_outcomes(
-    scheme: Scheme,
-    waps,
-    t_total: float,
-    lte_time: float,
-    lte_rates: list[float],
-    collisions: list[float],
-    wifi_phy_rate: float,
-) -> list[FrameOutcome]:
-    """Frame accounting on each WAP's channel, in the order given.
-
-    WiFi gets the window left by LTE-U; collision time beyond that window is
-    clipped, and the rest of the window is successful WiFi airtime.
-    """
-    wifi_window = t_total - lte_time
-    outcomes = []
-    for wap, lte_rate, collision_total in zip(waps, lte_rates, collisions):
-        collision_time = min(collision_total, wifi_window)
-        wifi_success = max(0.0, wifi_window - collision_time)
-        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
-        outcomes.append(
-            FrameOutcome(
-                scheme=scheme,
-                channel=wap.channel,
-                wifi_success_time=wifi_success,
-                collision_time=collision_time,
-                lte_time=lte_time,
-                idle_time=idle,
-                wifi_throughput=wifi_phy_rate * wifi_success,
-                lte_sum_rate=lte_rate,
-            )
-        )
-    return outcomes
 
 
 def simulate_long_frame(
@@ -399,20 +362,29 @@ def simulate_long_frame(
     if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
         ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
     lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
+    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(topology, radio))
 
-    waps = sorted(topology.waps, key=lambda w: w.channel)
-    collisions = [
-        sample_collisions(
-            traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(seed, w.channel)
+    # WiFi gets the window left by LTE-U; collision time beyond that window
+    # is clipped, and the rest of the window is successful WiFi airtime.
+    wifi_window = t_total - lte_time
+    outcomes = []
+    for wap in sorted(topology.waps, key=lambda w: w.channel):
+        collision_total = sample_collisions(
+            traffic.lambda_base * wap.wst_count, traffic.mu, substream_seed(seed, wap.channel)
         ).total
-        for w in waps
-    ]
-    return channel_outcomes(
-        scheme,
-        waps,
-        t_total,
-        lte_time,
-        lte_sum_rates(lte_time, radio.bandwidth, link_budget(topology, radio), waps),
-        collisions,
-        radio.wifi_phy_rate,
-    )
+        collision_time = min(collision_total, wifi_window)
+        wifi_success = max(0.0, wifi_window - collision_time)
+        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
+        outcomes.append(
+            FrameOutcome(
+                scheme=scheme,
+                channel=wap.channel,
+                wifi_success_time=wifi_success,
+                collision_time=collision_time,
+                lte_time=lte_time,
+                idle_time=idle,
+                wifi_throughput=radio.wifi_phy_rate * wifi_success,
+                lte_sum_rate=lte_rate,
+            )
+        )
+    return outcomes

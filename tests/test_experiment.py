@@ -17,6 +17,15 @@ SMALL = {
     },
 }
 
+# Two WAPs on four channels, ruin-fair cut off (psi above the threshold):
+# collisions fill the WiFi window on every channel from lambda_base 10 on.
+CONGESTED = {
+    "topology": {"wap_count": 2, "channel_count": 4, "ue_count": 5},
+    "policy": {"kind": "thresholded_linear"},
+    "seeds": {"replications": 10},
+    "sweeps": {"lam": {"variable": "lambda_base", "values": [0.1, 10, 49.9]}},
+}
+
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -108,9 +117,14 @@ class TestRunSweep:
 class TestWorkReuse:
     """The runner computes each quantity once per level, with the same bits."""
 
-    @pytest.mark.parametrize("name", ["wst", "psi", "lam"])
-    def test_rows_equal_per_frame_oracle(self, small_config, name):
-        assert run_sweep(small_config, name) == sweep_rows_per_frame(small_config, name)
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [(SMALL, "wst"), (SMALL, "psi"), (SMALL, "lam"), (CONGESTED, "lam")],
+        ids=["wst", "psi", "lam", "congested-lam"],
+    )
+    def test_rows_equal_per_frame_oracle(self, scenario, name):
+        config = parse_scenario(scenario)
+        assert run_sweep(config, name) == sweep_rows_per_frame(config, name)
 
     def test_per_level_call_counts(self, monkeypatch):
         calls = {

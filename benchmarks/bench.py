@@ -3,8 +3,9 @@
 
 For each workload of ``BENCHMARK.json`` it runs ``perfbench/run.py
 --trace 0`` once per seed of a fixed set and records every run, plus the
-median, quartiles, IQR and best of each end-to-end metric; one
-``--trace 1`` run at seed 0 gives the per-layer metrics.  It also times two
+median, quartiles, IQR and best of each end-to-end metric; ``--trace 1``
+runs at the same seeds give every per-layer metric's median, and one more
+at seed 0 the per-layer metrics of the digest-checked run.  It also times two
 end-to-end wall clocks, ``ruinfair run`` on the default ``{}`` scenario and
 the Tier-1 suite, and tabulates the Monte Carlo kernels against the scalar
 reference ``_pure`` (asserting equal counts while timing).  ``perfbench/``
@@ -109,12 +110,19 @@ def measure_workloads(root: Path, seeds: list[int], seconds: float) -> tuple[dic
             stats = _summary(values)
             stats["best"] = min(values) if direction == "lower" else max(values)
             summary[name] = stats
-        _, traced = _perfbench(root, workload, 0, seconds, 1)
+        traced = []
+        for seed in [0, *seeds]:
+            _, result = _perfbench(root, workload, seed, seconds, 1)
+            traced.append({"seed": seed, "correct": result["correct"],
+                           **{k: v["value"] for k, v in result["metrics"].items()}})
+        layers = [name for name in traced[0] if name not in ("seed", "correct")]
         workloads[workload] = {
             "runs": runs,
             "summary": summary,
-            "trace_seed0": {"correct": traced["correct"],
-                            **{k: v["value"] for k, v in traced["metrics"].items()}},
+            "trace_seed0": traced[0],
+            "trace_runs": traced[1:],
+            "trace_median": {name: statistics.median(run[name] for run in traced[1:])
+                             for name in layers},
         }
     return env, workloads
 

@@ -21,14 +21,23 @@ operations, in the same order:
   one, with the running product or total carried from block to block.
 
 Streams that finish (ruined paths, completed Poisson counts and duration
-sums) are dropped from the working arrays as they go, so the cost of a step
-is proportional to the streams still live.
+sums, and capped duration sums that reach their cap) are dropped from the
+working arrays as they go, so the cost of a step is proportional to the
+streams still live.
 
 **Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
 which differs from glibc's in the last bit on some inputs; libm's is taken
 element by element through ``math.log`` (:func:`_libm_log`), about 17x
 slower.  Values that are returned need libm's bits, so the sweep's
-collision totals (:func:`compound_poisson_totals`) use libm throughout.
+collision totals (:func:`compound_poisson_totals`) take libm's logarithm
+of every duration they draw.  They draw only up to the frame length: the
+sweep clips collision time at its WiFi window, never longer than the frame,
+so a total is wanted only as ``min(total, T)``.  The durations are
+non-negative, so the left-to-right partial sums never decrease and a stream
+whose running total reaches ``T`` already has its clipped value; the
+durations after it are not drawn.  On a congested channel (hundreds of
+collisions of about 2 ms against a 10 ms frame) that skips most of the
+logarithms.
 A count needs only the sign of each decision, so ``ruin_mc_count`` and
 ``chance_mc_count`` decide with ``np.log`` and use libm only to replay the
 few trials whose decision the faster logarithm could have flipped: a
@@ -64,7 +73,7 @@ overflowing argument) marks the trial unsure and a NaN margin decides
 "no" on both paths, so non-finite arguments count as in ``_pure`` too.
 
 The counts are bit-identical to ``_pure`` for every argument, and the
-totals to ``sim.sample_collisions(...).total``; ``tests/test_kernels.py``
+totals to ``min(sim.sample_collisions(...).total, cap)``; ``tests/test_kernels.py``
 pins that, also with every trial replayed (``_K`` huge) and with none
 (``_K = 0``).  ``surplus_path_values`` is not on a hot path and is
 re-exported from ``_pure`` unchanged.
@@ -268,23 +277,35 @@ def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _duration_totals(
-    states: np.ndarray, counts: np.ndarray, mu: float, log=_libm_log
+    states: np.ndarray, counts: np.ndarray, mu: float, log=None, cap: float = math.inf
 ) -> np.ndarray:
     """Sum of the ``counts[i]`` exponential(``mu``) draws that follow the
     Poisson draws of stream ``i``, added left to right from ``0.0``, each
-    ``-log(1 - u) / mu``."""
+    ``-log(1 - u) / mu`` (``log`` is :func:`_libm_log` unless given), and
+    clipped to ``cap``: ``min(total, cap)``.
+
+    A stream stops drawing once its running total reaches ``cap``.  That is
+    exact: the durations are non-negative, so the partial sums never
+    decrease and ``min(partial, cap) == min(total, cap)`` from then on.
+    """
+    log = _libm_log if log is None else log
     totals = np.zeros(len(states))
     live = np.flatnonzero(counts)
     if not len(live):
-        return totals
+        return np.minimum(totals, cap)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"exponential rate must be positive and finite, got {mu}")
+    # About cap*mu + 1 durations reach the cap; blocks are no wider than that
+    # plus three standard deviations.  cap*mu is inf for an uncapped sum, or
+    # when a huge cap and rate overflow, so it is clamped before rounding.
+    reach = min(cap * mu, float(_BLOCK))
+    typical = math.ceil(reach + 3.0 * math.sqrt(reach)) + 1 if reach > 0.0 else 1
     # A count of k took k + 1 uniforms; the durations start after them.
     after = states + (counts.astype(np.uint64) + 1) * _GAMMA
     drawn = 0
     while len(live):
         left = counts[live] - drawn
-        width = max(1, min(_BLOCK // len(live), int(left.max())))
+        width = max(1, min(_BLOCK // len(live), int(left.max()), typical))
         one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
         wanted = np.arange(width) < left[:, None]
         # Padding past a stream's last duration adds 0.0, which leaves the
@@ -292,20 +313,27 @@ def _duration_totals(
         durations = np.zeros(one_minus_u.shape)
         durations[wanted] = -log(one_minus_u[wanted]) / mu
         durations[:, 0] += totals[live]
-        totals[live] = np.add.accumulate(durations, axis=1)[:, -1]
-        live = live[left > width]
+        reached = np.add.accumulate(durations, axis=1)[:, -1]
+        totals[live] = reached
+        live = live[(left > width) & (reached < cap)]
         drawn += width
-    return totals
+    return np.minimum(totals, cap)
 
 
-def compound_poisson_totals(states: np.ndarray, lam: float, mu: float) -> np.ndarray:
-    """Compound-Poisson total of every stream, drawn in lockstep.
+def compound_poisson_totals(
+    states: np.ndarray, lam: float, mu: float, cap: float
+) -> np.ndarray:
+    """Compound-Poisson total of every stream, drawn in lockstep and clipped
+    to ``cap``.
 
     Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
     by Knuth's method, then that many exponential(``mu``) durations, added
-    left to right.  Each total equals ``sim.sample_collisions(lam, mu,
-    states[i]).total`` bit for bit.  Draws are made in blocks of at most
-    ``max(_BLOCK, len(states))`` elements.
+    left to right.  Each result equals ``min(sim.sample_collisions(lam, mu,
+    states[i]).total, cap)`` bit for bit (``cap = math.inf`` leaves the
+    totals whole).  A stream stops drawing durations
+    once its running total reaches ``cap``, which leaves the clipped total
+    unchanged (the partial sums never decrease).  Draws are made in blocks
+    of at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
         ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
@@ -316,7 +344,7 @@ def compound_poisson_totals(states: np.ndarray, lam: float, mu: float) -> np.nda
     """
     if not len(states):
         return np.zeros(0)
-    return _duration_totals(states, _poisson_counts(states, lam), mu)
+    return _duration_totals(states, _poisson_counts(states, lam), mu, cap=cap)
 
 
 def chance_mc_count(

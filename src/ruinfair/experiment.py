@@ -11,7 +11,10 @@ Each quantity is computed once, at the level where it varies:
 * per sweep value: topology, ruin-fair duty cycle, link budget;
 * per value, for all replications at once: the collision total of each
   (replication, channel), drawn by the lockstep compound-Poisson kernel
-  (``sim.collision_totals``) and shared by all four schemes;
+  (``sim.collision_totals``) and shared by all four schemes.  Each is
+  clipped at the frame length ``T``, so its draw stops there; every
+  scheme's WiFi window is ``T - lte_time <= T``, so clipping it again at
+  the window gives ``min(total, window)`` bit for bit;
 * per (value, scheme): LTE-U airtime, the water-filled sum rate
   (``sim.lte_sum_rate``, one water-filling for every channel, none of it
   depending on the replication seed), and the frame accounting as array
@@ -129,7 +132,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         waps = sorted(topology.waps, key=lambda w: w.channel)
         gains = link_budget(topology, scenario.radio)
         t_total = scenario.frame.total_duration
-        collisions = collision_totals(waps, scenario.traffic, rep_seeds)
+        collisions = collision_totals(waps, scenario.traffic, rep_seeds, t_total)
 
         wifi, lte = {}, {}
         for scheme in _SCHEME_ORDER:

@@ -120,7 +120,7 @@ def ruin_probability_exact(params: SurplusParams) -> float:
 
     with ``c_j = u + j*c``.  Each term is evaluated in log space (via
     ``lgamma``) so horizons in the thousands neither overflow the power nor
-    the factorial.
+    the factorial.  A term whose ``mu' * c_j`` overflows is 0.
 
     Raises:
         NumericalError: If the sum leaves [0, 1 + 1e-9] or turns non-finite;
@@ -138,7 +138,13 @@ def ruin_probability_exact(params: SurplusParams) -> float:
     total = 0.0
     for j in range(1, n + 1):
         cj = u + j * c
-        log_term = (j - 1) * math.log(rate * cj) - math.lgamma(j) - rate * cj
+        rate_cj = rate * cj
+        if rate_cj == math.inf:
+            # exp(-rate*c_j) is 0 and the power cannot outgrow it; in log
+            # space the term would be 0*inf or inf - inf, both NaN.  c_j never
+            # decreases in j, so every later term is 0 too.
+            break
+        log_term = (j - 1) * math.log(rate_cj) - math.lgamma(j) - rate_cj
         total += math.exp(log_term) * (c1 / cj)
 
     if not math.isfinite(total) or total < 0.0 or total > 1.0 + _EPS_NUM:

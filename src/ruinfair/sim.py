@@ -31,7 +31,10 @@ A long frame is assembled from parts computed at the level where they vary:
 * the collision totals depend on the seed (and the station counts), not
   on the scheme: :func:`collision_totals` draws them for many seeds at once
   with the lockstep compound-Poisson kernel, bit-identical to one
-  :func:`sample_collisions` call per (seed, channel).
+  :func:`sample_collisions` call per (seed, channel) clipped at the frame
+  length.  The clip loses nothing, as collision time is clipped at the
+  WiFi window anyway and no window is longer than the frame; a draw stops
+  once its running total reaches the frame length.
 
 :func:`simulate_long_frame` is the scalar specification of a long frame: it
 computes all of them for one (scheme, seed), drawing the collisions with
@@ -319,20 +322,25 @@ def lte_sum_rate(lte_time: float, bandwidth: float, gammas: np.ndarray) -> float
     return water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
 
 
-def collision_totals(waps, traffic: TrafficConfig, seeds) -> np.ndarray:
-    """Total collision time per seed (rows) and WAP channel (columns, in the
-    order given).
+def collision_totals(waps, traffic: TrafficConfig, seeds, t_total: float) -> np.ndarray:
+    """Collision time per seed (rows) and WAP channel (columns, in the order
+    given), clipped to the long frame ``t_total``.
 
     Channel k of seed s draws from the substream seed (s, k), whatever the
-    scheme: entry ``[r, j]`` equals ``sample_collisions(lambda_k, mu,
-    substream_seed(seeds[r], waps[j].channel)).total`` bit for bit.  All
-    seeds of a channel are drawn in one lockstep kernel call.
+    scheme: entry ``[r, j]`` equals ``min(sample_collisions(lambda_k, mu,
+    substream_seed(seeds[r], waps[j].channel)).total, t_total)`` bit for
+    bit.  No WiFi window is longer than the frame, so clipping at the window
+    afterwards gives the bits of the unclipped total clipped at the window,
+    and a draw stops at the frame: the durations beyond it are never drawn.
+    All seeds of a channel are drawn in one lockstep kernel call.
     """
     states = substream_states(seeds, [w.channel for w in waps])
     totals = np.empty(states.shape)
     for j, wap in enumerate(waps):
         model = CollisionModel(traffic.lambda_base * wap.wst_count, traffic.mu)
-        totals[:, j] = compound_poisson_totals(states[:, j], model.lambda_k, model.mu)
+        totals[:, j] = compound_poisson_totals(
+            states[:, j], model.lambda_k, model.mu, t_total
+        )
     return totals
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ruinfair.cli import main
+from ruinfair.experiment import CSV_COLUMNS
 from ruinfair.prng import _POISSON_LAM_MAX
 
 SMALL_SCENARIO = {
@@ -125,6 +126,31 @@ def test_steep_path_loss_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+# Pinned output: a frame of 1e301 s, so throughputs overflow to inf and
+# their std is nan; the cells are wrong, but not the concern here.
+OVERFLOW_ROWS = [
+    "psi,0.1,inf,nan,0,0,inf,nan,1.59321551e+305,0,0,0,inf,nan,inf,inf,inf,nan,9e+300,0.1",
+    "psi,0.5,inf,nan,0,0,inf,nan,1.59321551e+305,0,0,0,inf,nan,inf,nan,1.59321551e+305,0,5e+300,0.5",
+]
+
+
+@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_frame_times_rate_overflow_runs(tmp_path):
+    """T * mu overflows to inf where collision draws are sized; output unchanged."""
+    scenario = {
+        "traffic": {"mu": 1e308},
+        "frame": {"delta": 1e300},
+        "sweeps": {"p": {"variable": "psi", "values": [0.1, 0.5]}},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    expected = "\n".join([",".join(CSV_COLUMNS), *OVERFLOW_ROWS]) + "\n"
+    assert (out / "sweep_p.csv").read_bytes() == expected.encode()
+
+
 def test_manifest_replay_matches_cli_output(config_file, tmp_path):
     out = tmp_path / "first"
     assert main(["run", "--config", str(config_file), "--sweep", "wst", "--out", str(out)]) == 0
@@ -203,6 +229,9 @@ def _scenarios(draw):
         "sweeps": {"wst": {"variable": "wst_count", "values": [1]}},
     }
 )
+# mu' * c_j overflows in the exact ruin probability (used to exit 1 with
+# "ruin probability sum nan").
+@example({"traffic": {"mu": 1e308}, "frame": {"delta": 1e10}})
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_validated_scenario_runs(scenario):
     """Whatever ``validate`` accepts, ``run`` completes with exit 0."""

@@ -157,7 +157,8 @@ def test_compound_blocks_carry_over(monkeypatch, block, lam):
     """Products and totals carried across many narrow blocks keep every bit."""
     monkeypatch.setattr(_lockstep, "_BLOCK", block)
     seeds = [substream_seed(11, t) for t in range(24)]
-    totals = _lockstep.compound_poisson_totals(np.array(seeds, dtype=np.uint64), lam, 450.0)
+    states = np.array(seeds, dtype=np.uint64)
+    totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
     args = (0.0, 0.5, lam, 450.0, 24, 11)
     assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
@@ -174,15 +175,30 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     seeds = [substream_seed(2024, t) for t in range(streams)]
     states = _lockstep.substream_states([2024], range(streams))[0]
     assert states.tolist() == seeds
-    totals = _lockstep.compound_poisson_totals(states, lam, 450.0)
+    totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
+
+
+@pytest.mark.parametrize(
+    "lam,mu,cap",
+    [
+        (2.0, 1e308, 1e301),  # cap * mu overflows to inf
+        (500.0, 1e10, 1e300),  # overflows too, with hundreds of durations
+        (0.0, 450.0, 0.01),  # no collision: no duration is drawn
+    ],
+)
+def test_capped_totals_are_clipped_uncapped_ones(lam, mu, cap):
+    states = _lockstep.substream_states([8], range(64))[0]
+    uncapped = _lockstep.compound_poisson_totals(states, lam, mu, math.inf)
+    capped = _lockstep.compound_poisson_totals(states, lam, mu, cap)
+    assert capped.tolist() == np.minimum(uncapped, cap).tolist()
 
 
 def test_compound_totals_of_no_streams():
     """No stream draws anything, so even a bad rate goes unchecked."""
     no_streams = np.array([], dtype=np.uint64)
-    assert _lockstep.compound_poisson_totals(no_streams, 2.0, 450.0).shape == (0,)
-    assert _lockstep.compound_poisson_totals(no_streams, math.nan, 0.0).shape == (0,)
+    assert _lockstep.compound_poisson_totals(no_streams, 2.0, 450.0, 0.01).shape == (0,)
+    assert _lockstep.compound_poisson_totals(no_streams, math.nan, 0.0, 0.01).shape == (0,)
 
 
 def _outcome(impl, args):

@@ -79,6 +79,10 @@ class TestExactFormula:
         # claims mean 1 > premium 0.9, so ruin over 10k periods is near-certain
         assert psi > 0.999
 
+    def test_overflowing_claim_scale_terms_are_zero(self):
+        # rate * c_j overflows to inf; in log space the term would be NaN.
+        assert ruin_probability_exact(SurplusParams(1e11, 1e10, 1e308, 10)) == 0.0
+
     @given(params_strategy)
     @settings(max_examples=300, deadline=None)
     def test_stays_in_unit_interval(self, params):

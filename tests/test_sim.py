@@ -1,8 +1,10 @@
 """Frame-level simulator: topology, collisions, and scheme accounting."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ruinfair import (
@@ -23,6 +25,7 @@ from ruinfair import (
     simulate_long_frame,
     snr_utility,
 )
+from ruinfair._kernels import _lockstep
 from ruinfair.prng import substream_seed
 from ruinfair.sim import WapSite, collision_totals
 
@@ -139,7 +142,7 @@ class TestCollisionTotals:
     def test_equals_one_scalar_draw_per_seed_and_channel(self):
         traffic = TrafficConfig(lambda_base=2.5, mu=450.0)
         seeds = [substream_seed(99, r) for r in range(12)] + [-3, 2**64 - 1]
-        totals = collision_totals(self.WAPS, traffic, seeds)
+        totals = collision_totals(self.WAPS, traffic, seeds, math.inf)
         assert totals.shape == (len(seeds), len(self.WAPS))
         expected = [
             [
@@ -160,8 +163,52 @@ class TestCollisionTotals:
         with pytest.raises(ValueError) as scalar:
             sample_collisions(lambda_base * self.WAPS[1].wst_count, mu, 0)
         with pytest.raises(ValueError) as batched:
-            collision_totals(self.WAPS, traffic, [0])
+            collision_totals(self.WAPS, traffic, [0], 0.01)
         assert str(batched.value) == str(scalar.value)
+
+    HORIZONS = [0.0, 1e-6, 0.01, 1.0, math.inf]
+
+    @pytest.mark.parametrize("block", [None, 1, 64])
+    @pytest.mark.parametrize("lam", [1e-9, 2.0, 100.0, 500.0])
+    def test_clipped_at_the_frame_length(self, monkeypatch, block, lam):
+        """Entry [r, j] is the scalar draw's total clipped to the frame, bit
+        for bit, also when the early stop falls across narrow blocks.
+
+        ``lam = 0`` is rejected here as by ``sample_collisions``; the kernel
+        test ``test_capped_totals_are_clipped_uncapped_ones`` covers it.
+        """
+        if block is not None:
+            monkeypatch.setattr(_lockstep, "_BLOCK", block)
+        traffic = TrafficConfig(lambda_base=lam, mu=450.0)
+        waps = tuple(replace(w, wst_count=1) for w in self.WAPS[0::2])
+        seeds = [substream_seed(5, r) for r in range(12)]
+        scalar = [
+            [sample_collisions(lam, 450.0, substream_seed(s, w.channel)).total for w in waps]
+            for s in seeds
+        ]
+        for horizon in self.HORIZONS:
+            totals = collision_totals(waps, traffic, seeds, horizon)
+            assert totals.tolist() == [[min(t, horizon) for t in row] for row in scalar]
+
+    def test_draws_stop_at_the_frame_length(self, monkeypatch):
+        """At 500 collisions of mean 2.2 ms, a 10 ms frame takes under 1/20 of
+        the logarithms of the whole sum."""
+        logs = [0]
+        libm_log = _lockstep._libm_log
+
+        def counted(x):
+            logs[0] += len(x)
+            return libm_log(x)
+
+        monkeypatch.setattr(_lockstep, "_libm_log", counted)
+        waps = (replace(self.WAPS[0], wst_count=1),)
+        traffic = TrafficConfig(lambda_base=500.0, mu=450.0)
+        seeds = [substream_seed(3, r) for r in range(20)]
+        whole = collision_totals(waps, traffic, seeds, math.inf)
+        uncapped, logs[0] = logs[0], 0
+        clipped = collision_totals(waps, traffic, seeds, 0.01)
+        assert clipped.tolist() == np.minimum(whole, 0.01).tolist()
+        assert 0 < logs[0] * 20 < uncapped
 
 
 class TestLinkBudget:

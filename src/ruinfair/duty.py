@@ -53,12 +53,12 @@ class FrameConfig:
 
     def __post_init__(self):
         if not (isinstance(self.n_short, int) and self.n_short >= 1):
-            raise ValueError(f"n_short must be a positive integer, got {self.n_short}")
+            raise ValueError(f"n_short: must be a positive integer, got {self.n_short}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+            raise ValueError(f"delta: must be > 0, got {self.delta}")
         if not (isinstance(self.r_reserved, int) and 0 <= self.r_reserved <= self.n_short):
             raise ValueError(
-                f"r_reserved must be an integer in [0, n_short], got {self.r_reserved}"
+                f"r_reserved: must be an integer in [0, n_short], got {self.r_reserved}"
             )
 
     @property
@@ -81,7 +81,7 @@ class DutyCyclePolicy:
 
     def __post_init__(self):
         if not (math.isfinite(self.psi_cutoff) and 0.0 <= self.psi_cutoff <= 1.0):
-            raise ValueError(f"psi_cutoff must be in [0, 1], got {self.psi_cutoff}")
+            raise ValueError(f"psi_cutoff: must be in [0, 1], got {self.psi_cutoff}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from ._kernels import BACKEND
-from .config import ScenarioConfig, Sweep, scenario_to_dict
+from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
 from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
 from .prng import substream_seed
@@ -99,14 +99,6 @@ CSV_COLUMNS = tuple(
 )
 
 
-def _scenario_at(config: ScenarioConfig, sweep: Sweep, value) -> ScenarioConfig:
-    if sweep.variable == "wst_count":
-        return replace(config, topology=replace(config.topology, wst_per_wap=int(value)))
-    if sweep.variable == "lambda_base":
-        return replace(config, traffic=replace(config.traffic, lambda_base=float(value)))
-    return config  # psi: forced downstream, scenario itself unchanged
-
-
 def _ruin_duty_at(config: ScenarioConfig, sweep: Sweep, value) -> DutyCycleResult:
     if sweep.variable == "psi":
         psi = float(value)
@@ -126,7 +118,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
 
     rows = []
     for value in sweep.values:
-        scenario = _scenario_at(config, sweep, value)
+        scenario = scenario_at(config, sweep, value)
         topology = generate_topology(scenario.seeds.topology, scenario.topology)
         duty = _ruin_duty_at(scenario, sweep, value)
         waps = sorted(topology.waps, key=lambda w: w.channel)

@@ -106,19 +106,19 @@ class TopologyConfig:
         for name in ("wap_count", "wst_per_wap", "ue_count"):
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
-                raise ConfigError(f"topology.{name}: must be an integer >= 1, got {value}")
+                raise ConfigError(f"{name}: must be an integer >= 1, got {value}")
         for name in ("sbs_radius", "wap_radius"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"topology.{name}: must be > 0, got {value}")
+                raise ConfigError(f"{name}: must be > 0, got {value}")
         channels = self.wap_count if self.channel_count is None else self.channel_count
         if not (isinstance(channels, int) and channels >= 1):
             raise ConfigError(
-                f"topology.channel_count: must be an integer >= 1, got {channels}"
+                f"channel_count: must be an integer >= 1, got {channels}"
             )
         if self.wap_count > channels:
             raise ConfigError(
-                f"topology.wap_count: {self.wap_count} WAPs need non-overlapping "
+                f"wap_count: {self.wap_count} WAPs need non-overlapping "
                 f"channels but only {channels} are available"
             )
 
@@ -150,7 +150,10 @@ class Topology:
 
 @dataclass(frozen=True)
 class PathLossModel:
-    """Power-law path gain with a near-field clamp at the reference distance."""
+    """Power-law path gain with a near-field clamp at the reference distance.
+
+    Errors name the fields by their scenario-file keys in ``radio``.
+    """
 
     exponent: float = 3.5
     ref_distance: float = 1.0
@@ -158,11 +161,11 @@ class PathLossModel:
 
     def __post_init__(self):
         if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
-            raise ConfigError(f"path.exponent: must be >= 0, got {self.exponent}")
+            raise ConfigError(f"path_exponent: must be >= 0, got {self.exponent}")
         if not (math.isfinite(self.ref_distance) and self.ref_distance > 0.0):
-            raise ConfigError(f"path.ref_distance: must be > 0, got {self.ref_distance}")
+            raise ConfigError(f"ref_distance: must be > 0, got {self.ref_distance}")
         if not (math.isfinite(self.ref_gain) and self.ref_gain > 0.0):
-            raise ConfigError(f"path.ref_gain: must be > 0, got {self.ref_gain}")
+            raise ConfigError(f"ref_gain: must be > 0, got {self.ref_gain}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,9 @@ class TrafficConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_base) and self.lambda_base > 0.0):
-            raise ConfigError(f"traffic.lambda_base: must be > 0, got {self.lambda_base}")
+            raise ConfigError(f"lambda_base: must be > 0, got {self.lambda_base}")
         if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ConfigError(f"traffic.mu: must be > 0, got {self.mu}")
+            raise ConfigError(f"mu: must be > 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,14 @@ class RadioConfig:
         for name in ("bandwidth", "tx_power", "noise", "wifi_phy_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"radio.{name}: must be > 0, got {value}")
+                raise ConfigError(f"{name}: must be > 0, got {value}")
+        # The largest SNR link_budget forms: every gain is at most ref_gain
+        # (near-field clamp), and rounding is monotone.
+        snr = self.tx_power * self.path.ref_gain / self.noise
+        if not math.isfinite(snr):
+            raise ConfigError(
+                f"tx_power: tx_power x ref_gain / noise must be finite, got {snr}"
+            )
 
 
 @dataclass(frozen=True)

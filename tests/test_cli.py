@@ -51,6 +51,7 @@ UNRUNNABLE = [
         "600.0",
     ),
     ({"frame": {"r_reserved": 0}}, "frame.r_reserved"),
+    ({"radio": {"tx_power": 1e308}}, "radio.tx_power"),
 ]
 
 

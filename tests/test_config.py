@@ -1,9 +1,11 @@
 """Scenario config: defaults, validation messages, round-tripping."""
 
 import json
+import sys
 
 import pytest
 
+import ruinfair.config
 from ruinfair import ConfigError, PolicyKind
 from ruinfair.config import (
     ScenarioConfig,
@@ -39,6 +41,26 @@ class TestDefaults:
         assert config.traffic.lambda_base == 0.2
 
 
+JUNK = [None, True, "x", [], {}, 10**400, -(10**400), 2**64, -1, 0, 1e308]
+
+
+def _junk_scenarios() -> list[dict]:
+    """One junk value in every field of the resolved defaults, and in each sweep's values."""
+    scenarios = []
+    for section, fields in scenario_to_dict(parse_scenario({})).items():
+        for key, value in fields.items():
+            if section == "sweeps":
+                scenarios += [{"sweeps": {key: {**value, "variable": j}}} for j in JUNK]
+                scenarios += [{"sweeps": {key: {**value, "values": j}}} for j in JUNK]
+            else:
+                scenarios += [{section: {key: j}} for j in JUNK]
+    for variable in ("psi", "wst_count", "lambda_base"):
+        scenarios += [
+            {"sweeps": {"s": {"variable": variable, "values": [j]}}} for j in JUNK
+        ]
+    return scenarios
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize(
         "data,needle",
@@ -62,6 +84,11 @@ class TestValidationErrors:
             ({"sweeps": {"s": {"variable": "psi", "values": [0.5, 1.5]}}}, "psi"),
             ({"sweeps": {"s": {"variable": "wst_count", "values": [1.5, 2.5]}}}, "wst"),
             ({"sweeps": {}}, "sweeps"),
+            ({"radio": {"path_exponent": -1.0}}, "radio.path_exponent"),
+            ({"radio": {"ref_distance": 0.0}}, "radio.ref_distance"),
+            ({"radio": {"ref_gain": "x"}}, "radio.ref_gain"),
+            ({"radio": {"tx_power": 1e308}}, "radio.tx_power"),
+            ({"frame": {"n_short": "x"}}, "^frame.n_short: expected int"),
         ],
     )
     def test_error_names_field_path(self, data, needle):
@@ -71,6 +98,21 @@ class TestValidationErrors:
     def test_rejects_non_object_scenario(self):
         with pytest.raises(ConfigError):
             parse_scenario([1, 2, 3])
+
+    @pytest.mark.parametrize("data", _junk_scenarios())
+    def test_junk_value_is_config_error_or_accepted(self, data):
+        try:
+            parse_scenario(data)
+        except ConfigError:
+            pass
+
+
+def test_docstring_defaults_table_is_the_resolved_default():
+    doc = ruinfair.config.__doc__
+    table = json.JSONDecoder().raw_decode(doc, doc.index("{\n"))[0]
+    resolved = scenario_to_dict(parse_scenario({}))
+    del resolved["sweeps"]
+    assert table == resolved
 
 
 class TestRoundTrip:
@@ -107,6 +149,16 @@ class TestLoadScenario:
     def test_bad_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(path)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_integer_past_the_digit_limit_is_config_error(self, tmp_path):
+        path = tmp_path / "long.json"
+        digits = sys.get_int_max_str_digits() + 1
+        path.write_text('{"seeds": {"topology": ' + "1" * digits + "}}")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario(path)
 

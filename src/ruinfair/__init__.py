@@ -41,7 +41,6 @@ from .ruin import (
 from .sim import (
     CollisionDraw,
     FrameOutcome,
-    PathLossModel,
     RadioConfig,
     Scheme,
     Topology,
@@ -84,7 +83,6 @@ __all__ = [
     "Scheme",
     "TopologyConfig",
     "Topology",
-    "PathLossModel",
     "TrafficConfig",
     "RadioConfig",
     "CollisionDraw",

@@ -39,11 +39,15 @@ durations after it are not drawn.  On a congested channel (hundreds of
 collisions of about 2 ms against a 10 ms frame) that skips most of the
 logarithms.
 A count needs only the sign of each decision, so ``ruin_mc_count`` and
-``chance_mc_count`` decide with ``np.log`` and use libm only to replay the
-few trials whose decision the faster logarithm could have flipped: a
+``chance_mc_count`` decide with ``np.log`` and replay exactly only the few
+trials whose decision the faster logarithm could have flipped: a
 floating-point filter with an exact fallback (Shewchuk, "Adaptive
 precision floating-point arithmetic and fast robust geometric
-predicates", Discrete Comput. Geom. 18, 1997).
+predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path is
+replayed by the scalar reference itself, ``_pure._path_ruins``; an unsure
+chance trial is summed again by :func:`_duration_totals` with libm's
+logarithm, so :func:`_duration_totals` is the one caller of
+:func:`_libm_log`.
 
 **The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
 taken with ``np.log`` is off from the libm term by at most a few ulps,
@@ -58,7 +62,7 @@ decision takes the sign of ``fl(a - b)``, which is the sign of ``a - b``
 (round-to-nearest subtraction is exact in sign, and zero only when
 ``a == b``), so a decision taken with ``np.log`` is the libm one whenever
 ``|a - b|`` exceeds the gap between the two sums.  A trial is therefore
-*unsure*, and replayed with libm, when
+*unsure*, and replayed exactly, when
 
     |u + s*c - claims|               <= _K * s * (eps * (claims + |u + s*c|) + tiny)
     |threshold - (total + alpha)|    <= _K * (k + 1) * (eps * (total + |alpha| + |threshold|) + tiny)
@@ -87,7 +91,7 @@ import operator
 import numpy as np
 
 from .. import prng
-from ._pure import surplus_path_values
+from ._pure import _path_ruins, surplus_path_values
 
 BACKEND = "lockstep"
 
@@ -156,39 +160,12 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
 
 
-def _exponential(state: np.ndarray, rate: float) -> np.ndarray:
-    """One ``SplitMix64.exponential(rate)`` draw per stream; advances ``state``
-    in place.  The rate is not checked here."""
-    state += _GAMMA
-    return -_libm_log(1.0 - _to_uniform(state)) / rate
-
-
-def _ruins(state: np.ndarray, u, c, mu_prime, n: int) -> int:
-    """Ruined paths among the streams ``state``, with libm's logarithm.
-
-    Steps ``state`` in place."""
-    claims = np.zeros(len(state))
-    ruined = 0
-    for s in range(1, n + 1):
-        claims += _exponential(state, mu_prime)
-        down = u + s * c - claims < 0.0
-        hits = int(np.count_nonzero(down))
-        if hits:
-            ruined += hits
-            alive = ~down
-            state = state[alive]
-            claims = claims[alive]
-            if not len(state):
-                break
-    return ruined
-
-
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
     """Ruined paths among trials ``start .. stop-1``.
 
     Steps every path with ``np.log``; a path leaves at its ruin or at the
     first period where it is unsure, and the unsure ones are replayed from
-    their start states by :func:`_ruins`.
+    their start states by the scalar reference, ``_pure._path_ruins``.
     """
     starts = _substreams(seed, start, stop)
     state = starts.copy()
@@ -215,7 +192,8 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
             if not len(state):
                 break
     if unsure:
-        ruined += _ruins(starts[np.concatenate(unsure)], u, c, mu_prime, n)
+        for start_state in starts[np.concatenate(unsure)].tolist():
+            ruined += _path_ruins(u, c, mu_prime, n, start_state)
     return ruined
 
 

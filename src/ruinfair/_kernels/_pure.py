@@ -6,7 +6,9 @@ against: one trial and one draw at a time, exactly as documented in
 vectorizes ``ruin_mc_count`` and ``chance_mc_count`` across trials and
 returns bit-identical counts for identical arguments (it re-exports
 ``surplus_path_values`` from here); ``tests/test_kernels.py`` pins that
-equivalence.
+equivalence.  :func:`_path_ruins` is also the lockstep ruin kernel's
+exact fallback: it replays each surplus path whose ``np.log`` decision
+could be off.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = ["ruin_mc_count", "surplus_path_values", "chance_mc_count"]
 
 
 def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
+    """Whether the surplus path of ``SplitMix64(seed)`` goes negative by period n."""
     rng = SplitMix64(seed)
     claims = 0.0
     for s in range(1, n + 1):

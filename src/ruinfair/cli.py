@@ -74,10 +74,12 @@ def _cmd_run(config_path: str, sweep_name: Optional[str], out_dir: str) -> int:
         )
     names = [sweep_name] if sweep_name is not None else list(config.sweeps)
 
+    # Every sweep runs before anything is written, so a failing one leaves
+    # no output directory and no files behind.
+    results = {name: run_sweep(config, name) for name in names}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        rows = run_sweep(config, name)
+    for name, rows in results.items():
         csv_path = emit_csv(rows, out / f"sweep_{name}.csv")
         manifest_path = emit_manifest(config, name, out / f"manifest_{name}.json")
         print(f"wrote {csv_path} and {manifest_path}")

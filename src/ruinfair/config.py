@@ -3,11 +3,10 @@
 A scenario file is a single JSON object.  The :class:`ScenarioConfig`
 dataclass tree is its schema: each section is a dataclass, each key one of
 its fields, and every field is optional and falls back to its dataclass
-default, so ``{}`` is a valid scenario.  The one exception to "one object
-per dataclass" is the path-loss model, whose fields sit flat in ``radio``.
-Validation errors name the offending field path (e.g.
-``traffic.lambda_base``).  The defaults, as ``scenario_to_dict`` writes
-them without the sweeps:
+default, so ``{}`` is a valid scenario.  Validation errors name the
+offending field path (e.g. ``traffic.lambda_base``), or ``scenario`` for a
+limit across sections.  The defaults, as ``scenario_to_dict`` writes them
+without the sweeps:
 
     {
       "frame":    {"n_short": 10, "delta": 0.001, "r_reserved": 1},
@@ -48,7 +47,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from .duty import DutyCyclePolicy, FrameConfig
 from .errors import ConfigError
 from .prng import _POISSON_LAM_MAX
-from .sim import PathLossModel, RadioConfig, TopologyConfig, TrafficConfig
+from .sim import RadioConfig, TopologyConfig, TrafficConfig
 
 __all__ = [
     "Sweep", "SeedConfig", "ScenarioConfig",
@@ -63,12 +62,6 @@ _FLOAT_MAX = sys.float_info.max
 
 # Evaluating the annotations is most of a parse's time; the classes are fixed.
 _field_types = functools.cache(get_type_hints)
-
-# The path-loss model has no object of its own in a scenario file: its
-# fields sit in "radio", under these keys.
-_PATH_LOSS_KEYS = {
-    "exponent": "path_exponent", "ref_distance": "ref_distance", "ref_gain": "ref_gain"
-}
 
 
 @dataclass(frozen=True)
@@ -137,11 +130,6 @@ def _at(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _key(cls: type, name: str) -> str:
-    """The scenario-file key of field ``name`` of ``cls``."""
-    return _PATH_LOSS_KEYS[name] if cls is PathLossModel else name
-
-
 def _expected(path: str, kind: str, value: Any) -> ConfigError:
     return ConfigError(f"{path or 'scenario'}: expected {kind}, got {type(value).__name__}")
 
@@ -162,13 +150,9 @@ def _build(cls: type, raw: dict, path: str):
     kinds = _field_types(cls)
     kwargs = {}
     for spec in fields(cls):
-        kind = kinds[spec.name]
-        if kind is PathLossModel:
-            kwargs[spec.name] = _build(kind, raw, path)
-            continue
-        key = _key(cls, spec.name)
+        key = spec.name
         if key in raw:
-            kwargs[spec.name] = _coerce(raw.pop(key), kind, _at(path, key))
+            kwargs[key] = _coerce(raw.pop(key), kinds[key], _at(path, key))
         elif spec.default is MISSING and spec.default_factory is MISSING:
             raise ConfigError(f"{_at(path, key)}: required")
     try:
@@ -219,6 +203,12 @@ def scenario_at(config: ScenarioConfig, sweep: Sweep, value) -> ScenarioConfig:
     return config  # psi: forced downstream, scenario itself unchanged
 
 
+def _as_float(count: int) -> float:
+    """``count`` as a factor of float products: ``inf`` beyond the float
+    range, where ``count * x`` would raise instead of overflowing."""
+    return count if count <= _FLOAT_MAX else math.inf
+
+
 def _check_sweeps_runnable(config: ScenarioConfig) -> None:
     """Cross-field limits every sweep value must meet for ``run`` to finish.
 
@@ -232,8 +222,7 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
             scenario = scenario_at(config, sweep, value)
             lambda_base = scenario.traffic.lambda_base
             wst = scenario.topology.wst_per_wap
-            # The product overflows on a station count beyond the float range.
-            rate = lambda_base * wst if wst <= _FLOAT_MAX else math.inf
+            rate = lambda_base * _as_float(wst)
             if not rate <= _POISSON_LAM_MAX:
                 raise ConfigError(
                     f"sweeps.{name}: lambda_base x wst_count = {lambda_base} x {wst} = "
@@ -247,10 +236,47 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
             )
 
 
+def _check_cells_finite(config: ScenarioConfig) -> None:
+    """Limits on the largest CSV cell ``run`` can write, so every cell is finite.
+
+    Water-filling forms ``y_i x gamma_i`` up to ``gamma_max x bandwidth x T``:
+    a share is at most the budget ``bandwidth x alpha*``, ``alpha* <= T``,
+    and a utility is at most ``gamma_max = ln(1 + tx_power x ref_gain /
+    noise)``.  So a channel's LTE-U sum rate ``alpha* x sum_i ln(1 + y_i
+    gamma_i)`` is at most ``T x ue_count x ln(1 + gamma_max x bandwidth x
+    T)``, and its WiFi throughput at most ``wifi_phy_rate x T``; a cell sums
+    ``wap_count`` channels.  The mean and standard deviation over the
+    replications add up as many values and squares of deviations, none
+    larger than ``max(cell, 1)**2``; half the float range leaves room for
+    the rounding.
+    """
+    radio, topology = config.radio, config.topology
+    t_total = config.frame.total_duration  # finite: FrameConfig checks it
+    gamma_max = math.log1p(radio.tx_power * radio.ref_gain / radio.noise)
+    fill = gamma_max * (radio.bandwidth * t_total)
+    if not fill <= _FLOAT_MAX / 2:
+        raise ConfigError(
+            f"scenario: water-filling forms gamma_max x bandwidth x T = {fill}, "
+            "which must be finite"
+        )
+    channels = _as_float(topology.wap_count)
+    wifi = channels * (radio.wifi_phy_rate * t_total)
+    lte = channels * t_total * (_as_float(topology.ue_count) * math.log1p(fill))
+    replications = _as_float(config.seeds.replications)
+    for column, cell in (("wifi_throughput", wifi), ("lte_sum_rate", lte)):
+        bound = max(cell, 1.0)
+        if not replications * bound * bound <= _FLOAT_MAX / 2:
+            raise ConfigError(
+                f"scenario: the {column} cells could reach {cell}, too large for "
+                "their mean and standard deviation over the replications"
+            )
+
+
 def parse_scenario(data: Any) -> ScenarioConfig:
     """Build a fully-resolved :class:`ScenarioConfig` from parsed JSON."""
     config = _section(ScenarioConfig, data, "")
     _check_sweeps_runnable(config)
+    _check_cells_finite(config)
     return config
 
 
@@ -277,14 +303,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 def _to_json(value: Any) -> Any:
     if is_dataclass(value):
-        data = {}
-        for spec in fields(value):
-            item = getattr(value, spec.name)
-            if isinstance(item, PathLossModel):
-                data.update(_to_json(item))
-            else:
-                data[_key(type(value), spec.name)] = _to_json(item)
-        return data
+        return {spec.name: _to_json(getattr(value, spec.name)) for spec in fields(value)}
     if isinstance(value, dict):
         return {name: _to_json(item) for name, item in value.items()}
     if isinstance(value, tuple):

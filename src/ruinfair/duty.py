@@ -18,6 +18,7 @@ equivalence claim.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -44,7 +45,8 @@ class FrameConfig:
     """Long-frame structure: ``n_short`` slots of ``delta`` seconds each.
 
     ``r_reserved`` slots are set aside for WiFi; the premium of the surplus
-    process is ``r_reserved * delta`` seconds per period.
+    process is ``r_reserved * delta`` seconds per period.  The frame length
+    ``T = n_short * delta`` must be a finite float.
     """
 
     n_short: int = 10
@@ -56,6 +58,9 @@ class FrameConfig:
             raise ValueError(f"n_short: must be a positive integer, got {self.n_short}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta: must be > 0, got {self.delta}")
+        # Not n_short * delta alone, which raises on an int beyond the float range.
+        if not (self.n_short <= sys.float_info.max and math.isfinite(self.total_duration)):
+            raise ValueError("n_short: the frame length n_short x delta overflows a float")
         if not (isinstance(self.r_reserved, int) and 0 <= self.r_reserved <= self.n_short):
             raise ValueError(
                 f"r_reserved: must be an integer in [0, n_short], got {self.r_reserved}"

@@ -36,7 +36,6 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -58,13 +57,6 @@ from .sim import (
 __all__ = ["SweepRow", "run_sweep", "emit_csv", "emit_manifest"]
 
 MANIFEST_SCHEMA_VERSION = 1
-
-_SCHEME_ORDER = (
-    Scheme.PURE_WIFI,
-    Scheme.EQUAL_SHARING,
-    Scheme.LTE_DOMINANT,
-    Scheme.RUIN_FAIR,
-)
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ CSV_COLUMNS = tuple(
     ["sweep_variable", "sweep_value"]
     + [
         f"{scheme.value}_{metric}_{stat}"
-        for scheme in _SCHEME_ORDER
+        for scheme in Scheme
         for metric in ("wifi_throughput", "lte_sum_rate")
         for stat in ("mean", "std")
     ]
@@ -127,7 +119,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         collisions = collision_totals(waps, scenario.traffic, rep_seeds, t_total)
 
         wifi, lte = {}, {}
-        for scheme in _SCHEME_ORDER:
+        for scheme in Scheme:
             lte_time = scheme_lte_time(scheme, t_total, duty)
             # WiFi gets the window left by LTE-U; collision time beyond it is
             # clipped, as in sim.simulate_long_frame.
@@ -150,10 +142,10 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
             SweepRow(
                 variable=sweep.variable,
                 value=float(value),
-                wifi_mean={s: float(np.mean(wifi[s])) for s in _SCHEME_ORDER},
-                wifi_std={s: _std(wifi[s]) for s in _SCHEME_ORDER},
-                lte_mean={s: float(np.mean(lte[s])) for s in _SCHEME_ORDER},
-                lte_std={s: _std(lte[s]) for s in _SCHEME_ORDER},
+                wifi_mean={s: float(np.mean(wifi[s])) for s in Scheme},
+                wifi_std={s: _std(wifi[s]) for s in Scheme},
+                lte_mean={s: float(np.mean(lte[s])) for s in Scheme},
+                lte_std={s: _std(lte[s]) for s in Scheme},
                 alpha_star=duty.alpha_star,
                 psi=duty.psi,
             )
@@ -190,7 +182,7 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         cells = [row.variable, _fmt(row.value)]
-        for scheme in _SCHEME_ORDER:
+        for scheme in Scheme:
             cells += [
                 _fmt(row.wifi_mean[scheme]),
                 _fmt(row.wifi_std[scheme]),
@@ -203,26 +195,18 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
     return path
 
 
-def emit_manifest(
-    config: ScenarioConfig,
-    sweep_name: str,
-    path: str | Path,
-    artifact_versions: Optional[dict[str, str]] = None,
-) -> Path:
+def emit_manifest(config: ScenarioConfig, sweep_name: str, path: str | Path) -> Path:
     """Write the fully-resolved scenario plus provenance as JSON, atomically.
 
     The embedded ``scenario`` block (defaults expanded, seeds included) is
     itself a valid config file: re-running it regenerates the CSV byte for
     byte.
     """
-    versions = {"ruinfair": __version__, "backend": BACKEND}
-    if artifact_versions:
-        versions.update(artifact_versions)
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "sweep": sweep_name,
         "csv_columns": list(CSV_COLUMNS),
-        "versions": versions,
+        "versions": {"ruinfair": __version__, "backend": BACKEND},
         "scenario": scenario_to_dict(config),
     }
     path = Path(path)

@@ -46,7 +46,7 @@ same accounting as array operations, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -70,7 +70,6 @@ __all__ = [
     "WapSite",
     "UeSite",
     "Topology",
-    "PathLossModel",
     "TrafficConfig",
     "RadioConfig",
     "CollisionDraw",
@@ -87,6 +86,8 @@ __all__ = [
 
 
 class Scheme(Enum):
+    """The sharing schemes, in the order of the sweep CSV's columns."""
+
     PURE_WIFI = "pure_wifi"
     EQUAL_SHARING = "equal_sharing"
     LTE_DOMINANT = "lte_dominant"
@@ -111,7 +112,7 @@ class TopologyConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name}: must be > 0, got {value}")
-        channels = self.wap_count if self.channel_count is None else self.channel_count
+        channels = self.channels
         if not (isinstance(channels, int) and channels >= 1):
             raise ConfigError(
                 f"channel_count: must be an integer >= 1, got {channels}"
@@ -149,26 +150,6 @@ class Topology:
 
 
 @dataclass(frozen=True)
-class PathLossModel:
-    """Power-law path gain with a near-field clamp at the reference distance.
-
-    Errors name the fields by their scenario-file keys in ``radio``.
-    """
-
-    exponent: float = 3.5
-    ref_distance: float = 1.0
-    ref_gain: float = 1e-3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.exponent) and self.exponent >= 0.0):
-            raise ConfigError(f"path_exponent: must be >= 0, got {self.exponent}")
-        if not (math.isfinite(self.ref_distance) and self.ref_distance > 0.0):
-            raise ConfigError(f"ref_distance: must be > 0, got {self.ref_distance}")
-        if not (math.isfinite(self.ref_gain) and self.ref_gain > 0.0):
-            raise ConfigError(f"ref_gain: must be > 0, got {self.ref_gain}")
-
-
-@dataclass(frozen=True)
 class TrafficConfig:
     """Collision traffic: ``lambda_base`` arrivals per long frame per WST, durations ~ exp(mu)."""
 
@@ -184,22 +165,33 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Downlink radio parameters for LTE-U rate evaluation plus the WiFi PHY rate."""
+    """Downlink radio parameters for LTE-U rate evaluation plus the WiFi PHY rate.
+
+    The path loss is a power law with a near-field clamp (:func:`path_gain`):
+    gain ``ref_gain`` at ``ref_distance`` and closer, falling off with
+    ``path_exponent`` beyond it.
+    """
 
     bandwidth: float = 2e7
     tx_power: float = 0.5
     noise: float = 1e-13
-    path: PathLossModel = field(default_factory=PathLossModel)
+    path_exponent: float = 3.5
+    ref_distance: float = 1.0
+    ref_gain: float = 1e-3
     wifi_phy_rate: float = 54e6
 
     def __post_init__(self):
-        for name in ("bandwidth", "tx_power", "noise", "wifi_phy_rate"):
+        for name in (
+            "bandwidth", "tx_power", "noise", "ref_distance", "ref_gain", "wifi_phy_rate"
+        ):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name}: must be > 0, got {value}")
+        if not (math.isfinite(self.path_exponent) and self.path_exponent >= 0.0):
+            raise ConfigError(f"path_exponent: must be >= 0, got {self.path_exponent}")
         # The largest SNR link_budget forms: every gain is at most ref_gain
         # (near-field clamp), and rounding is monotone.
-        snr = self.tx_power * self.path.ref_gain / self.noise
+        snr = self.tx_power * self.ref_gain / self.noise
         if not math.isfinite(snr):
             raise ConfigError(
                 f"tx_power: tx_power x ref_gain / noise must be finite, got {snr}"
@@ -237,16 +229,17 @@ class FrameOutcome:
     lte_sum_rate: float
 
 
-def path_gain(distance: float, model: PathLossModel) -> float:
-    """Power-law gain ``ref_gain * (ref_distance / distance)^exponent``.
+def path_gain(distance: float, radio: RadioConfig) -> float:
+    """Power-law gain ``ref_gain * (ref_distance / distance)^path_exponent``,
+    with the path-loss fields of ``radio``.
 
     Distances inside the reference distance are clamped to it (near-field
     guard), so the gain never exceeds ``ref_gain``.
     """
     if not (math.isfinite(distance) and distance > 0.0):
         raise ValueError(f"distance must be > 0, got {distance}")
-    clamped = max(distance, model.ref_distance)
-    return model.ref_gain * (model.ref_distance / clamped) ** model.exponent
+    clamped = max(distance, radio.ref_distance)
+    return radio.ref_gain * (radio.ref_distance / clamped) ** radio.path_exponent
 
 
 def generate_topology(seed: int, config: TopologyConfig) -> Topology:
@@ -293,16 +286,18 @@ def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
 def link_budget(topology: Topology, radio: RadioConfig) -> np.ndarray:
     """Downlink SNR utility ``ln(1 + P * g / sigma^2)`` of every UE, in UE order.
 
-    Path loss is frequency-flat here, so one utility per UE holds on every
-    channel.  Every UE is eligible on every channel (the cell aggregates
-    across all of them).
+    ``P`` is ``radio.tx_power``, ``sigma^2`` is ``radio.noise`` and ``g`` is
+    :func:`path_gain` of the UE's distance to the SBS under ``radio``'s path
+    loss.  Path loss is frequency-flat here, so one utility per UE holds on
+    every channel.  Every UE is eligible on every channel (the cell
+    aggregates across all of them).
     """
     gains = []
     for ue in topology.ues:
         dx = ue.position[0] - topology.sbs_position[0]
         dy = ue.position[1] - topology.sbs_position[1]
-        distance = max(math.hypot(dx, dy), radio.path.ref_distance)
-        gains.append(path_gain(distance, radio.path))
+        distance = max(math.hypot(dx, dy), radio.ref_distance)
+        gains.append(path_gain(distance, radio))
     return np.log1p(radio.tx_power * np.asarray(gains) / radio.noise)
 
 

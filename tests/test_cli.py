@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts on disk."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ruinfair import cli
 from ruinfair.cli import main
-from ruinfair.experiment import CSV_COLUMNS
+from ruinfair.experiment import CSV_COLUMNS, run_sweep
 from ruinfair.prng import _POISSON_LAM_MAX
 
 SMALL_SCENARIO = {
@@ -42,6 +44,13 @@ def test_validate_prints_work_size(config_file, capsys):
     assert "wst: 2 values x 10 replications x 4 schemes x 3 channels = 240 frames" in lines[2]
 
 
+# Finite WiFi cells, but the std of the LTE-U cells (about 4e200) overflows.
+LTE_OVERFLOW = {
+    "frame": {"delta": 1e199},
+    "radio": {"wifi_phy_rate": 1e-300, "bandwidth": 1e-200},
+    "sweeps": {"p": {"variable": "psi", "values": [0.5]}},
+}
+
 UNRUNNABLE = [
     (
         {
@@ -52,6 +61,15 @@ UNRUNNABLE = [
     ),
     ({"frame": {"r_reserved": 0}}, "frame.r_reserved"),
     ({"radio": {"tx_power": 1e308}}, "radio.tx_power"),
+    # Runs used to exit 1 ("int too large to convert to float"), or write
+    # inf and nan cells.
+    (
+        {"frame": {"n_short": 10**399}, "sweeps": {"p": {"variable": "psi", "values": [0.5]}}},
+        "frame.n_short",
+    ),
+    ({"frame": {"delta": 1e300}}, "bandwidth x T"),
+    ({"radio": {"wifi_phy_rate": 1e308}, "frame": {"delta": 1.0}}, "wifi_throughput"),
+    (LTE_OVERFLOW, "lte_sum_rate"),
 ]
 
 
@@ -119,6 +137,23 @@ def test_run_output_collision_exits_1(config_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_failed_sweep_leaves_no_output(config_file, tmp_path, monkeypatch, capsys):
+    """Every sweep runs before the output directory is made."""
+    calls = []
+
+    def second_fails(config, name):
+        calls.append(name)
+        if len(calls) == 2:
+            raise RuntimeError("sweep failed")
+        return run_sweep(config, name)
+
+    monkeypatch.setattr(cli, "run_sweep", second_fails)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 1
+    assert "sweep failed" in capsys.readouterr().err
+    assert len(calls) == 2 and not out.exists()
+
+
 def test_steep_path_loss_runs(tmp_path):
     """Every UE's 1/gamma swamps the water-filling budget; the run completes."""
     path = tmp_path / "scenario.json"
@@ -127,20 +162,18 @@ def test_steep_path_loss_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
-# Pinned output: a frame of 1e301 s, so throughputs overflow to inf and
-# their std is nan; the cells are wrong, but not the concern here.
+# Pinned output: durations of about 1e-308 s barely dent a 10 s frame.
 OVERFLOW_ROWS = [
-    "psi,0.1,inf,nan,0,0,inf,nan,1.59321551e+305,0,0,0,inf,nan,inf,inf,inf,nan,9e+300,0.1",
-    "psi,0.5,inf,nan,0,0,inf,nan,1.59321551e+305,0,0,0,inf,nan,inf,nan,1.59321551e+305,0,5e+300,0.5",
+    "psi,0.1,1.62e+09,0,0,0,810000000,0,3897.05757,9.11777001e-13,0,0,8106.03137,9.11777001e-13,162000000,0,7252.75722,0,9,0.1",
+    "psi,0.5,1.62e+09,0,0,0,810000000,0,3897.05757,9.11777001e-13,0,0,8106.03137,9.11777001e-13,810000000,0,3897.05757,9.11777001e-13,5,0.5",
 ]
 
 
-@pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
 def test_frame_times_rate_overflow_runs(tmp_path):
     """T * mu overflows to inf where collision draws are sized; output unchanged."""
     scenario = {
         "traffic": {"mu": 1e308},
-        "frame": {"delta": 1e300},
+        "frame": {"delta": 1.0},
         "sweeps": {"p": {"variable": "psi", "values": [0.1, 0.5]}},
     }
     path = tmp_path / "scenario.json"
@@ -233,12 +266,23 @@ def _scenarios(draw):
 # mu' * c_j overflows in the exact ruin probability (used to exit 1 with
 # "ruin probability sum nan").
 @example({"traffic": {"mu": 1e308}, "frame": {"delta": 1e10}})
+# T or the cells overflow (used to exit 1, or to write inf and nan cells).
+@example({"frame": {"n_short": 10**399}, "sweeps": {"p": {"variable": "psi", "values": [0.5]}}})
+@example({"frame": {"delta": 1e300}})
+@example({"radio": {"wifi_phy_rate": 1e308}, "frame": {"delta": 1.0}})
+@example(LTE_OVERFLOW)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_validated_scenario_runs(scenario):
-    """Whatever ``validate`` accepts, ``run`` completes with exit 0."""
+    """Whatever ``validate`` accepts, ``run`` completes with exit 0 and
+    writes only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(scenario))
         if main(["validate", "--config", str(path)]) != 0:
             return
-        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")]) == 0
+        out = Path(tmp) / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        for csv_path in out.glob("sweep_*.csv"):
+            for line in csv_path.read_text().splitlines()[1:]:
+                # The first cell is the sweep variable's name.
+                assert all(math.isfinite(float(cell)) for cell in line.split(",")[1:])

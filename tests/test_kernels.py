@@ -1,6 +1,6 @@
 """Kernel equivalence: the lockstep kernels must agree bit-for-bit with ``_pure``.
 
-The counts are decided with ``np.log`` and replayed with libm where unsure,
+The counts are decided with ``np.log`` and replayed exactly where unsure,
 so they are checked with the filter as shipped, with every trial replayed
 and with none.
 """
@@ -108,10 +108,11 @@ def test_lockstep_draws_match_scalar_streams():
     seldom flips a ruin count, but it shows up here.
     """
     trials, periods, rate, seed = 4096, 5, 1.5, 42
-    state = _lockstep._substreams(seed, 0, trials)
+    states = _lockstep._substreams(seed, 0, trials)
     rngs = [SplitMix64(substream_seed(seed, t)) for t in range(trials)]
-    for _ in range(periods):
-        drawn = _lockstep._exponential(state, rate).tolist()
+    for j in range(periods):
+        one_minus_u = 1.0 - _lockstep._uniforms(states, j, 1)[:, 0]
+        drawn = (-_lockstep._libm_log(one_minus_u) / rate).tolist()
         assert drawn == [rng.exponential(rate) for rng in rngs]
 
 
@@ -238,27 +239,28 @@ CHANCE_ARGS = [
 
 
 def _count_replays(monkeypatch):
-    """Count the trials that the filter replays with libm's logarithm."""
+    """Count the trials that the filter replays exactly: surplus paths with
+    the scalar ``_pure`` fallback, chance trials with libm's logarithm."""
     replayed = {"ruin": 0, "chance": 0}
-    ruins, totals = _lockstep._ruins, _lockstep._duration_totals
+    path_ruins, totals = _lockstep._path_ruins, _lockstep._duration_totals
 
-    def counted_ruins(state, *args):
-        replayed["ruin"] += len(state)
-        return ruins(state, *args)
+    def counted_path_ruins(*args):
+        replayed["ruin"] += 1
+        return path_ruins(*args)
 
     def counted_totals(states, counts, mu, **log):
         if not log:
             replayed["chance"] += len(states)
         return totals(states, counts, mu, **log)
 
-    monkeypatch.setattr(_lockstep, "_ruins", counted_ruins)
+    monkeypatch.setattr(_lockstep, "_path_ruins", counted_path_ruins)
     monkeypatch.setattr(_lockstep, "_duration_totals", counted_totals)
     return replayed
 
 
 @pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
 def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
-    """Counts equal ``_pure`` whether every trial is replayed with libm or none is."""
+    """Counts equal ``_pure`` whether every trial is replayed exactly or none is."""
     monkeypatch.setattr(_lockstep, "_K", k)
     replayed = _count_replays(monkeypatch)
     for args in RUIN_ARGS:
@@ -318,8 +320,9 @@ def test_filter_catches_np_log_flips(monkeypatch):
     """
     rate, seed = 450.0, 5
     states = _lockstep._substreams(seed, 0, 4096)
-    fast = -np.log(1.0 - _lockstep._to_uniform(states + _lockstep._GAMMA)) / rate
-    exact = _lockstep._exponential(states.copy(), rate)
+    one_minus_u = 1.0 - _lockstep._to_uniform(states + _lockstep._GAMMA)
+    fast = -np.log(one_minus_u) / rate
+    exact = -_lockstep._libm_log(one_minus_u) / rate
     t = _first_flip(exact, fast)
     ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
 

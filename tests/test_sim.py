@@ -11,7 +11,6 @@ from ruinfair import (
     ConfigError,
     DutyCyclePolicy,
     FrameConfig,
-    PathLossModel,
     PolicyKind,
     RadioConfig,
     Scheme,
@@ -70,21 +69,21 @@ class TestGenerateTopology:
 
 
 class TestPathGain:
-    MODEL = PathLossModel(exponent=3.5, ref_distance=1.0, ref_gain=1e-3)
+    LOSS = RadioConfig(path_exponent=3.5, ref_distance=1.0, ref_gain=1e-3)
 
     def test_reference_point(self):
-        assert path_gain(1.0, self.MODEL) == 1e-3
+        assert path_gain(1.0, self.LOSS) == 1e-3
 
     def test_power_law_decay(self):
-        assert path_gain(2.0, self.MODEL) == pytest.approx(1e-3 * 2.0 ** -3.5, rel=1e-12)
+        assert path_gain(2.0, self.LOSS) == pytest.approx(1e-3 * 2.0 ** -3.5, rel=1e-12)
 
     def test_near_field_clamp(self):
-        assert path_gain(0.1, self.MODEL) == 1e-3
+        assert path_gain(0.1, self.LOSS) == 1e-3
 
     @pytest.mark.parametrize("distance", [0.0, -1.0, math.inf])
     def test_rejects_degenerate_distance(self, distance):
         with pytest.raises(ValueError):
-            path_gain(distance, self.MODEL)
+            path_gain(distance, self.LOSS)
 
 
 class TestSampleCollisions:
@@ -221,10 +220,8 @@ class TestLinkBudget:
         topology = small_topology(seed=6)
         gammas = link_budget(topology, RADIO)
         for i, ue in enumerate(topology.ues):
-            distance = max(math.hypot(*ue.position), RADIO.path.ref_distance)
-            expected = snr_utility(
-                RADIO.tx_power, path_gain(distance, RADIO.path), RADIO.noise
-            )
+            distance = max(math.hypot(*ue.position), RADIO.ref_distance)
+            expected = snr_utility(RADIO.tx_power, path_gain(distance, RADIO), RADIO.noise)
             assert gammas[i] == pytest.approx(expected, rel=1e-12)
 
 

@@ -281,20 +281,22 @@ def _duration_totals(
     # A count of k took k + 1 uniforms; the durations start after them.
     after = states + (counts.astype(np.uint64) + 1) * _GAMMA
     drawn = 0
-    while len(live):
-        left = counts[live] - drawn
-        width = max(1, min(_BLOCK // len(live), int(left.max()), typical))
-        one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
-        wanted = np.arange(width) < left[:, None]
-        # Padding past a stream's last duration adds 0.0, which leaves the
-        # total's bits unchanged (it starts at 0.0, so it is never -0.0).
-        durations = np.zeros(one_minus_u.shape)
-        durations[wanted] = -log(one_minus_u[wanted]) / mu
-        durations[:, 0] += totals[live]
-        reached = np.add.accumulate(durations, axis=1)[:, -1]
-        totals[live] = reached
-        live = live[(left > width) & (reached < cap)]
-        drawn += width
+    # A subnormal mu overflows a duration to inf, as the scalar draw does.
+    with np.errstate(over="ignore"):
+        while len(live):
+            left = counts[live] - drawn
+            width = max(1, min(_BLOCK // len(live), int(left.max()), typical))
+            one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
+            wanted = np.arange(width) < left[:, None]
+            # Padding past a stream's last duration adds 0.0, which leaves the
+            # total's bits unchanged (it starts at 0.0, so it is never -0.0).
+            durations = np.zeros(one_minus_u.shape)
+            durations[wanted] = -log(one_minus_u[wanted]) / mu
+            durations[:, 0] += totals[live]
+            reached = np.add.accumulate(durations, axis=1)[:, -1]
+            totals[live] = reached
+            live = live[(left > width) & (reached < cap)]
+            drawn += width
     return np.minimum(totals, cap)
 
 

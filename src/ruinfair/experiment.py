@@ -6,24 +6,33 @@ and reports mean and sample standard deviation over replications.  The same
 replication seeds are reused at every sweep value (common random numbers),
 so monotone per-seed effects survive aggregation untouched.
 
-Each quantity is computed once, at the level where it varies:
+Each quantity is computed once per distinct input, in plain dicts that live
+for one ``run_sweep`` call.  A sweep value changes only ``wst_per_wap``,
+``lambda_base`` or the forced ruin probability (``config.scenario_at``), so:
 
-* per sweep value: topology, ruin-fair duty cycle, link budget;
-* per value, for all replications at once: the collision total of each
-  (replication, channel), drawn by the lockstep compound-Poisson kernel
-  (``sim.collision_totals``) and shared by all four schemes.  Each is
-  clipped at the frame length ``T``, so its draw stops there; every
-  scheme's WiFi window is ``T - lte_time <= T``, so clipping it again at
-  the window gives ``min(total, window)`` bit for bit;
-* per (value, scheme): LTE-U airtime, the water-filled sum rate
+* once per sweep: the topology and its link budget (station counts consume
+  no randomness, so positions do not move with ``wst_per_wap``), and the
+  ruin-fair duty cycle of a ``wst_count`` or ``lambda_base`` sweep;
+* once per value of a ``psi`` sweep: the forced ruin-fair duty cycle;
+* once per distinct ``(topology, traffic)``: the collision total of each
+  (replication, channel), drawn for all replications at once by the
+  lockstep compound-Poisson kernel (``sim.collision_totals``) and shared by
+  all four schemes.  Each is clipped at the frame length ``T``, so its draw
+  stops there; every scheme's WiFi window is ``T - lte_time <= T``, so
+  clipping it again at the window gives ``min(total, window)`` bit for bit.
+  A ``psi`` sweep draws once, a ``wst_count`` or ``lambda_base`` sweep once
+  per value;
+* once per distinct LTE-U airtime: the water-filled sum rate
   (``sim.lte_sum_rate``, one water-filling for every channel, none of it
-  depending on the replication seed), and the frame accounting as array
-  operations on the replications x channels collision array, summed over
-  channels left to right in channel order.
+  depending on the replication seed) and its mean and std;
+* once per distinct (collision key, LTE-U airtime): the WiFi frame
+  accounting as array operations on the replications x channels collision
+  array, summed over channels left to right in channel order, and its
+  mean and std.
 
 The result equals calling ``sim.simulate_long_frame`` (whose collision
-draws are the scalar ``sim.sample_collisions``) for every (replication,
-scheme) bit for bit.
+draws are the scalar ``sim.sample_collisions``) for every (value,
+replication, scheme) bit for bit.
 
 Outputs are deterministic byte-for-byte: all randomness is seeded, rows are
 assembled in sweep order, replications are reduced in index order, and
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +100,48 @@ CSV_COLUMNS = tuple(
 )
 
 
-def _ruin_duty_at(config: ScenarioConfig, sweep: Sweep, value) -> DutyCycleResult:
+def _ruin_duties(config: ScenarioConfig, sweep: Sweep) -> list[DutyCycleResult]:
+    """The ruin-fair duty cycle at each sweep value.
+
+    A ``psi`` sweep forces it per value; no other sweep variable moves the
+    frame, ``mu`` or the policy, so one surplus computation serves them all.
+    """
     if sweep.variable == "psi":
-        psi = float(value)
-        return DutyCycleResult(lte_duty_cycle(psi, config.frame, config.policy), psi)
-    return duty_cycle_from_surplus(config.frame, config.traffic.mu, policy=config.policy)
+        return [
+            DutyCycleResult(lte_duty_cycle(float(psi), config.frame, config.policy), float(psi))
+            for psi in sweep.values
+        ]
+    duty = duty_cycle_from_surplus(config.frame, config.traffic.mu, policy=config.policy)
+    return [duty] * len(sweep.values)
+
+
+def _mean_std(samples: np.ndarray) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single sample)."""
+    std = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
+    return float(np.mean(samples)), std
+
+
+def _wifi_stats(collisions: np.ndarray, window: float, phy_rate: float) -> tuple[float, float]:
+    """Mean and std over replications (rows of ``collisions``) of the
+    channel-summed WiFi throughput in a WiFi window of ``window`` seconds."""
+    # Collision time beyond the window is clipped, as in
+    # sim.simulate_long_frame.
+    success = np.maximum(0.0, window - np.minimum(collisions, window))
+    throughput = phy_rate * success
+    # Left to right: sum() compensates on Python >= 3.12.
+    wifi = np.zeros(len(collisions))
+    for column in throughput.T:
+        wifi += column
+    return _mean_std(wifi)
+
+
+def _lte_stats(rate: float, channels: int, reps: int) -> tuple[float, float]:
+    """Mean and std over ``reps`` replications of the LTE-U sum rate
+    ``rate`` summed over ``channels`` channels (the same in each)."""
+    lte_total = 0.0
+    for _ in range(channels):
+        lte_total += rate
+    return _mean_std(np.full(reps, lte_total))
 
 
 def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
@@ -107,45 +153,45 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     sweep = config.sweeps[sweep_name]
     reps = config.seeds.replications
     rep_seeds = [substream_seed(config.seeds.traffic, r) for r in range(reps)]
+    t_total = config.frame.total_duration
+    radio = config.radio
+    topology = generate_topology(config.seeds.topology, config.topology)
+    waps = sorted(topology.waps, key=lambda w: w.channel)
+    gains = link_budget(topology, radio)
 
+    collisions = {}  # (topology, traffic) -> replications x channels totals
+    lte = {}  # LTE-U airtime -> _lte_stats
+    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
     rows = []
-    for value in sweep.values:
+    for value, duty in zip(sweep.values, _ruin_duties(config, sweep)):
         scenario = scenario_at(config, sweep, value)
-        topology = generate_topology(scenario.seeds.topology, scenario.topology)
-        duty = _ruin_duty_at(scenario, sweep, value)
-        waps = sorted(topology.waps, key=lambda w: w.channel)
-        gains = link_budget(topology, scenario.radio)
-        t_total = scenario.frame.total_duration
-        collisions = collision_totals(waps, scenario.traffic, rep_seeds, t_total)
-
-        wifi, lte = {}, {}
+        key = (scenario.topology, scenario.traffic)
+        if key not in collisions:
+            wst = scenario.topology.wst_per_wap
+            collisions[key] = collision_totals(
+                [replace(w, wst_count=wst) for w in waps], scenario.traffic, rep_seeds, t_total
+            )
+        by_scheme = {}
         for scheme in Scheme:
             lte_time = scheme_lte_time(scheme, t_total, duty)
-            # WiFi gets the window left by LTE-U; collision time beyond it is
-            # clipped, as in sim.simulate_long_frame.
-            window = t_total - lte_time
-            success = np.maximum(0.0, window - np.minimum(collisions, window))
-            throughput = scenario.radio.wifi_phy_rate * success
-            rate = lte_sum_rate(lte_time, scenario.radio.bandwidth, gains)
-            # Left to right: sum() compensates on Python >= 3.12.
-            wifi[scheme] = np.zeros(reps)
-            lte_total = 0.0
-            for column in throughput.T:
-                wifi[scheme] += column
-                lte_total += rate
-            lte[scheme] = np.full(reps, lte_total)
-
-        def _std(samples: np.ndarray) -> float:
-            return float(np.std(samples, ddof=1)) if reps > 1 else 0.0
+            if lte_time not in lte:
+                rate = lte_sum_rate(lte_time, radio.bandwidth, gains)
+                lte[lte_time] = _lte_stats(rate, len(waps), reps)
+            if (key, lte_time) not in wifi:
+                # WiFi gets the window left by LTE-U.
+                wifi[key, lte_time] = _wifi_stats(
+                    collisions[key], t_total - lte_time, radio.wifi_phy_rate
+                )
+            by_scheme[scheme] = wifi[key, lte_time] + lte[lte_time]
 
         rows.append(
             SweepRow(
                 variable=sweep.variable,
                 value=float(value),
-                wifi_mean={s: float(np.mean(wifi[s])) for s in Scheme},
-                wifi_std={s: _std(wifi[s]) for s in Scheme},
-                lte_mean={s: float(np.mean(lte[s])) for s in Scheme},
-                lte_std={s: _std(lte[s]) for s in Scheme},
+                wifi_mean={s: by_scheme[s][0] for s in Scheme},
+                wifi_std={s: by_scheme[s][1] for s in Scheme},
+                lte_mean={s: by_scheme[s][2] for s in Scheme},
+                lte_std={s: by_scheme[s][3] for s in Scheme},
                 alpha_star=duty.alpha_star,
                 psi=duty.psi,
             )

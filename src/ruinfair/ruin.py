@@ -120,7 +120,8 @@ def ruin_probability_exact(params: SurplusParams) -> float:
 
     with ``c_j = u + j*c``.  Each term is evaluated in log space (via
     ``lgamma``) so horizons in the thousands neither overflow the power nor
-    the factorial.  A term whose ``mu' * c_j`` overflows is 0.
+    the factorial.  A term whose ``mu' * c_j`` overflows is 0; one whose
+    ``mu' * c_j`` underflows to 0 is 1 for j = 1 and 0 otherwise.
 
     Raises:
         NumericalError: If the sum leaves [0, 1 + 1e-9] or turns non-finite;
@@ -144,6 +145,11 @@ def ruin_probability_exact(params: SurplusParams) -> float:
             # space the term would be 0*inf or inf - inf, both NaN.  c_j never
             # decreases in j, so every later term is 0 too.
             break
+        if rate_cj == 0.0:
+            # Underflow: the term is exp(0) * c_1/c_1 = 1 for j = 1 and has
+            # the factor 0^(j-1) = 0 after; log(0) is undefined.
+            total += 1.0 if j == 1 else 0.0
+            continue
         log_term = (j - 1) * math.log(rate_cj) - math.lgamma(j) - rate_cj
         total += math.exp(log_term) * (c1 / cj)
 

@@ -24,23 +24,25 @@ nothing can collide while LTE-U holds the channel.
 
 A long frame is assembled from parts computed at the level where they vary:
 
-* :func:`link_budget` depends on the topology and radio only;
-* :func:`scheme_lte_time` and :func:`lte_sum_rate` (one water-filling,
-  whose rate every channel gets) depend on the scheme and the duty cycle,
-  not on the seed;
-* the collision totals depend on the seed (and the station counts), not
-  on the scheme: :func:`collision_totals` draws them for many seeds at once
-  with the lockstep compound-Poisson kernel, bit-identical to one
-  :func:`sample_collisions` call per (seed, channel) clipped at the frame
-  length.  The clip loses nothing, as collision time is clipped at the
-  WiFi window anyway and no window is longer than the frame; a draw stops
-  once its running total reaches the frame length.
+* :func:`generate_topology` positions depend on the topology seed and the
+  site counts and radii, not on the station counts, and :func:`link_budget`
+  on those positions and the radio only;
+* :func:`scheme_lte_time` depends on the scheme and the duty cycle, and
+  :func:`lte_sum_rate` (one water-filling, whose rate every channel gets)
+  on the LTE-U airtime and the link budget, not on the seed;
+* the collision totals depend on the seed, the station counts and the
+  traffic, not on the scheme: :func:`collision_totals` draws them for many
+  seeds at once with the lockstep compound-Poisson kernel, bit-identical to
+  one :func:`sample_collisions` call per (seed, channel) clipped at the
+  frame length.  The clip loses nothing, as collision time is clipped at
+  the WiFi window anyway and no window is longer than the frame; a draw
+  stops once its running total reaches the frame length.
 
 :func:`simulate_long_frame` is the scalar specification of a long frame: it
 computes all of them for one (scheme, seed), drawing the collisions with
 :func:`sample_collisions`, and does the frame accounting channel by channel.
-``experiment.run_sweep`` computes each part once per level and does the
-same accounting as array operations, bit for bit.
+``experiment.run_sweep`` computes each part once per distinct input and does
+the same accounting as array operations, bit for bit.
 """
 
 from __future__ import annotations

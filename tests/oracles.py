@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately dumb: closed forms derived by direct
-integration, quadrature, or exhaustive grid search.  None of it shares code
-with the package's own algorithms, so agreement is evidence, not tautology.
+integration, or exhaustive grid search.  None of it shares code with the
+package's own algorithms, so agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 
 def ruin_one_period(u: float, c: float, rate: float) -> float:
@@ -31,27 +30,15 @@ def ruin_two_periods(u: float, c: float, rate: float) -> float:
 
 
 def ruin_three_periods(u: float, c: float, rate: float) -> float:
-    """Three-period ruin probability by numerical quadrature.
+    """Three-period ruin probability by direct integration.
 
-    Adds to the two-period value the probability of surviving periods 1-2
-    and ruining at period 3, integrated over the exponential densities of
-    (Z1, Z2).
+    Ruin first at period 3: Z1 <= u + c, Z1 + Z2 <= u + 2c and Z1 + Z2 + Z3
+    > u + 3c.  Given (Z1, Z2) the last has probability exp(-rate * (u + 3c
+    - Z1 - Z2)), so the integrand over the exponential densities of (Z1, Z2)
+    is the constant rate^2 * exp(-rate * (u + 3c)).  Its domain, z1 in [0, u
+    + c] and z2 in [0, u + 2c - z1], has area (u + c)(u + 3c)/2.
     """
-
-    def survive_then_ruin(z2: float, z1: float) -> float:
-        density = rate * math.exp(-rate * z1) * rate * math.exp(-rate * z2)
-        tail = math.exp(-rate * (u + 3.0 * c - z1 - z2))
-        return density * tail
-
-    third, _abserr = integrate.dblquad(
-        survive_then_ruin,
-        0.0,
-        u + c,  # z1 survives period 1
-        0.0,
-        lambda z1: u + 2.0 * c - z1,  # z2 survives period 2
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
+    third = rate * rate * (u + c) * (u + 3.0 * c) / 2.0 * math.exp(-rate * (u + 3.0 * c))
     return ruin_two_periods(u, c, rate) + third
 
 

@@ -266,6 +266,9 @@ def _scenarios(draw):
 # mu' * c_j overflows in the exact ruin probability (used to exit 1 with
 # "ruin probability sum nan").
 @example({"traffic": {"mu": 1e308}, "frame": {"delta": 1e10}})
+# mu' * c_j underflows to 0 there (used to exit 1 with "math domain error").
+@example({"traffic": {"mu": 5e-324}})
+@example({"frame": {"delta": 1e-310}, "traffic": {"mu": 1e-300}})
 # T or the cells overflow (used to exit 1, or to write inf and nan cells).
 @example({"frame": {"n_short": 10**399}, "sweeps": {"p": {"variable": "psi", "values": [0.5]}}})
 @example({"frame": {"delta": 1e300}})

@@ -132,6 +132,7 @@ class TestWorkReuse:
             "sample_collisions": 0,
             "collision_totals": 0,
             "link_budget": 0,
+            "generate_topology": 0,
         }
 
         def counting(name):
@@ -146,28 +147,31 @@ class TestWorkReuse:
         for name in calls:
             monkeypatch.setattr(sim, name, counting(name))
         # run_sweep calls these through its own import of the names.
-        monkeypatch.setattr(experiment, "link_budget", sim.link_budget)
-        monkeypatch.setattr(experiment, "collision_totals", sim.collision_totals)
+        for name in ("link_budget", "collision_totals", "generate_topology"):
+            monkeypatch.setattr(experiment, name, getattr(sim, name))
 
-        counts = {}
-        for reps, waps in ((1, 3), (6, 3), (6, 1)):
-            topology = dict(SMALL["topology"], wap_count=waps)
-            config = parse_scenario(
-                dict(SMALL, topology=topology, seeds={"replications": reps})
-            )
-            for name in calls:
-                calls[name] = 0
-            run_sweep(config, "wst")
-            counts[reps, waps] = dict(calls)
-
-        values = len(SMALL["sweeps"]["wst"]["values"])
-        assert counts[1, 3]["water_fill"] == counts[6, 3]["water_fill"] > 0
-        # One water-filling serves every channel.
-        assert counts[6, 1]["water_fill"] == counts[6, 3]["water_fill"]
-        assert counts[6, 3]["link_budget"] == values
-        # All replications' collisions are drawn in one call per value.
-        assert counts[1, 3]["collision_totals"] == counts[6, 3]["collision_totals"] == values
-        assert counts[6, 3]["sample_collisions"] == 0
+        for sweep_name in ("wst", "psi", "lam"):
+            values = len(SMALL["sweeps"][sweep_name]["values"])
+            for reps, waps in ((1, 3), (6, 3), (6, 1)):
+                topology = dict(SMALL["topology"], wap_count=waps)
+                config = parse_scenario(
+                    dict(SMALL, topology=topology, seeds={"replications": reps})
+                )
+                for name in calls:
+                    calls[name] = 0
+                rows = run_sweep(config, sweep_name)
+                t_total = config.frame.total_duration
+                airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
+                # Topology and link budget once per sweep; collisions once per
+                # (topology, traffic), for all replications; one water-filling
+                # per LTE-U airtime, serving every channel and value.
+                assert calls == {
+                    "water_fill": len(airtimes - {0.0}),
+                    "sample_collisions": 0,
+                    "collision_totals": 1 if sweep_name == "psi" else values,
+                    "link_budget": 1,
+                    "generate_topology": 1,
+                }, (sweep_name, reps, waps)
 
 
 class _FailingHalfway:

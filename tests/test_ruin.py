@@ -83,6 +83,10 @@ class TestExactFormula:
         # rate * c_j overflows to inf; in log space the term would be NaN.
         assert ruin_probability_exact(SurplusParams(1e11, 1e10, 1e308, 10)) == 0.0
 
+    def test_underflowing_claim_scale_is_certain_ruin(self):
+        # rate * c_j underflows to 0: the j = 1 term is 1, every later one 0.
+        assert ruin_probability_exact(SurplusParams(0.01, 0.001, 5e-324, 10)) == 1.0
+
     @given(params_strategy)
     @settings(max_examples=300, deadline=None)
     def test_stays_in_unit_interval(self, params):

@@ -32,11 +32,12 @@ def ruin_two_periods(u: float, c: float, rate: float) -> float:
 def ruin_three_periods(u: float, c: float, rate: float) -> float:
     """Three-period ruin probability by direct integration.
 
-    Ruin first at period 3: Z1 <= u + c, Z1 + Z2 <= u + 2c and Z1 + Z2 + Z3
-    > u + 3c.  Given (Z1, Z2) the last has probability exp(-rate * (u + 3c
-    - Z1 - Z2)), so the integrand over the exponential densities of (Z1, Z2)
-    is the constant rate^2 * exp(-rate * (u + 3c)).  Its domain, z1 in [0, u
-    + c] and z2 in [0, u + 2c - z1], has area (u + c)(u + 3c)/2.
+    Ruin first at period 3: Z1 <= u + c, Z1 + Z2 <= u + 2c and
+    Z1 + Z2 + Z3 > u + 3c.  Given (Z1, Z2), the last has probability
+    exp(-rate * (u + 3c - Z1 - Z2)), so the integrand over the exponential
+    densities of (Z1, Z2) is the constant rate^2 * exp(-rate * (u + 3c)).
+    Its domain, z1 in [0, u + c] and z2 in [0, u + 2c - z1], has area
+    (u + c)(u + 3c)/2.
     """
     third = rate * rate * (u + c) * (u + 3.0 * c) / 2.0 * math.exp(-rate * (u + 3.0 * c))
     return ruin_two_periods(u, c, rate) + third

@@ -157,9 +157,10 @@ def measure_tier1(root: Path) -> dict:
     return {"wall_s": wall, "exit": done.returncode, "outcome": lines[-1] if lines else ""}
 
 
-def _best_of(fn, args, repeat):
+def _best_of(fn, args, repeat, before=lambda: None):
     best, result = float("inf"), None
     for _ in range(repeat):
+        before()
         started = time.perf_counter()
         result = fn(*args)
         best = min(best, time.perf_counter() - started)
@@ -171,11 +172,16 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     sys.path.insert(0, str(root / "src"))
     from ruinfair._kernels import _lockstep, _pure
 
+    # The lockstep chance kernel keeps its last chunk's draws for the next
+    # call; clearing them before each timed call times the draws, not a
+    # cache hit.  Checkouts older than the memo have nothing to clear.
+    memo = getattr(_lockstep, "_chance_draws", None)
+    clear = memo.cache_clear if memo is not None else lambda: None
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)
         pure_s, expected = _best_of(getattr(_pure, kernel), call_args, repeat)
-        lockstep_s, result = _best_of(getattr(_lockstep, kernel), call_args, repeat)
+        lockstep_s, result = _best_of(getattr(_lockstep, kernel), call_args, repeat, clear)
         if result != expected:
             raise SystemExit(f"{name}: lockstep {result} != pure {expected}")
         table.append({"case": name, "trials": call_args[-2], "pure_s": pure_s,

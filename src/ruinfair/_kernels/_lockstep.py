@@ -76,6 +76,32 @@ margin over the few ulps needed.  An infinite bound (an infinite or
 overflowing argument) marks the trial unsure and a NaN margin decides
 "no" on both paths, so non-finite arguments count as in ``_pure`` too.
 
+**The cut.**  At period ``s`` the exact test above takes ``margin =
+fl(level - claims)`` and ``bound = fl(fl(claims * a) + b)``, with the
+scalars ``level = u + s*c``, ``a = _K * s * eps >= 0`` and ``b``.  Rounding
+to nearest is monotone, so for ``x <= y`` the margin of ``x`` is at least
+that of ``y`` and its bound at most that of ``y``: if a path with claims
+``y`` stays (``margin > bound``), so does every path with claims ``x <=
+y``.  :func:`_cut` proposes ``cut = (level - 2*b) / (1 + a)``, a little
+below where the exact test starts to let paths leave, and checks that the
+largest double below ``cut`` stays, with the same double operations as the
+array code.  Every path with claims below ``cut`` has claims at most that
+double and stays too, so only the paths with ``claims >= cut`` take the
+exact test.  If the check fails (a NaN or infinite argument, say), the cut
+is ``-inf`` and every live path takes it.  Claims are sums of non-negative
+draws, never NaN, so each path is either below the cut or tested: no path
+the exact test would let leave is missed, and the counts are unchanged.
+
+**Reuse.**  A chance trial's draws (its Poisson count and its ``np.log``
+total) do not depend on ``alpha_total``, the threshold or ``_K``, only on
+``(seed, trial, lam, mu)``.  :func:`_chance_draws` keeps those of the last
+chunk, keyed by ``(seed, start, stop, lam, mu)``, so an audit that grants
+several airtimes at one seed draws once; each call then takes only its own
+margins, filter and libm replays.  The kept arrays are read-only, and the
+replays go to a fresh array.  The memo holds one chunk (24 bytes a trial,
+at most 1.5 MB), so a call of more than ``_CHUNK`` trials draws each chunk
+afresh.
+
 The counts are bit-identical to ``_pure`` for every argument, and the
 totals to ``min(sim.sample_collisions(...).total, cap)``; ``tests/test_kernels.py``
 pins that, also with every trial replayed (``_K`` huge) and with none
@@ -85,6 +111,7 @@ re-exported from ``_pure`` unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -160,39 +187,58 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
 
 
+def _cut(level: float, a: float, b: float) -> float:
+    """A claims level below which no path leaves at this period (see "The
+    cut" in the module docstring); ``-inf`` when none is certified."""
+    cut = (level - 2.0 * b) / (1.0 + a)
+    below = math.nextafter(cut, -math.inf)
+    return cut if level - below > below * a + b else -math.inf
+
+
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
     """Ruined paths among trials ``start .. stop-1``.
 
     Steps every path with ``np.log``; a path leaves at its ruin or at the
     first period where it is unsure, and the unsure ones are replayed from
     their start states by the scalar reference, ``_pure._path_ruins``.
+    Only the paths whose claims reach the period's cut take the exact test.
     """
-    starts = _substreams(seed, start, stop)
-    state = starts.copy()
-    paths = np.arange(len(state))
+    state = _substreams(seed, start, stop)
     claims = np.zeros(len(state))
     unsure = []
     ruined = 0
-    for s in range(1, n + 1):
-        state += _GAMMA
-        claims += -np.log(1.0 - _to_uniform(state)) / mu_prime
-        level = u + s * c
-        margin = level - claims
-        bound = claims * (_K * s * _EPS) + _K * s * (abs(level) * _EPS + _TINY)
-        # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
-        leave = margin <= bound
-        if leave.any():
+    # A subnormal rate overflows a claim to inf, as the scalar draw does.
+    with np.errstate(over="ignore"):
+        for s in range(1, n + 1):
+            state += _GAMMA
+            # Subtracting log/rate gives the bits of adding -log/rate.
+            claims -= np.log(1.0 - _to_uniform(state)) / mu_prime
+            level = u + s * c
+            a = _K * s * _EPS
+            b = _K * s * (abs(level) * _EPS + _TINY)
+            near = np.flatnonzero(claims >= _cut(level, a, b))
+            if not len(near):
+                continue
+            margin = level - claims[near]
+            bound = claims[near] * a + b
+            # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
+            leave = margin <= bound
+            if not leave.any():
+                continue
             close = np.abs(margin[leave]) <= bound[leave]
             ruined += len(close) - int(np.count_nonzero(close))
-            unsure.append(paths[leave][close])
-            stay = ~leave
-            state = state[stay]
-            claims = claims[stay]
-            paths = paths[stay]
+            gone = near[leave]
+            # The start state of a path is its state s steps back.
+            unsure.append(state[gone[close]] - np.uint64(s * prng._GOLDEN & prng._MASK64))
+            stay = np.ones(len(state), dtype=bool)
+            stay[gone] = False
+            keep = np.flatnonzero(stay)
+            state = state[keep]
+            claims = claims[keep]
             if not len(state):
                 break
     if unsure:
-        for start_state in starts[np.concatenate(unsure)].tolist():
+        for start_state in np.concatenate(unsure).tolist():
             ruined += _path_ruins(u, c, mu_prime, n, start_state)
     return ruined
 
@@ -327,6 +373,21 @@ def compound_poisson_totals(
     return _duration_totals(states, _poisson_counts(states, lam), mu, cap=cap)
 
 
+@functools.lru_cache(maxsize=1)
+def _chance_draws(seed: int, start: int, stop: int, lam: float, mu: float):
+    """States, Poisson counts and ``np.log`` collision totals of trials
+    ``start .. stop-1``, read-only: the draws of :func:`chance_mc_count`,
+    which do not depend on the LTE-U airtime or the threshold, so calls
+    that differ only in those reuse them (see "Reuse" in the module
+    docstring)."""
+    states = _substreams(seed, start, stop)
+    counts = _poisson_counts(states, lam)
+    totals = _duration_totals(states, counts, mu, log=np.log)
+    for array in (states, counts, totals):
+        array.flags.writeable = False
+    return states, counts, totals
+
+
 def chance_mc_count(
     alpha_total: float,
     threshold: float,
@@ -340,7 +401,8 @@ def chance_mc_count(
     Trial ``t`` draws its compound-Poisson collision time from the substream
     ``substream_seed(seed, t)``, as ``_pure.chance_mc_count`` does.  The
     durations are summed with ``np.log``; the trials whose decision that
-    could flip are summed again with libm's logarithm.
+    could flip are summed again with libm's logarithm.  The draws of the
+    last chunk are kept for the next call (:func:`_chance_draws`).
 
     Raises:
         ValueError: As :func:`compound_poisson_totals` does.
@@ -348,16 +410,18 @@ def chance_mc_count(
     seed = operator.index(seed)
     ok = 0
     for start in range(0, trials, _CHUNK):
-        states = _substreams(seed, start, min(start + _CHUNK, trials))
-        counts = _poisson_counts(states, lam)
-        totals = _duration_totals(states, counts, mu, log=np.log)
+        states, counts, totals = _chance_draws(
+            seed, start, min(start + _CHUNK, trials), lam, mu
+        )
         # Equal infinite arguments make the margin inf - inf = NaN, which
         # decides "no" on both paths (see the module docstring).
         with np.errstate(invalid="ignore"):
+            fits = totals + alpha_total <= threshold
             margin = threshold - (totals + alpha_total)
             scale = totals + (abs(alpha_total) + abs(threshold))
             unsure = np.abs(margin) <= (counts + 1) * (_K * (scale * _EPS + _TINY))
         if unsure.any():
-            totals[unsure] = _duration_totals(states[unsure], counts[unsure], mu)
-        ok += int(np.count_nonzero(totals + alpha_total <= threshold))
+            exact = _duration_totals(states[unsure], counts[unsure], mu)
+            fits[unsure] = exact + alpha_total <= threshold
+        ok += int(np.count_nonzero(fits))
     return ok

@@ -21,6 +21,16 @@ PURE = pytest.param(_pure, id="pure")
 SEEDS = [0, 1, 42, 2**63 + 5, -17, 987654321]
 
 
+@pytest.fixture(autouse=True)
+def fresh_chance_draws():
+    """Each test draws its chance trials afresh, so one that patches
+    ``_BLOCK``, ``_CHUNK``, ``_K`` or ``_duration_totals`` reads no draws
+    another test left in the memo."""
+    _lockstep._chance_draws.cache_clear()
+    yield
+    _lockstep._chance_draws.cache_clear()
+
+
 @pytest.mark.parametrize("impl", [LOCKSTEP])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ruin_count_bit_identical(seed, impl):
@@ -86,8 +96,10 @@ def test_path_values_follow_premium_and_claims(impl):
         (0.3, 0.8, 1.5, 0, 50),  # no periods: nothing to draw
         (0.3, 0.8, 1.5, 12, 1),  # a single trial
         (0.0, 1e-300, 0.0, 0, 5),  # no draw, so the rate goes unchecked
+        (1.0, 1.0, 5e-324, 3, 10),  # claims overflow to inf, without a warning
+        (1.0, 1.0, 1e-310, 3, 10),
     ],
-    ids=["n0", "one-trial", "n0-bad-rate"],
+    ids=["n0", "one-trial", "n0-bad-rate", "rate-min-subnormal", "rate-subnormal"],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_edges_match_scalar(args, seed):
@@ -311,8 +323,8 @@ def _first_flip(exact, fast):
     return int(above[0])
 
 
-def test_filter_catches_np_log_flips(monkeypatch):
-    """A decision that ``np.log`` flips is replayed; without the filter it is wrong.
+def _flip_args():
+    """Ruin and chance arguments whose last trial ``np.log`` decides wrongly.
 
     Trial ``t`` is the first whose claim (or collision total) comes out
     above libm's with ``np.log``; the capital (or threshold) is set to
@@ -331,9 +343,56 @@ def test_filter_catches_np_log_flips(monkeypatch):
     fast = _lockstep._duration_totals(states, counts, rate, log=np.log)
     t = _first_flip(exact, fast)
     chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
+    return ruin, chance
 
+
+def test_filter_catches_np_log_flips(monkeypatch):
+    """A decision that ``np.log`` flips is replayed; without the filter it is wrong."""
+    ruin, chance = _flip_args()
     expected = _pure.ruin_mc_count(*ruin), _pure.chance_mc_count(*chance)
     assert (_lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)) == expected
     monkeypatch.setattr(_lockstep, "_K", 0)
     flipped = _lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)
     assert flipped[0] != expected[0] and flipped[1] != expected[1]
+
+
+def test_chance_draws_once_per_key(monkeypatch):
+    """Eleven airtimes at one seed, then at a second seed, draw each seed's
+    collision times once, and every count is ``_pure``'s."""
+    drawn = []
+    poisson_counts = _lockstep._poisson_counts
+
+    def counted(states, lam):
+        drawn.append(len(states))
+        return poisson_counts(states, lam)
+
+    monkeypatch.setattr(_lockstep, "_poisson_counts", counted)
+    threshold, lam, mu, trials = 0.009, 2.0, 450.0, 400
+    for seed in (1337, 1338):
+        for alpha in [0.0009 * i for i in range(11)]:
+            args = (alpha, threshold, lam, mu, trials, seed)
+            assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+    assert drawn == [trials, trials]
+
+
+def test_chance_draws_are_read_only():
+    _lockstep.chance_mc_count(0.004, 0.009, 2.0, 450.0, 100, 3)
+    for array in _lockstep._chance_draws(3, 0, 100, 2.0, 450.0):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_replay_leaves_the_kept_draws(monkeypatch):
+    """Calls that replay a trial with libm's logarithm, and one between them
+    at another airtime, count as ``_pure`` and keep the ``np.log`` totals."""
+    _, (alpha, threshold, lam, mu, trials, seed) = _flip_args()
+    replayed = _count_replays(monkeypatch)
+    for alpha_at in (alpha, alpha + 0.001, alpha):
+        args = (alpha_at, threshold, lam, mu, trials, seed)
+        assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+    assert replayed["chance"] >= 2
+    assert _lockstep._chance_draws.cache_info().misses == 1
+    states, counts, totals = _lockstep._chance_draws(seed, 0, trials, lam, mu)
+    fast = _lockstep._duration_totals(states, counts, mu, log=np.log)
+    assert totals.tolist() == fast.tolist()

@@ -8,8 +8,8 @@ runs at the same seeds give every per-layer metric's median, and one more
 at seed 0 the per-layer metrics of the digest-checked run.  It also times two
 end-to-end wall clocks, ``ruinfair run`` on the default ``{}`` scenario and
 the Tier-1 suite, and tabulates the Monte Carlo kernels against the scalar
-reference ``_pure`` (asserting equal counts while timing).  ``perfbench/``
-is only called, never changed.  Usage, from the root of a checkout:
+references of the checkout's ``tests/oracles.py`` (asserting equal counts
+while timing).  ``perfbench/`` is only called, never changed.  Usage, from the root of a checkout:
 
     python benchmarks/bench.py --label LABEL [--root DIR]
 
@@ -21,6 +21,7 @@ the current directory.  A file takes about five minutes on two CPUs.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -167,10 +168,28 @@ def _best_of(fn, args, repeat, before=lambda: None):
     return best, result
 
 
+def _scalar_reference(root: Path):
+    """The checkout's scalar Monte Carlo counts: ``tests/oracles.py``, or
+    ``ruinfair._kernels._pure`` in checkouts whose oracles have none."""
+    path = root / "tests" / "oracles.py"
+    if path.exists():
+        spec = importlib.util.spec_from_file_location("oracles", path)
+        oracles = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = oracles  # its dataclasses look their module up
+        spec.loader.exec_module(oracles)
+        if hasattr(oracles, "ruin_mc_count"):
+            return oracles
+    from ruinfair._kernels import _pure
+
+    return _pure
+
+
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     """Lockstep against the scalar reference, best of ``repeat`` each."""
     sys.path.insert(0, str(root / "src"))
-    from ruinfair._kernels import _lockstep, _pure
+    from ruinfair._kernels import _lockstep
+
+    scalar = _scalar_reference(root)
 
     # The lockstep chance kernel keeps its last chunk's draws for the next
     # call; clearing them before each timed call times the draws, not a
@@ -180,7 +199,7 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)
-        pure_s, expected = _best_of(getattr(_pure, kernel), call_args, repeat)
+        pure_s, expected = _best_of(getattr(scalar, kernel), call_args, repeat)
         lockstep_s, result = _best_of(getattr(_lockstep, kernel), call_args, repeat, clear)
         if result != expected:
             raise SystemExit(f"{name}: lockstep {result} != pure {expected}")

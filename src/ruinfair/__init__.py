@@ -39,8 +39,6 @@ from .ruin import (
     simulate_surplus_path,
 )
 from .sim import (
-    CollisionDraw,
-    FrameOutcome,
     RadioConfig,
     Scheme,
     Topology,
@@ -49,8 +47,6 @@ from .sim import (
     generate_topology,
     link_budget,
     path_gain,
-    sample_collisions,
-    simulate_long_frame,
 )
 
 __all__ = [
@@ -85,13 +81,9 @@ __all__ = [
     "Topology",
     "TrafficConfig",
     "RadioConfig",
-    "CollisionDraw",
-    "FrameOutcome",
     "generate_topology",
     "path_gain",
-    "sample_collisions",
     "link_budget",
-    "simulate_long_frame",
     # errors
     "ConfigError",
     "NumericalError",

@@ -1,10 +1,9 @@
 """The Monte Carlo kernels.
 
 They are the NumPy lockstep kernels of ``_lockstep``, which need no build
-step; ``_pure`` is the scalar reference they are checked against, bit for
-bit, in ``tests/test_kernels.py``, and the exact fallback that replays the
-few surplus paths ``_lockstep.ruin_mc_count`` cannot decide with
-``np.log``.  The sweep's collision draws (``sim.collision_totals``) call
+step.  ``tests/test_kernels.py`` checks them bit for bit against the scalar,
+one-trial-at-a-time references of ``tests/oracles.py``.  The sweep's
+collision draws (``sim.collision_totals``) call
 ``_lockstep.compound_poisson_totals``.
 """
 

@@ -6,8 +6,8 @@ is ``mix64(seed + (t+1)*gamma)``, and draw ``j`` of a stream seeded with
 ``s`` comes from the state ``s + j*gamma``, see :mod:`ruinfair.prng`), so
 every stream can be derived and stepped in one ``uint64`` array whose
 wrap-around is exactly the ``& MASK64`` of the scalar code.  Each step
-repeats the scalar recipe of ``_pure.py`` with the same IEEE-754 double
-operations, in the same order:
+repeats the scalar recipe of :mod:`ruinfair.prng` with the same IEEE-754
+double operations, in the same order:
 
 * uniform ``(z >> 11) * 2**-53`` (exact: ``z >> 11`` fits in 53 bits);
 * exponential ``-log(1 - u) / rate``;
@@ -42,12 +42,11 @@ A count needs only the sign of each decision, so ``ruin_mc_count`` and
 ``chance_mc_count`` decide with ``np.log`` and replay exactly only the few
 trials whose decision the faster logarithm could have flipped: a
 floating-point filter with an exact fallback (Shewchuk, "Adaptive
-precision floating-point arithmetic and fast robust geometric
 predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path is
-replayed by the scalar reference itself, ``_pure._path_ruins``; an unsure
-chance trial is summed again by :func:`_duration_totals` with libm's
-logarithm, so :func:`_duration_totals` is the one caller of
-:func:`_libm_log`.
+replayed one draw at a time by :func:`_path_ruins`, through
+:func:`surplus_path_values` and ``SplitMix64``; an unsure chance trial is
+summed again by :func:`_duration_totals` with libm's logarithm, so
+:func:`_duration_totals` is the one caller of :func:`_libm_log`.
 
 **The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
 taken with ``np.log`` is off from the libm term by at most a few ulps,
@@ -74,7 +73,8 @@ error of an operation whose result is subnormal, where relative bounds fail
 (claims of a rate near the largest double).  ``_K = 64`` leaves a wide
 margin over the few ulps needed.  An infinite bound (an infinite or
 overflowing argument) marks the trial unsure and a NaN margin decides
-"no" on both paths, so non-finite arguments count as in ``_pure`` too.
+"no" on both paths, so non-finite arguments count as in the scalar recipe
+too.
 
 **The cut.**  At period ``s`` the exact test above takes ``margin =
 fl(level - claims)`` and ``bound = fl(fl(claims * a) + b)``, with the
@@ -102,11 +102,13 @@ replays go to a fresh array.  The memo holds one chunk (24 bytes a trial,
 at most 1.5 MB), so a call of more than ``_CHUNK`` trials draws each chunk
 afresh.
 
-The counts are bit-identical to ``_pure`` for every argument, and the
-totals to ``min(sim.sample_collisions(...).total, cap)``; ``tests/test_kernels.py``
+The counts are bit-identical to the scalar, one-trial-at-a-time
+references of ``tests/oracles.py`` for every argument, and each total to
+the scalar collision draw's total clipped at ``cap``; ``tests/test_kernels.py``
 pins that, also with every trial replayed (``_K`` huge) and with none
-(``_K = 0``).  ``surplus_path_values`` is not on a hot path and is
-re-exported from ``_pure`` unchanged.
+(``_K = 0``).  :func:`surplus_path_values` is not on a hot path: it steps
+one path with ``SplitMix64`` for ``ruin.simulate_surplus_path`` and for
+the exact fallback.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ import operator
 import numpy as np
 
 from .. import prng
-from ._pure import _path_ruins, surplus_path_values
 
 BACKEND = "lockstep"
 
@@ -195,12 +196,34 @@ def _cut(level: float, a: float, b: float) -> float:
     return cut if level - below > below * a + b else -math.inf
 
 
+def surplus_path_values(
+    u: float, c: float, mu_prime: float, n: int, seed: int
+) -> list[float]:
+    """Surplus after each period: ``[u, u + c - Z1, u + 2c - Z1 - Z2, ...]``.
+
+    The path keeps accruing premiums and claims past a ruin event; callers
+    detect ruin as the first negative entry.
+    """
+    rng = prng.SplitMix64(seed)
+    values = [u]
+    claims = 0.0
+    for s in range(1, n + 1):
+        claims += rng.exponential(mu_prime)
+        values.append(u + s * c - claims)
+    return values
+
+
+def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
+    """Whether the surplus path of ``SplitMix64(seed)`` goes negative by period n."""
+    return any(v < 0.0 for v in surplus_path_values(u, c, mu_prime, n, seed)[1:])
+
+
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
     """Ruined paths among trials ``start .. stop-1``.
 
     Steps every path with ``np.log``; a path leaves at its ruin or at the
     first period where it is unsure, and the unsure ones are replayed from
-    their start states by the scalar reference, ``_pure._path_ruins``.
+    their start states by the scalar :func:`_path_ruins`.
     Only the paths whose claims reach the period's cut take the exact test.
     """
     state = _substreams(seed, start, stop)
@@ -354,11 +377,11 @@ def compound_poisson_totals(
 
     Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
     by Knuth's method, then that many exponential(``mu``) durations, added
-    left to right.  Each result equals ``min(sim.sample_collisions(lam, mu,
-    states[i]).total, cap)`` bit for bit (``cap = math.inf`` leaves the
-    totals whole).  A stream stops drawing durations
-    once its running total reaches ``cap``, which leaves the clipped total
-    unchanged (the partial sums never decrease).  Draws are made in blocks
+    left to right.  Each result equals the scalar draw's total clipped to
+    ``cap`` bit for bit (``cap = math.inf`` leaves the totals whole).  A
+    stream stops drawing durations once its running total reaches ``cap``,
+    which leaves the clipped total unchanged (the partial sums never
+    decrease).  Draws are made in blocks
     of at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
@@ -399,7 +422,7 @@ def chance_mc_count(
     """Trials in which total collision time + ``alpha_total`` fits under ``threshold``.
 
     Trial ``t`` draws its compound-Poisson collision time from the substream
-    ``substream_seed(seed, t)``, as ``_pure.chance_mc_count`` does.  The
+    ``substream_seed(seed, t)``, as the scalar recipe does.  The
     durations are summed with ``np.log``; the trials whose decision that
     could flip are summed again with libm's logarithm.  The draws of the
     last chunk are kept for the next call (:func:`_chance_draws`).

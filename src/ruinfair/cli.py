@@ -68,10 +68,6 @@ def _cmd_validate(config_path: str) -> int:
 
 def _cmd_run(config_path: str, sweep_name: Optional[str], out_dir: str) -> int:
     config = load_scenario(config_path)
-    if sweep_name is not None and sweep_name not in config.sweeps:
-        raise ConfigError(
-            f"sweeps.{sweep_name}: not defined; available: {sorted(config.sweeps)}"
-        )
     names = [sweep_name] if sweep_name is not None else list(config.sweeps)
 
     # Every sweep runs before anything is written, so a failing one leaves

@@ -30,9 +30,9 @@ for one ``run_sweep`` call.  A sweep value changes only ``wst_per_wap``,
   array, summed over channels left to right in channel order, and its
   mean and std.
 
-The result equals calling ``sim.simulate_long_frame`` (whose collision
-draws are the scalar ``sim.sample_collisions``) for every (value,
-replication, scheme) bit for bit.
+The result equals the scalar specification of ``tests/oracles.py``, one
+long frame per (value, replication, scheme) with one collision draw at a
+time, bit for bit.
 
 Outputs are deterministic byte-for-byte: all randomness is seeded, rows are
 assembled in sweep order, replications are reduced in index order, and
@@ -124,8 +124,7 @@ def _mean_std(samples: np.ndarray) -> tuple[float, float]:
 def _wifi_stats(collisions: np.ndarray, window: float, phy_rate: float) -> tuple[float, float]:
     """Mean and std over replications (rows of ``collisions``) of the
     channel-summed WiFi throughput in a WiFi window of ``window`` seconds."""
-    # Collision time beyond the window is clipped, as in
-    # sim.simulate_long_frame.
+    # Collision time beyond the window is clipped: LTE-U holds the channel.
     success = np.maximum(0.0, window - np.minimum(collisions, window))
     throughput = phy_rate * success
     # Left to right: sum() compensates on Python >= 3.12.

@@ -4,8 +4,9 @@ The generator is SplitMix64 (Vigna, 2015; public domain): a 64-bit counter
 advanced by the golden-gamma constant, finalized by two xor-multiply mixing
 rounds.  It was chosen over ``numpy.random`` because the whole algorithm fits
 in a dozen lines and can be re-implemented exactly in any language, which
-keeps Monte Carlo results reproducible bit-for-bit across the compiled and
-pure-Python backends (and across future ports).
+keeps Monte Carlo results reproducible bit-for-bit between the lockstep
+kernels and the scalar references they are tested against (and across
+future ports).
 
 Derived quantities are pinned to fixed recipes so that two implementations
 consuming the same uniform stream produce identical samples:

@@ -32,17 +32,16 @@ A long frame is assembled from parts computed at the level where they vary:
   on the LTE-U airtime and the link budget, not on the seed;
 * the collision totals depend on the seed, the station counts and the
   traffic, not on the scheme: :func:`collision_totals` draws them for many
-  seeds at once with the lockstep compound-Poisson kernel, bit-identical to
-  one :func:`sample_collisions` call per (seed, channel) clipped at the
+  seeds at once with the lockstep compound-Poisson kernel, clipped at the
   frame length.  The clip loses nothing, as collision time is clipped at
   the WiFi window anyway and no window is longer than the frame; a draw
   stops once its running total reaches the frame length.
 
-:func:`simulate_long_frame` is the scalar specification of a long frame: it
-computes all of them for one (scheme, seed), drawing the collisions with
-:func:`sample_collisions`, and does the frame accounting channel by channel.
 ``experiment.run_sweep`` computes each part once per distinct input and does
-the same accounting as array operations, bit for bit.
+the frame accounting as array operations.  ``tests/oracles.py`` holds the
+scalar specification of a long frame (one collision draw at a time, the
+accounting channel by channel), and the tests pin the sweep to it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -56,15 +55,9 @@ import numpy as np
 
 from ._kernels._lockstep import compound_poisson_totals, substream_states
 from .allocation import water_fill
-from .duty import (
-    CollisionModel,
-    DutyCyclePolicy,
-    DutyCycleResult,
-    FrameConfig,
-    duty_cycle_from_surplus,
-)
+from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
-from .prng import SplitMix64, substream_seed
+from .prng import SplitMix64
 
 __all__ = [
     "Scheme",
@@ -74,16 +67,12 @@ __all__ = [
     "Topology",
     "TrafficConfig",
     "RadioConfig",
-    "CollisionDraw",
-    "FrameOutcome",
     "generate_topology",
     "path_gain",
-    "sample_collisions",
     "link_budget",
     "scheme_lte_time",
     "lte_sum_rate",
     "collision_totals",
-    "simulate_long_frame",
 ]
 
 
@@ -200,37 +189,6 @@ class RadioConfig:
             )
 
 
-@dataclass(frozen=True)
-class CollisionDraw:
-    """Collisions in one long frame: a count and one duration per collision."""
-
-    count: int
-    durations: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        """Durations added left to right from 0.0 (``sum`` compensates on
-        Python >= 3.12, which the lockstep kernel does not)."""
-        total = 0.0
-        for duration in self.durations:
-            total += duration
-        return total
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    """Time accounting and rates for one scheme on one channel's long frame."""
-
-    scheme: Scheme
-    channel: int
-    wifi_success_time: float
-    collision_time: float
-    lte_time: float
-    idle_time: float
-    wifi_throughput: float
-    lte_sum_rate: float
-
-
 def path_gain(distance: float, radio: RadioConfig) -> float:
     """Power-law gain ``ref_gain * (ref_distance / distance)^path_exponent``,
     with the path-loss fields of ``radio``.
@@ -274,15 +232,6 @@ def generate_topology(seed: int, config: TopologyConfig) -> Topology:
         waps=waps,
         ues=ues,
     )
-
-
-def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
-    """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
-    CollisionModel(lambda_k, mu)  # checks both rates
-    rng = SplitMix64(seed)
-    count = rng.poisson(lambda_k)
-    durations = tuple(rng.exponential(mu) for _ in range(count))
-    return CollisionDraw(count=count, durations=durations)
 
 
 def link_budget(topology: Topology, radio: RadioConfig) -> np.ndarray:
@@ -334,9 +283,10 @@ def collision_totals(waps, traffic: TrafficConfig, seeds, t_total: float) -> np.
     given), clipped to the long frame ``t_total``.
 
     Channel k of seed s draws from the substream seed (s, k), whatever the
-    scheme: entry ``[r, j]`` equals ``min(sample_collisions(lambda_k, mu,
-    substream_seed(seeds[r], waps[j].channel)).total, t_total)`` bit for
-    bit.  No WiFi window is longer than the frame, so clipping at the window
+    scheme: entry ``[r, j]`` is a Poisson(``lambda_k``) count of
+    exponential(``mu``) durations drawn from ``SplitMix64(substream_seed(
+    seeds[r], waps[j].channel))``, added left to right and clipped at
+    ``t_total``.  No WiFi window is longer than the frame, so clipping at the window
     afterwards gives the bits of the unclipped total clipped at the window,
     and a draw stops at the frame: the durations beyond it are never drawn.
     All seeds of a channel are drawn in one lockstep kernel call.
@@ -349,57 +299,3 @@ def collision_totals(waps, traffic: TrafficConfig, seeds, t_total: float) -> np.
             states[:, j], model.lambda_k, model.mu, t_total
         )
     return totals
-
-
-def simulate_long_frame(
-    topology: Topology,
-    frame: FrameConfig,
-    scheme: Scheme,
-    traffic: TrafficConfig,
-    policy: DutyCyclePolicy,
-    radio: RadioConfig,
-    seed: int,
-    ruin_duty: Optional[DutyCycleResult] = None,
-) -> list[FrameOutcome]:
-    """Simulate one long frame on every channel under the given scheme.
-
-    Channel k's collision draw comes from the substream seed (seed, k) and
-    does not depend on the scheme, so outcomes for different schemes on the
-    same seed are directly comparable.
-
-    ``ruin_duty`` short-circuits the surplus computation for ``RUIN_FAIR``
-    (used when the ruin probability itself is the swept variable); when
-    omitted it is computed from the frame and traffic parameters.
-
-    Returns one :class:`FrameOutcome` per channel, in channel order.
-    """
-    t_total = frame.total_duration
-    if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
-        ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
-    lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
-    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(topology, radio))
-
-    # WiFi gets the window left by LTE-U; collision time beyond that window
-    # is clipped, and the rest of the window is successful WiFi airtime.
-    wifi_window = t_total - lte_time
-    outcomes = []
-    for wap in sorted(topology.waps, key=lambda w: w.channel):
-        collision_total = sample_collisions(
-            traffic.lambda_base * wap.wst_count, traffic.mu, substream_seed(seed, wap.channel)
-        ).total
-        collision_time = min(collision_total, wifi_window)
-        wifi_success = max(0.0, wifi_window - collision_time)
-        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
-        outcomes.append(
-            FrameOutcome(
-                scheme=scheme,
-                channel=wap.channel,
-                wifi_success_time=wifi_success,
-                collision_time=collision_time,
-                lte_time=lte_time,
-                idle_time=idle,
-                wifi_throughput=radio.wifi_phy_rate * wifi_success,
-                lte_sum_rate=lte_rate,
-            )
-        )
-    return outcomes

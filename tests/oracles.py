@@ -1,15 +1,43 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately dumb: closed forms derived by direct
-integration, or exhaustive grid search.  None of it shares code with the
-package's own algorithms, so agreement is evidence, not tautology.
+integration, exhaustive grid search, or scalar loops that take one trial
+and one draw at a time.  None of it shares code with the algorithm it
+checks, so agreement is evidence, not tautology.
+
+The scalar specifications (the Monte Carlo counts, the collision draw and
+the long frame) draw from the package's ``SplitMix64`` with the recipes
+documented in :mod:`ruinfair.prng`, one stream at a time, where the package
+draws all streams in lockstep.  The long frame also takes the package's
+duty cycle, link budget and water-filling as they are: it pins how the
+sweep runner reuses them, not the parts themselves.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
+
+from ruinfair import (
+    CollisionModel,
+    DutyCyclePolicy,
+    DutyCycleResult,
+    FrameConfig,
+    RadioConfig,
+    Scheme,
+    Topology,
+    TrafficConfig,
+    duty_cycle_from_surplus,
+    generate_topology,
+    link_budget,
+    lte_duty_cycle,
+)
+from ruinfair.experiment import SweepRow
+from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.sim import lte_sum_rate, scheme_lte_time
 
 
 def ruin_one_period(u: float, c: float, rate: float) -> float:
@@ -41,6 +69,153 @@ def ruin_three_periods(u: float, c: float, rate: float) -> float:
     """
     third = rate * rate * (u + c) * (u + 3.0 * c) / 2.0 * math.exp(-rate * (u + 3.0 * c))
     return ruin_two_periods(u, c, rate) + third
+
+
+def surplus_path_values(
+    u: float, c: float, mu_prime: float, n: int, seed: int
+) -> list[float]:
+    """Surplus after each period, ``[u, u + c - Z1, u + 2c - Z1 - Z2, ...]``,
+    with the claims ``Z`` drawn from ``SplitMix64(seed)``."""
+    rng = SplitMix64(seed)
+    values = [u]
+    claims = 0.0
+    for s in range(1, n + 1):
+        claims += rng.exponential(mu_prime)
+        values.append(u + s * c - claims)
+    return values
+
+
+def ruin_mc_count(
+    u: float, c: float, mu_prime: float, n: int, trials: int, seed: int
+) -> int:
+    """Surplus paths (out of ``trials``) that go negative by period n; path
+    ``t`` draws its claims from ``substream_seed(seed, t)``."""
+    ruined = 0
+    for t in range(trials):
+        rng = SplitMix64(substream_seed(seed, t))
+        claims = 0.0
+        for s in range(1, n + 1):
+            claims += rng.exponential(mu_prime)
+            if u + s * c - claims < 0.0:
+                ruined += 1
+                break
+    return ruined
+
+
+def chance_mc_count(
+    alpha_total: float,
+    threshold: float,
+    lam: float,
+    mu: float,
+    trials: int,
+    seed: int,
+) -> int:
+    """Trials in which total collision time + ``alpha_total`` fits under
+    ``threshold``; trial ``t`` draws a Poisson(``lam``) count of
+    exponential(``mu``) durations from ``substream_seed(seed, t)``."""
+    ok = 0
+    for t in range(trials):
+        rng = SplitMix64(substream_seed(seed, t))
+        total = 0.0
+        for _ in range(rng.poisson(lam)):
+            total += rng.exponential(mu)
+        if total + alpha_total <= threshold:
+            ok += 1
+    return ok
+
+
+@dataclass(frozen=True)
+class CollisionDraw:
+    """Collisions in one long frame: a count and one duration per collision."""
+
+    count: int
+    durations: tuple[float, ...]
+
+    @property
+    def total(self) -> float:
+        """Durations added left to right from 0.0 (``sum`` compensates on
+        Python >= 3.12, which the lockstep kernel does not)."""
+        total = 0.0
+        for duration in self.durations:
+            total += duration
+        return total
+
+
+def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
+    """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
+    CollisionModel(lambda_k, mu)  # checks both rates
+    rng = SplitMix64(seed)
+    count = rng.poisson(lambda_k)
+    durations = tuple(rng.exponential(mu) for _ in range(count))
+    return CollisionDraw(count=count, durations=durations)
+
+
+@dataclass(frozen=True)
+class FrameOutcome:
+    """Time accounting and rates for one scheme on one channel's long frame."""
+
+    scheme: Scheme
+    channel: int
+    wifi_success_time: float
+    collision_time: float
+    lte_time: float
+    idle_time: float
+    wifi_throughput: float
+    lte_sum_rate: float
+
+
+def simulate_long_frame(
+    topology: Topology,
+    frame: FrameConfig,
+    scheme: Scheme,
+    traffic: TrafficConfig,
+    policy: DutyCyclePolicy,
+    radio: RadioConfig,
+    seed: int,
+    ruin_duty: Optional[DutyCycleResult] = None,
+) -> list[FrameOutcome]:
+    """Simulate one long frame on every channel under the given scheme.
+
+    Channel k's collision draw comes from the substream seed (seed, k) and
+    does not depend on the scheme, so outcomes for different schemes on the
+    same seed are directly comparable.
+
+    ``ruin_duty`` short-circuits the surplus computation for ``RUIN_FAIR``
+    (used when the ruin probability itself is the swept variable); when
+    omitted it is computed from the frame and traffic parameters.
+
+    Returns one :class:`FrameOutcome` per channel, in channel order.
+    """
+    t_total = frame.total_duration
+    if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
+        ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
+    lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
+    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(topology, radio))
+
+    # WiFi gets the window left by LTE-U; collision time beyond that window
+    # is clipped, and the rest of the window is successful WiFi airtime.
+    wifi_window = t_total - lte_time
+    outcomes = []
+    for wap in sorted(topology.waps, key=lambda w: w.channel):
+        collision_total = sample_collisions(
+            traffic.lambda_base * wap.wst_count, traffic.mu, substream_seed(seed, wap.channel)
+        ).total
+        collision_time = min(collision_total, wifi_window)
+        wifi_success = max(0.0, wifi_window - collision_time)
+        idle = max(0.0, t_total - wifi_success - collision_time - lte_time)
+        outcomes.append(
+            FrameOutcome(
+                scheme=scheme,
+                channel=wap.channel,
+                wifi_success_time=wifi_success,
+                collision_time=collision_time,
+                lte_time=lte_time,
+                idle_time=idle,
+                wifi_throughput=radio.wifi_phy_rate * wifi_success,
+                lte_sum_rate=lte_rate,
+            )
+        )
+    return outcomes
 
 
 def water_objective(alpha: float, y: np.ndarray, gammas: np.ndarray) -> float:
@@ -109,30 +284,15 @@ def grid_best_three_users(
 
 
 def sweep_rows_per_frame(config, sweep_name: str) -> list:
-    """``run_sweep`` rows from one ``simulate_long_frame`` call per frame.
+    """``run_sweep`` rows from one :func:`simulate_long_frame` call per frame.
 
     The straightforward sweep loop: for every sweep value, replication and
     scheme, simulate the long frame on every channel from scratch (link
     budget, water-filling, collision draws) and sum the outcomes over
-    channels.  Unlike the oracles above it runs the package's simulator; it
-    pins the sweep runner's reuse of work across replications and schemes,
-    and its lockstep collision draws against the scalar
-    ``sample_collisions`` that ``simulate_long_frame`` calls, not the
-    simulator itself.
+    channels.  It pins the sweep runner's reuse of work across replications
+    and schemes, and its lockstep collision draws against the scalar
+    :func:`sample_collisions`.
     """
-    from dataclasses import replace
-
-    from ruinfair import (
-        DutyCycleResult,
-        Scheme,
-        duty_cycle_from_surplus,
-        generate_topology,
-        lte_duty_cycle,
-        simulate_long_frame,
-    )
-    from ruinfair.experiment import SweepRow
-    from ruinfair.prng import substream_seed
-
     sweep = config.sweeps[sweep_name]
     reps = config.seeds.replications
     rows = []

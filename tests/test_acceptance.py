@@ -27,7 +27,7 @@ from ruinfair.config import parse_scenario
 from ruinfair.experiment import run_sweep
 from ruinfair.prng import substream_seed
 
-from oracles import grid_best_three_users, grid_best_two_users
+from oracles import grid_best_three_users, grid_best_two_users, simulate_long_frame
 
 U_GRID = (0.0, 0.5, 1.0, 2.0, 5.0)
 C_GRID = (0.5, 1.0, 2.0)
@@ -198,7 +198,7 @@ class TestCriterion4MonotonicitySuite:
             )
             total = 0.0
             for seed in range(100):
-                outcomes = rf.simulate_long_frame(
+                outcomes = simulate_long_frame(
                     topology,
                     config.frame,
                     rf.Scheme.RUIN_FAIR,

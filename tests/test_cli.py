@@ -114,11 +114,11 @@ def test_run_all_sweeps_by_default(config_file, tmp_path):
 
 
 def test_run_unknown_sweep_exits_2(config_file, tmp_path, capsys):
-    code = main(
-        ["run", "--config", str(config_file), "--sweep", "ghost", "--out", str(tmp_path)]
-    )
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_file), "--sweep", "ghost", "--out", str(out)])
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_twice_is_byte_identical(config_file, tmp_path):

@@ -129,7 +129,6 @@ class TestWorkReuse:
     def test_per_level_call_counts(self, monkeypatch):
         calls = {
             "water_fill": 0,
-            "sample_collisions": 0,
             "collision_totals": 0,
             "link_budget": 0,
             "generate_topology": 0,
@@ -167,7 +166,6 @@ class TestWorkReuse:
                 # per LTE-U airtime, serving every channel and value.
                 assert calls == {
                     "water_fill": len(airtimes - {0.0}),
-                    "sample_collisions": 0,
                     "collision_totals": 1 if sweep_name == "psi" else values,
                     "link_budget": 1,
                     "generate_topology": 1,

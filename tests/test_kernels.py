@@ -1,4 +1,5 @@
-"""Kernel equivalence: the lockstep kernels must agree bit-for-bit with ``_pure``.
+"""Kernel equivalence: the lockstep kernels must agree bit-for-bit with the
+scalar references of ``oracles``.
 
 The counts are decided with ``np.log`` and replayed exactly where unsure,
 so they are checked with the filter as shipped, with every trial replayed
@@ -10,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import sample_collisions
 from ruinfair import _kernels
-from ruinfair._kernels import _lockstep, _pure
+from ruinfair._kernels import _lockstep
 from ruinfair.prng import SplitMix64, substream_seed
-from ruinfair.sim import sample_collisions
 
 LOCKSTEP = pytest.param(_lockstep, id="lockstep")
-PURE = pytest.param(_pure, id="pure")
+PURE = pytest.param(oracles, id="pure")
 
 SEEDS = [0, 1, 42, 2**63 + 5, -17, 987654321]
 
@@ -35,14 +37,14 @@ def fresh_chance_draws():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ruin_count_bit_identical(seed, impl):
     args = (0.3, 0.8, 1.5, 12, 3000)
-    assert _pure.ruin_mc_count(*args, seed) == impl.ruin_mc_count(*args, seed)
+    assert oracles.ruin_mc_count(*args, seed) == impl.ruin_mc_count(*args, seed)
 
 
 @pytest.mark.parametrize("impl", [LOCKSTEP])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chance_count_bit_identical(seed, impl):
     args = (0.004, 0.009, 1.5, 400.0, 3000)
-    assert _pure.chance_mc_count(*args, seed) == impl.chance_mc_count(*args, seed)
+    assert oracles.chance_mc_count(*args, seed) == impl.chance_mc_count(*args, seed)
 
 
 def test_selected_backend_exposes_kernel_surface():
@@ -77,7 +79,7 @@ def test_chance_count_matches_manual_loop(impl):
     assert impl.chance_mc_count(alpha, threshold, lam, mu, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE])
+@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
 def test_path_values_follow_premium_and_claims(impl):
     """values[s] = u + s*c - (sum of the first s exponential draws)."""
     u, c, rate, n, seed = 2.0, 0.5, 0.8, 10, 31
@@ -103,14 +105,14 @@ def test_path_values_follow_premium_and_claims(impl):
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_edges_match_scalar(args, seed):
-    assert _lockstep.ruin_mc_count(*args, seed) == _pure.ruin_mc_count(*args, seed)
+    assert _lockstep.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_all_paths_ruin_in_period_one(seed):
     """The working arrays empty long before the horizon."""
     args = (0.0, 1e-300, 1.0, 5, 200)
-    assert _lockstep.ruin_mc_count(*args, seed) == _pure.ruin_mc_count(*args, seed) == 200
+    assert _lockstep.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed) == 200
 
 
 def test_lockstep_draws_match_scalar_streams():
@@ -132,7 +134,7 @@ def test_lockstep_chunks_match_scalar(monkeypatch):
     """Trials split across several working chunks count as one batch."""
     monkeypatch.setattr(_lockstep, "_CHUNK", 7)
     args = (0.4, 0.9, 1.3, 8, 100, 77)
-    assert _lockstep.ruin_mc_count(*args) == _pure.ruin_mc_count(*args)
+    assert _lockstep.ruin_mc_count(*args) == oracles.ruin_mc_count(*args)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
@@ -154,14 +156,14 @@ def test_ruin_count_rejects_bad_rate(impl, rate):
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_chance_edges_match_scalar(args, seed):
-    assert _lockstep.chance_mc_count(*args, seed) == _pure.chance_mc_count(*args, seed)
+    assert _lockstep.chance_mc_count(*args, seed) == oracles.chance_mc_count(*args, seed)
 
 
 def test_lockstep_chance_chunks_match_scalar(monkeypatch):
     """Trials split across several chunks, the last one short, count as one batch."""
     monkeypatch.setattr(_lockstep, "_CHUNK", 7)
     args = (0.002, 0.009, 3.0, 450.0, 100, 77)
-    assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+    assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
 
 
 @pytest.mark.parametrize("block", [1, 64])
@@ -174,7 +176,7 @@ def test_compound_blocks_carry_over(monkeypatch, block, lam):
     totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
     args = (0.0, 0.5, lam, 450.0, 24, 11)
-    assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+    assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
 
 
 @pytest.mark.parametrize("lam,streams", [(1e-9, 100), (1.0, 4096), (150.0, 100), (500.0, 100)])
@@ -235,7 +237,7 @@ def _outcome(impl, args):
 def test_lockstep_chance_errors_match_scalar(lam, mu, trials):
     """The same ValueError as the scalar draws, or the same count."""
     args = (0.001, 0.009, lam, mu, trials, 42)
-    assert _outcome(_lockstep, args) == _outcome(_pure, args)
+    assert _outcome(_lockstep, args) == _outcome(oracles, args)
 
 
 RUIN_ARGS = [
@@ -252,7 +254,7 @@ CHANCE_ARGS = [
 
 def _count_replays(monkeypatch):
     """Count the trials that the filter replays exactly: surplus paths with
-    the scalar ``_pure`` fallback, chance trials with libm's logarithm."""
+    the scalar ``_lockstep._path_ruins`` fallback, chance trials with libm's logarithm."""
     replayed = {"ruin": 0, "chance": 0}
     path_ruins, totals = _lockstep._path_ruins, _lockstep._duration_totals
 
@@ -272,13 +274,13 @@ def _count_replays(monkeypatch):
 
 @pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
 def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
-    """Counts equal ``_pure`` whether every trial is replayed exactly or none is."""
+    """Counts equal the oracle's whether every trial is replayed exactly or none is."""
     monkeypatch.setattr(_lockstep, "_K", k)
     replayed = _count_replays(monkeypatch)
     for args in RUIN_ARGS:
-        assert _lockstep.ruin_mc_count(*args, 42) == _pure.ruin_mc_count(*args, 42)
+        assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
     for args in CHANCE_ARGS:
-        assert _lockstep.chance_mc_count(*args, 42) == _pure.chance_mc_count(*args, 42)
+        assert _lockstep.chance_mc_count(*args, 42) == oracles.chance_mc_count(*args, 42)
     if replay_all:
         assert replayed == {
             "ruin": sum(args[-1] for args in RUIN_ARGS),
@@ -294,13 +296,13 @@ NONFINITE = [math.inf, -math.inf, math.nan]
 @pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
 def test_ruin_count_nonfinite_arguments(x):
     for args in ((x, 0.8, 1.5, 6, 50), (0.3, x, 1.5, 6, 50), (x, -x, 1.5, 6, 50)):
-        assert _lockstep.ruin_mc_count(*args, 9) == _pure.ruin_mc_count(*args, 9)
+        assert _lockstep.ruin_mc_count(*args, 9) == oracles.ruin_mc_count(*args, 9)
 
 
 @pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
 def test_chance_count_nonfinite_arguments(x):
     for args in ((0.001, x, 2.0, 450.0, 50), (x, 0.009, 2.0, 450.0, 50), (x, x, 2.0, 450.0, 50)):
-        assert _lockstep.chance_mc_count(*args, 9) == _pure.chance_mc_count(*args, 9)
+        assert _lockstep.chance_mc_count(*args, 9) == oracles.chance_mc_count(*args, 9)
 
 
 def test_np_log_stays_within_the_filter_premise():
@@ -328,7 +330,7 @@ def _flip_args():
 
     Trial ``t`` is the first whose claim (or collision total) comes out
     above libm's with ``np.log``; the capital (or threshold) is set to
-    libm's value, a tie that ``_pure`` decides as "not ruined" (or "fits").
+    libm's value, a tie that the oracle decides as "not ruined" (or "fits").
     """
     rate, seed = 450.0, 5
     states = _lockstep._substreams(seed, 0, 4096)
@@ -349,7 +351,7 @@ def _flip_args():
 def test_filter_catches_np_log_flips(monkeypatch):
     """A decision that ``np.log`` flips is replayed; without the filter it is wrong."""
     ruin, chance = _flip_args()
-    expected = _pure.ruin_mc_count(*ruin), _pure.chance_mc_count(*chance)
+    expected = oracles.ruin_mc_count(*ruin), oracles.chance_mc_count(*chance)
     assert (_lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)) == expected
     monkeypatch.setattr(_lockstep, "_K", 0)
     flipped = _lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)
@@ -358,7 +360,7 @@ def test_filter_catches_np_log_flips(monkeypatch):
 
 def test_chance_draws_once_per_key(monkeypatch):
     """Eleven airtimes at one seed, then at a second seed, draw each seed's
-    collision times once, and every count is ``_pure``'s."""
+    collision times once, and every count is the oracle's."""
     drawn = []
     poisson_counts = _lockstep._poisson_counts
 
@@ -371,7 +373,7 @@ def test_chance_draws_once_per_key(monkeypatch):
     for seed in (1337, 1338):
         for alpha in [0.0009 * i for i in range(11)]:
             args = (alpha, threshold, lam, mu, trials, seed)
-            assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+            assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
     assert drawn == [trials, trials]
 
 
@@ -385,12 +387,12 @@ def test_chance_draws_are_read_only():
 
 def test_replay_leaves_the_kept_draws(monkeypatch):
     """Calls that replay a trial with libm's logarithm, and one between them
-    at another airtime, count as ``_pure`` and keep the ``np.log`` totals."""
+    at another airtime, count as the oracle does and keep the ``np.log`` totals."""
     _, (alpha, threshold, lam, mu, trials, seed) = _flip_args()
     replayed = _count_replays(monkeypatch)
     for alpha_at in (alpha, alpha + 0.001, alpha):
         args = (alpha_at, threshold, lam, mu, trials, seed)
-        assert _lockstep.chance_mc_count(*args) == _pure.chance_mc_count(*args)
+        assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
     assert replayed["chance"] >= 2
     assert _lockstep._chance_draws.cache_info().misses == 1
     states, counts, totals = _lockstep._chance_draws(seed, 0, trials, lam, mu)

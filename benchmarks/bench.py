@@ -169,19 +169,12 @@ def _best_of(fn, args, repeat, before=lambda: None):
 
 
 def _scalar_reference(root: Path):
-    """The checkout's scalar Monte Carlo counts: ``tests/oracles.py``, or
-    ``ruinfair._kernels._pure`` in checkouts whose oracles have none."""
-    path = root / "tests" / "oracles.py"
-    if path.exists():
-        spec = importlib.util.spec_from_file_location("oracles", path)
-        oracles = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = oracles  # its dataclasses look their module up
-        spec.loader.exec_module(oracles)
-        if hasattr(oracles, "ruin_mc_count"):
-            return oracles
-    from ruinfair._kernels import _pure
-
-    return _pure
+    """The checkout's scalar Monte Carlo counts: its ``tests/oracles.py``."""
+    spec = importlib.util.spec_from_file_location("oracles", root / "tests" / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = oracles  # its dataclasses look their module up
+    spec.loader.exec_module(oracles)
+    return oracles
 
 
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
@@ -193,9 +186,8 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
 
     # The lockstep chance kernel keeps its last chunk's draws for the next
     # call; clearing them before each timed call times the draws, not a
-    # cache hit.  Checkouts older than the memo have nothing to clear.
-    memo = getattr(_lockstep, "_chance_draws", None)
-    clear = memo.cache_clear if memo is not None else lambda: None
+    # cache hit.
+    clear = _lockstep._chance_draws.cache_clear
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)

@@ -28,25 +28,22 @@ streams still live.
 **Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
 which differs from glibc's in the last bit on some inputs; libm's is taken
 element by element through ``math.log`` (:func:`_libm_log`), about 17x
-slower.  Values that are returned need libm's bits, so the sweep's
-collision totals (:func:`compound_poisson_totals`) take libm's logarithm
-of every duration they draw.  They draw only up to the frame length: the
-sweep clips collision time at its WiFi window, never longer than the frame,
-so a total is wanted only as ``min(total, T)``.  The durations are
-non-negative, so the left-to-right partial sums never decrease and a stream
-whose running total reaches ``T`` already has its clipped value; the
-durations after it are not drawn.  On a congested channel (hundreds of
+slower.  :func:`compound_poisson_totals` takes libm's logarithm of every
+duration it draws, so its totals are the scalar draws' bit for bit; the
+sweep's collision draws and ``chance_mc_count`` both count on them.  The
+sweep clips collision time at its WiFi window, never longer than the frame
+``T``, so it draws each total only up to ``T`` (exact, see
+:func:`compound_poisson_totals`); on a congested channel (hundreds of
 collisions of about 2 ms against a 10 ms frame) that skips most of the
-logarithms.
-A count needs only the sign of each decision, so ``ruin_mc_count`` and
-``chance_mc_count`` decide with ``np.log`` and replay exactly only the few
-trials whose decision the faster logarithm could have flipped: a
-floating-point filter with an exact fallback (Shewchuk, "Adaptive
-predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path is
-replayed one draw at a time by :func:`_path_ruins`, through
-:func:`surplus_path_values` and ``SplitMix64``; an unsure chance trial is
-summed again by :func:`_duration_totals` with libm's logarithm, so
-:func:`_duration_totals` is the one caller of :func:`_libm_log`.
+logarithms.  The chance audit draws whole totals.
+``ruin_mc_count`` takes a logarithm every period of every path, and a
+count needs only the sign of each decision, so it decides with ``np.log``
+and replays exactly only the few paths whose decision the faster
+logarithm could have flipped: a floating-point filter with an exact
+fallback (Shewchuk, "Adaptive predicates", Discrete Comput. Geom. 18,
+1997).  An unsure surplus path is replayed one draw at a time by
+:func:`_path_ruins`, through :func:`surplus_path_values` and
+``SplitMix64``.
 
 **The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
 taken with ``np.log`` is off from the libm term by at most a few ulps,
@@ -60,21 +57,18 @@ most about ``(s + m) * eps * claims`` for an ``m``-ulp logarithm.  The
 decision takes the sign of ``fl(a - b)``, which is the sign of ``a - b``
 (round-to-nearest subtraction is exact in sign, and zero only when
 ``a == b``), so a decision taken with ``np.log`` is the libm one whenever
-``|a - b|`` exceeds the gap between the two sums.  A trial is therefore
+``|a - b|`` exceeds the gap between the two sums.  A path is therefore
 *unsure*, and replayed exactly, when
 
-    |u + s*c - claims|               <= _K * s * (eps * (claims + |u + s*c|) + tiny)
-    |threshold - (total + alpha)|    <= _K * (k + 1) * (eps * (total + |alpha| + |threshold|) + tiny)
+    |u + s*c - claims|  <=  _K * s * (eps * (claims + |u + s*c|) + tiny)
 
-for period ``s`` of a surplus path, or for a chance trial whose total sums
-``k`` durations.  The ``eps`` terms bound the relative error above and the
-rounding of ``total + alpha``; ``tiny = 2**-1074`` bounds the absolute
-error of an operation whose result is subnormal, where relative bounds fail
-(claims of a rate near the largest double).  ``_K = 64`` leaves a wide
-margin over the few ulps needed.  An infinite bound (an infinite or
-overflowing argument) marks the trial unsure and a NaN margin decides
-"no" on both paths, so non-finite arguments count as in the scalar recipe
-too.
+at period ``s``.  The ``eps`` term bounds the relative error above;
+``tiny = 2**-1074`` bounds the absolute error of an operation whose result
+is subnormal, where relative bounds fail (claims of a rate near the
+largest double).  ``_K = 64`` leaves a wide margin over the few ulps
+needed.  An infinite bound (an infinite or overflowing argument) marks the
+path unsure and a NaN margin decides "not ruined" with either logarithm,
+so non-finite arguments count as in the scalar recipe too.
 
 **The cut.**  At period ``s`` the exact test above takes ``margin =
 fl(level - claims)`` and ``bound = fl(fl(claims * a) + b)``, with the
@@ -92,23 +86,22 @@ is ``-inf`` and every live path takes it.  Claims are sums of non-negative
 draws, never NaN, so each path is either below the cut or tested: no path
 the exact test would let leave is missed, and the counts are unchanged.
 
-**Reuse.**  A chance trial's draws (its Poisson count and its ``np.log``
-total) do not depend on ``alpha_total``, the threshold or ``_K``, only on
-``(seed, trial, lam, mu)``.  :func:`_chance_draws` keeps those of the last
-chunk, keyed by ``(seed, start, stop, lam, mu)``, so an audit that grants
-several airtimes at one seed draws once; each call then takes only its own
-margins, filter and libm replays.  The kept arrays are read-only, and the
-replays go to a fresh array.  The memo holds one chunk (24 bytes a trial,
-at most 1.5 MB), so a call of more than ``_CHUNK`` trials draws each chunk
-afresh.
+**Reuse.**  A chance trial's collision total does not depend on
+``alpha_total`` or the threshold, only on ``(seed, trial, lam, mu)``.
+:func:`_chance_draws` keeps the totals of the last chunk, keyed by
+``(seed, start, stop, lam, mu)``, so an audit that grants several airtimes
+at one seed draws once, and each call only compares.  The kept array is
+read-only.  The memo holds one chunk (8 bytes a trial, at most 0.5 MB), so
+a call of more than ``_CHUNK`` trials draws each chunk afresh.
 
 The counts are bit-identical to the scalar, one-trial-at-a-time
 references of ``tests/oracles.py`` for every argument, and each total to
-the scalar collision draw's total clipped at ``cap``; ``tests/test_kernels.py``
-pins that, also with every trial replayed (``_K`` huge) and with none
-(``_K = 0``).  :func:`surplus_path_values` is not on a hot path: it steps
-one path with ``SplitMix64`` for ``ruin.simulate_surplus_path`` and for
-the exact fallback.
+the scalar collision draw's total clipped at ``cap``;
+``tests/test_kernels.py`` pins that, and the ruin count also with every
+path replayed (``_K`` huge) and with none (``_K = 0``).
+:func:`surplus_path_values` is not on a hot path: it steps one path with
+``SplitMix64`` for ``ruin.simulate_surplus_path`` and for the exact
+fallback.
 """
 
 from __future__ import annotations
@@ -142,7 +135,7 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 14
 
 # Error bound of the np.log filter, in ulps per summed term (see the module
-# docstring); 0 replays no trial, a huge value replays every one.
+# docstring); 0 replays no path, a huge value replays every one.
 _K = 64
 _EPS = 2.0**-52
 _TINY = math.ulp(0.0)
@@ -323,20 +316,33 @@ def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
     return counts
 
 
-def _duration_totals(
-    states: np.ndarray, counts: np.ndarray, mu: float, log=None, cap: float = math.inf
+def compound_poisson_totals(
+    states: np.ndarray, lam: float, mu: float, cap: float
 ) -> np.ndarray:
-    """Sum of the ``counts[i]`` exponential(``mu``) draws that follow the
-    Poisson draws of stream ``i``, added left to right from ``0.0``, each
-    ``-log(1 - u) / mu`` (``log`` is :func:`_libm_log` unless given), and
-    clipped to ``cap``: ``min(total, cap)``.
+    """Compound-Poisson total of every stream, drawn in lockstep and clipped
+    to ``cap``.
 
-    A stream stops drawing once its running total reaches ``cap``.  That is
-    exact: the durations are non-negative, so the partial sums never
-    decrease and ``min(partial, cap) == min(total, cap)`` from then on.
+    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
+    by Knuth's method, then that many exponential(``mu``) durations, each
+    ``-log(1 - u) / mu`` with libm's logarithm, added left to right from
+    ``0.0``.  Each result equals the scalar draw's total clipped to ``cap``
+    bit for bit (``cap = math.inf`` leaves the totals whole).  A stream
+    stops drawing durations once its running total reaches ``cap``, which
+    leaves the clipped total unchanged (the partial sums never decrease).
+    Draws are made in blocks of at most ``max(_BLOCK, len(states))``
+    elements.
+
+    Raises:
+        ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
+            ``lam`` is not in ``[0, prng._POISSON_LAM_MAX]``; as
+            ``SplitMix64.exponential`` does, if some count is positive and
+            ``mu`` is not a positive finite rate.  Each is checked once per
+            call.
     """
-    log = _libm_log if log is None else log
     totals = np.zeros(len(states))
+    if not len(states):
+        return totals
+    counts = _poisson_counts(states, lam)
     live = np.flatnonzero(counts)
     if not len(live):
         return np.minimum(totals, cap)
@@ -360,7 +366,7 @@ def _duration_totals(
             # Padding past a stream's last duration adds 0.0, which leaves the
             # total's bits unchanged (it starts at 0.0, so it is never -0.0).
             durations = np.zeros(one_minus_u.shape)
-            durations[wanted] = -log(one_minus_u[wanted]) / mu
+            durations[wanted] = -_libm_log(one_minus_u[wanted]) / mu
             durations[:, 0] += totals[live]
             reached = np.add.accumulate(durations, axis=1)[:, -1]
             totals[live] = reached
@@ -369,46 +375,15 @@ def _duration_totals(
     return np.minimum(totals, cap)
 
 
-def compound_poisson_totals(
-    states: np.ndarray, lam: float, mu: float, cap: float
-) -> np.ndarray:
-    """Compound-Poisson total of every stream, drawn in lockstep and clipped
-    to ``cap``.
-
-    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
-    by Knuth's method, then that many exponential(``mu``) durations, added
-    left to right.  Each result equals the scalar draw's total clipped to
-    ``cap`` bit for bit (``cap = math.inf`` leaves the totals whole).  A
-    stream stops drawing durations once its running total reaches ``cap``,
-    which leaves the clipped total unchanged (the partial sums never
-    decrease).  Draws are made in blocks
-    of at most ``max(_BLOCK, len(states))`` elements.
-
-    Raises:
-        ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
-            ``lam`` is not in ``[0, prng._POISSON_LAM_MAX]``; as
-            ``SplitMix64.exponential`` does, if some count is positive and
-            ``mu`` is not a positive finite rate.  Each is checked once per
-            call.
-    """
-    if not len(states):
-        return np.zeros(0)
-    return _duration_totals(states, _poisson_counts(states, lam), mu, cap=cap)
-
-
 @functools.lru_cache(maxsize=1)
 def _chance_draws(seed: int, start: int, stop: int, lam: float, mu: float):
-    """States, Poisson counts and ``np.log`` collision totals of trials
-    ``start .. stop-1``, read-only: the draws of :func:`chance_mc_count`,
-    which do not depend on the LTE-U airtime or the threshold, so calls
-    that differ only in those reuse them (see "Reuse" in the module
-    docstring)."""
-    states = _substreams(seed, start, stop)
-    counts = _poisson_counts(states, lam)
-    totals = _duration_totals(states, counts, mu, log=np.log)
-    for array in (states, counts, totals):
-        array.flags.writeable = False
-    return states, counts, totals
+    """Collision totals of trials ``start .. stop-1``, read-only: the draws
+    of :func:`chance_mc_count`, which do not depend on the LTE-U airtime or
+    the threshold, so calls that differ only in those reuse them (see
+    "Reuse" in the module docstring)."""
+    totals = compound_poisson_totals(_substreams(seed, start, stop), lam, mu, math.inf)
+    totals.flags.writeable = False
+    return totals
 
 
 def chance_mc_count(
@@ -422,10 +397,9 @@ def chance_mc_count(
     """Trials in which total collision time + ``alpha_total`` fits under ``threshold``.
 
     Trial ``t`` draws its compound-Poisson collision time from the substream
-    ``substream_seed(seed, t)``, as the scalar recipe does.  The
-    durations are summed with ``np.log``; the trials whose decision that
-    could flip are summed again with libm's logarithm.  The draws of the
-    last chunk are kept for the next call (:func:`_chance_draws`).
+    ``substream_seed(seed, t)`` with :func:`compound_poisson_totals`, as the
+    scalar recipe does.  The draws of the last chunk are kept for the next
+    call (:func:`_chance_draws`).
 
     Raises:
         ValueError: As :func:`compound_poisson_totals` does.
@@ -433,18 +407,9 @@ def chance_mc_count(
     seed = operator.index(seed)
     ok = 0
     for start in range(0, trials, _CHUNK):
-        states, counts, totals = _chance_draws(
-            seed, start, min(start + _CHUNK, trials), lam, mu
-        )
-        # Equal infinite arguments make the margin inf - inf = NaN, which
-        # decides "no" on both paths (see the module docstring).
+        totals = _chance_draws(seed, start, min(start + _CHUNK, trials), lam, mu)
+        # An infinite total and alpha_total of opposite signs sum to NaN,
+        # which does not fit, as in the scalar recipe.
         with np.errstate(invalid="ignore"):
-            fits = totals + alpha_total <= threshold
-            margin = threshold - (totals + alpha_total)
-            scale = totals + (abs(alpha_total) + abs(threshold))
-            unsure = np.abs(margin) <= (counts + 1) * (_K * (scale * _EPS + _TINY))
-        if unsure.any():
-            exact = _duration_totals(states[unsure], counts[unsure], mu)
-            fits[unsure] = exact + alpha_total <= threshold
-        ok += int(np.count_nonzero(fits))
+            ok += int(np.count_nonzero(totals + alpha_total <= threshold))
     return ok

@@ -27,6 +27,13 @@ default sweeps are ``wst`` (``wst_count`` over 5, 10, 15, 20) and ``psi``
 that fits a float, an int field only integers, and only
 ``topology.channel_count`` takes ``null``.
 
+Size budget: at each sweep value a run draws ``topology.ue_count`` UE
+positions and ``seeds.replications x topology.wap_count`` collision cells
+(one compound-Poisson total per replication and channel).  A scenario may
+ask for at most 10**5 UE draws and 10**7 collision cells, so that every
+scenario that validates can run; past either, validation fails naming the
+fields.
+
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is
 applied to each value, no surplus computation); ``wst_count`` and
 ``lambda_base`` override the corresponding scalar and let the pipeline do
@@ -59,6 +66,10 @@ _SWEEP_VARIABLES = ("psi", "wst_count", "lambda_base")
 _DEFAULT_PSI_VALUES = tuple(round(0.1 * i, 10) for i in range(11))
 
 _FLOAT_MAX = sys.float_info.max
+
+# The size budget of the module docstring, per sweep value.
+_MAX_UE_DRAWS = 10**5
+_MAX_COLLISION_CELLS = 10**7
 
 # Evaluating the annotations is most of a parse's time; the classes are fixed.
 _field_types = functools.cache(get_type_hints)
@@ -236,6 +247,22 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
             )
 
 
+def _check_size(config: ScenarioConfig) -> None:
+    """The size budget of the module docstring."""
+    ues = config.topology.ue_count
+    if ues > _MAX_UE_DRAWS:
+        raise ConfigError(
+            f"topology.ue_count: {ues} UE draws exceed the budget of {_MAX_UE_DRAWS}"
+        )
+    reps, waps = config.seeds.replications, config.topology.wap_count
+    if reps * waps > _MAX_COLLISION_CELLS:
+        raise ConfigError(
+            f"seeds.replications x topology.wap_count: {reps} x {waps} = "
+            f"{reps * waps} collision cells per sweep value exceed the budget of "
+            f"{_MAX_COLLISION_CELLS}"
+        )
+
+
 def _check_cells_finite(config: ScenarioConfig) -> None:
     """Limits on the largest CSV cell ``run`` can write, so every cell is finite.
 
@@ -259,10 +286,10 @@ def _check_cells_finite(config: ScenarioConfig) -> None:
             f"scenario: water-filling forms gamma_max x bandwidth x T = {fill}, "
             "which must be finite"
         )
-    channels = _as_float(topology.wap_count)
+    channels = topology.wap_count  # the size budget keeps the counts small
     wifi = channels * (radio.wifi_phy_rate * t_total)
-    lte = channels * t_total * (_as_float(topology.ue_count) * math.log1p(fill))
-    replications = _as_float(config.seeds.replications)
+    lte = channels * t_total * (topology.ue_count * math.log1p(fill))
+    replications = config.seeds.replications
     for column, cell in (("wifi_throughput", wifi), ("lte_sum_rate", lte)):
         bound = max(cell, 1.0)
         if not replications * bound * bound <= _FLOAT_MAX / 2:
@@ -275,6 +302,7 @@ def _check_cells_finite(config: ScenarioConfig) -> None:
 def parse_scenario(data: Any) -> ScenarioConfig:
     """Build a fully-resolved :class:`ScenarioConfig` from parsed JSON."""
     config = _section(ScenarioConfig, data, "")
+    _check_size(config)
     _check_sweeps_runnable(config)
     _check_cells_finite(config)
     return config

@@ -238,12 +238,13 @@ def verify_chance_constraint(
     the long frame.  Satisfied when that probability reaches ``xi``.
 
     Draws are coupled across calls with the same seed (identical ``X_t``
-    stream), so the empirical probability is non-increasing in
-    ``alpha_total`` by construction.  They are also reused: the kernel
-    keeps the draws of its last call, keyed by ``(seed, trial range,
-    lambda_k, mu)``, so auditing several allocations at one seed and
-    collision model draws once (up to 65,536 trials; a larger audit draws
-    each chunk again).  The count is the same as from fresh draws.
+    stream, drawn exactly by the sweep's compound-Poisson kernel), so the
+    empirical probability is non-increasing in ``alpha_total`` by
+    construction.  They are also reused: the kernel keeps the totals of its
+    last call, keyed by ``(seed, trial range, lambda_k, mu)``, so auditing
+    several allocations at one seed and collision model draws once (up to
+    65,536 trials; a larger audit draws each chunk again).  The count is the
+    same as from fresh draws.
     """
     t_total = frame.total_duration
     if not (math.isfinite(alpha_total) and 0.0 <= alpha_total <= t_total):

@@ -247,3 +247,36 @@ class TestCrossFieldLimits:
             }
         )
         assert config.sweeps["wst"].values == (2, 5)
+
+
+class TestSizeBudget:
+    """At most 10**5 UE draws and 10**7 collision cells per sweep value."""
+
+    def test_ue_draws_at_the_cap_are_accepted(self):
+        assert parse_scenario({"topology": {"ue_count": 10**5}}).topology.ue_count == 10**5
+
+    @pytest.mark.parametrize("ues", [10**5 + 1, 2**64])
+    def test_ue_draws_past_the_cap_name_the_field(self, ues):
+        with pytest.raises(ConfigError, match=r"^topology\.ue_count: "):
+            parse_scenario({"topology": {"ue_count": ues}})
+
+    @pytest.mark.parametrize(
+        "waps,reps", [(1, 10**7), (4, 25 * 10**5), (10**7, 1)], ids=["reps", "both", "waps"]
+    )
+    def test_collision_cells_at_the_cap_are_accepted(self, waps, reps):
+        config = parse_scenario(
+            {"topology": {"wap_count": waps}, "seeds": {"replications": reps}}
+        )
+        assert config.seeds.replications * config.topology.wap_count == 10**7
+
+    @pytest.mark.parametrize(
+        "waps,reps",
+        [(1, 10**7 + 1), (11, 909091), (10**7 + 1, 1), (3, 10**11)],
+        ids=["reps", "both", "waps", "huge"],
+    )
+    def test_collision_cells_past_the_cap_name_the_fields(self, waps, reps):
+        with pytest.raises(
+            ConfigError, match=r"^seeds\.replications x topology\.wap_count: "
+        ):
+            parse_scenario({"topology": {"wap_count": waps}, "seeds": {"replications": reps}})
+

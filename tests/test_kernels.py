@@ -1,9 +1,9 @@
 """Kernel equivalence: the lockstep kernels must agree bit-for-bit with the
 scalar references of ``oracles``.
 
-The counts are decided with ``np.log`` and replayed exactly where unsure,
-so they are checked with the filter as shipped, with every trial replayed
-and with none.
+The ruin count is decided with ``np.log`` and replayed exactly where
+unsure, so it is checked with the filter as shipped, with every path
+replayed and with none.
 """
 
 import math
@@ -26,8 +26,8 @@ SEEDS = [0, 1, 42, 2**63 + 5, -17, 987654321]
 @pytest.fixture(autouse=True)
 def fresh_chance_draws():
     """Each test draws its chance trials afresh, so one that patches
-    ``_BLOCK``, ``_CHUNK``, ``_K`` or ``_duration_totals`` reads no draws
-    another test left in the memo."""
+    ``_BLOCK``, ``_CHUNK`` or ``_libm_log`` reads no draws another test
+    left in the memo."""
     _lockstep._chance_draws.cache_clear()
     yield
     _lockstep._chance_draws.cache_clear()
@@ -245,49 +245,31 @@ RUIN_ARGS = [
     (0.0, 1e-300, 1.0, 5, 200),  # every path ruins in period 1
     (5.0, 2.0, 0.5, 20, 500),  # few ruins, long paths
 ]
-CHANCE_ARGS = [
-    (0.004, 0.009, 1.5, 400.0, 3000),
-    (0.0, 0.5, 500.0, 450.0, 40),
-    (0.001, 0.02, 0.0, 450.0, 30),
-]
 
 
 def _count_replays(monkeypatch):
-    """Count the trials that the filter replays exactly: surplus paths with
-    the scalar ``_lockstep._path_ruins`` fallback, chance trials with libm's logarithm."""
-    replayed = {"ruin": 0, "chance": 0}
-    path_ruins, totals = _lockstep._path_ruins, _lockstep._duration_totals
+    """Count the surplus paths that the filter replays exactly with the
+    scalar ``_lockstep._path_ruins`` fallback."""
+    replayed = []
+    path_ruins = _lockstep._path_ruins
 
     def counted_path_ruins(*args):
-        replayed["ruin"] += 1
+        replayed.append(args)
         return path_ruins(*args)
 
-    def counted_totals(states, counts, mu, **log):
-        if not log:
-            replayed["chance"] += len(states)
-        return totals(states, counts, mu, **log)
-
     monkeypatch.setattr(_lockstep, "_path_ruins", counted_path_ruins)
-    monkeypatch.setattr(_lockstep, "_duration_totals", counted_totals)
     return replayed
 
 
 @pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
 def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
-    """Counts equal the oracle's whether every trial is replayed exactly or none is."""
+    """Counts equal the oracle's whether every path is replayed exactly or none is."""
     monkeypatch.setattr(_lockstep, "_K", k)
     replayed = _count_replays(monkeypatch)
     for args in RUIN_ARGS:
         assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
-    for args in CHANCE_ARGS:
-        assert _lockstep.chance_mc_count(*args, 42) == oracles.chance_mc_count(*args, 42)
-    if replay_all:
-        assert replayed == {
-            "ruin": sum(args[-1] for args in RUIN_ARGS),
-            "chance": sum(args[-1] for args in CHANCE_ARGS),
-        }
-    else:
-        assert replayed == {"ruin": 0, "chance": 0}
+    expected = sum(args[-1] for args in RUIN_ARGS) if replay_all else 0
+    assert len(replayed) == expected
 
 
 NONFINITE = [math.inf, -math.inf, math.nan]
@@ -325,7 +307,7 @@ def _first_flip(exact, fast):
     return int(above[0])
 
 
-def _flip_args():
+def _flip_args(monkeypatch):
     """Ruin and chance arguments whose last trial ``np.log`` decides wrongly.
 
     Trial ``t`` is the first whose claim (or collision total) comes out
@@ -340,22 +322,31 @@ def _flip_args():
     t = _first_flip(exact, fast)
     ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
 
-    counts = _lockstep._poisson_counts(states, 2.0)
-    exact = _lockstep._duration_totals(states, counts, rate)
-    fast = _lockstep._duration_totals(states, counts, rate, log=np.log)
+    exact = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(_lockstep, "_libm_log", np.log)
+        fast = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
     t = _first_flip(exact, fast)
     chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
     return ruin, chance
 
 
 def test_filter_catches_np_log_flips(monkeypatch):
-    """A decision that ``np.log`` flips is replayed; without the filter it is wrong."""
-    ruin, chance = _flip_args()
-    expected = oracles.ruin_mc_count(*ruin), oracles.chance_mc_count(*chance)
-    assert (_lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)) == expected
+    """A ruin decision that ``np.log`` flips is replayed; without the filter it is wrong."""
+    ruin, _ = _flip_args(monkeypatch)
+    expected = oracles.ruin_mc_count(*ruin)
+    assert _lockstep.ruin_mc_count(*ruin) == expected
     monkeypatch.setattr(_lockstep, "_K", 0)
-    flipped = _lockstep.ruin_mc_count(*ruin), _lockstep.chance_mc_count(*chance)
-    assert flipped[0] != expected[0] and flipped[1] != expected[1]
+    assert _lockstep.ruin_mc_count(*ruin) != expected
+
+
+@pytest.mark.parametrize("k", [0, 1e300], ids=["none", "all"])
+def test_chance_count_needs_no_filter(monkeypatch, k):
+    """A chance decision that ``np.log`` would flip is counted as the oracle
+    counts it, whatever ``_K`` is: the totals take libm's logarithm."""
+    _, chance = _flip_args(monkeypatch)
+    monkeypatch.setattr(_lockstep, "_K", k)
+    assert _lockstep.chance_mc_count(*chance) == oracles.chance_mc_count(*chance)
 
 
 def test_chance_draws_once_per_key(monkeypatch):
@@ -379,22 +370,7 @@ def test_chance_draws_once_per_key(monkeypatch):
 
 def test_chance_draws_are_read_only():
     _lockstep.chance_mc_count(0.004, 0.009, 2.0, 450.0, 100, 3)
-    for array in _lockstep._chance_draws(3, 0, 100, 2.0, 450.0):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
-def test_replay_leaves_the_kept_draws(monkeypatch):
-    """Calls that replay a trial with libm's logarithm, and one between them
-    at another airtime, count as the oracle does and keep the ``np.log`` totals."""
-    _, (alpha, threshold, lam, mu, trials, seed) = _flip_args()
-    replayed = _count_replays(monkeypatch)
-    for alpha_at in (alpha, alpha + 0.001, alpha):
-        args = (alpha_at, threshold, lam, mu, trials, seed)
-        assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
-    assert replayed["chance"] >= 2
-    assert _lockstep._chance_draws.cache_info().misses == 1
-    states, counts, totals = _lockstep._chance_draws(seed, 0, trials, lam, mu)
-    fast = _lockstep._duration_totals(states, counts, mu, log=np.log)
-    assert totals.tolist() == fast.tolist()
+    totals = _lockstep._chance_draws(3, 0, 100, 2.0, 450.0)
+    assert not totals.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        totals[0] = 0

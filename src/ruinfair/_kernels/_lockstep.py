@@ -38,7 +38,7 @@ collisions of about 2 ms against a 10 ms frame) that skips most of the
 logarithms.  The chance audit draws whole totals.
 ``ruin_mc_count`` takes a logarithm every period of every path, and a
 count needs only the sign of each decision, so it decides with ``np.log``
-and replays exactly only the few paths whose decision the faster
+(through the one name ``_fast_log``) and replays exactly only the few paths whose decision the faster
 logarithm could have flipped: a floating-point filter with an exact
 fallback (Shewchuk, "Adaptive predicates", Discrete Comput. Geom. 18,
 1997).  An unsure surplus path is replayed one draw at a time by
@@ -125,7 +125,8 @@ __all__ = [
     "substream_states",
 ]
 
-# Trials advanced together; bounds the working memory of one call.
+# Trials (or the sweep's collision cells) advanced together; bounds the
+# working memory of one call.
 _CHUNK = 1 << 16
 
 # Draws per block of compound_poisson_totals: a block is n_live x width with
@@ -181,6 +182,10 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
 
 
+# The faster logarithm the ruin kernel decides with (see "Which logarithm").
+_fast_log = np.log
+
+
 def _cut(level: float, a: float, b: float) -> float:
     """A claims level below which no path leaves at this period (see "The
     cut" in the module docstring); ``-inf`` when none is certified."""
@@ -228,7 +233,7 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
         for s in range(1, n + 1):
             state += _GAMMA
             # Subtracting log/rate gives the bits of adding -log/rate.
-            claims -= np.log(1.0 - _to_uniform(state)) / mu_prime
+            claims -= _fast_log(1.0 - _to_uniform(state)) / mu_prime
             level = u + s * c
             a = _K * s * _EPS
             b = _K * s * (abs(level) * _EPS + _TINY)

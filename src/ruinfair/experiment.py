@@ -6,22 +6,24 @@ and reports mean and sample standard deviation over replications.  The same
 replication seeds are reused at every sweep value (common random numbers),
 so monotone per-seed effects survive aggregation untouched.
 
-Each quantity is computed once per distinct input, in plain dicts that live
-for one ``run_sweep`` call.  A sweep value changes only ``wst_per_wap``,
-``lambda_base`` or the forced ruin probability (``config.scenario_at``), so:
+Each quantity is computed once per distinct input, and kept only while a
+later sweep value of the same ``run_sweep`` call can reuse it.  A sweep
+value changes only ``wst_per_wap``, ``lambda_base`` or the forced ruin
+probability (``config.scenario_at``), so:
 
 * once per sweep: the topology and its link budget (station counts consume
   no randomness, so positions do not move with ``wst_per_wap``), and the
   ruin-fair duty cycle of a ``wst_count`` or ``lambda_base`` sweep;
 * once per value of a ``psi`` sweep: the forced ruin-fair duty cycle;
 * once per distinct ``(topology, traffic)``: the collision total of each
-  (replication, channel), drawn for all replications at once by the
-  lockstep compound-Poisson kernel (``sim.collision_totals``) and shared by
-  all four schemes.  Each is clipped at the frame length ``T``, so its draw
+  (replication, channel), drawn for all cells in one run of the lockstep
+  compound-Poisson kernel (``sim.collision_totals``) and shared by all four
+  schemes.  Each is clipped at the frame length ``T``, so its draw
   stops there; every scheme's WiFi window is ``T - lte_time <= T``, so
   clipping it again at the window gives ``min(total, window)`` bit for bit.
   A ``psi`` sweep draws once, a ``wst_count`` or ``lambda_base`` sweep once
-  per value;
+  per value.  Sweep values are strictly increasing, so a key never comes
+  back, and only the current key's array is held;
 * once per distinct LTE-U airtime: the water-filled sum rate
   (``sim.lte_sum_rate``, one water-filling for every channel, none of it
   depending on the replication seed) and its mean and std;
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,7 @@ import numpy as np
 from . import __version__
 from ._kernels import BACKEND
 from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
-from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
+from .duty import CollisionModel, DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
 from .prng import substream_seed
 from .sim import (
@@ -125,21 +127,22 @@ def _wifi_stats(collisions: np.ndarray, window: float, phy_rate: float) -> tuple
     """Mean and std over replications (rows of ``collisions``) of the
     channel-summed WiFi throughput in a WiFi window of ``window`` seconds."""
     # Collision time beyond the window is clipped: LTE-U holds the channel.
-    success = np.maximum(0.0, window - np.minimum(collisions, window))
-    throughput = phy_rate * success
-    # Left to right: sum() compensates on Python >= 3.12.
-    wifi = np.zeros(len(collisions))
-    for column in throughput.T:
-        wifi += column
-    return _mean_std(wifi)
+    # phy_rate * max(0, window - min(collisions, window)), in one array.
+    throughput = np.minimum(collisions, window)
+    np.subtract(window, throughput, out=throughput)
+    np.maximum(0.0, throughput, out=throughput)
+    throughput *= phy_rate
+    # Left to right, as np.sum (pairwise) and sum() (compensated on Python
+    # >= 3.12) are not.
+    return _mean_std(np.add.accumulate(throughput, axis=1, out=throughput)[:, -1])
 
 
 def _lte_stats(rate: float, channels: int, reps: int) -> tuple[float, float]:
     """Mean and std over ``reps`` replications of the LTE-U sum rate
     ``rate`` summed over ``channels`` channels (the same in each)."""
-    lte_total = 0.0
-    for _ in range(channels):
-        lte_total += rate
+    # Left to right, as in _wifi_stats.
+    partial = np.full(channels, rate)
+    lte_total = float(np.add.accumulate(partial, out=partial)[-1])
     return _mean_std(np.full(reps, lte_total))
 
 
@@ -154,34 +157,33 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     rep_seeds = [substream_seed(config.seeds.traffic, r) for r in range(reps)]
     t_total = config.frame.total_duration
     radio = config.radio
-    topology = generate_topology(config.seeds.topology, config.topology)
-    waps = sorted(topology.waps, key=lambda w: w.channel)
-    gains = link_budget(topology, radio)
+    channels = config.topology.wap_count
+    gains = link_budget(generate_topology(config.seeds.topology, config.topology), radio)
 
-    collisions = {}  # (topology, traffic) -> replications x channels totals
     lte = {}  # LTE-U airtime -> _lte_stats
-    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
+    key = None  # the (topology, traffic) whose totals `collisions` holds
     rows = []
     for value, duty in zip(sweep.values, _ruin_duties(config, sweep)):
         scenario = scenario_at(config, sweep, value)
-        key = (scenario.topology, scenario.traffic)
-        if key not in collisions:
-            wst = scenario.topology.wst_per_wap
-            collisions[key] = collision_totals(
-                [replace(w, wst_count=wst) for w in waps], scenario.traffic, rep_seeds, t_total
+        if key != (scenario.topology, scenario.traffic):
+            key = (scenario.topology, scenario.traffic)
+            traffic = scenario.traffic
+            lambda_k = traffic.lambda_base * scenario.topology.wst_per_wap
+            collisions = None  # free the last key's totals before drawing
+            collisions = collision_totals(
+                CollisionModel(lambda_k, traffic.mu), rep_seeds, channels, t_total
             )
+            wifi = {}  # LTE-U airtime -> _wifi_stats of these totals
         by_scheme = {}
         for scheme in Scheme:
             lte_time = scheme_lte_time(scheme, t_total, duty)
             if lte_time not in lte:
                 rate = lte_sum_rate(lte_time, radio.bandwidth, gains)
-                lte[lte_time] = _lte_stats(rate, len(waps), reps)
-            if (key, lte_time) not in wifi:
+                lte[lte_time] = _lte_stats(rate, channels, reps)
+            if lte_time not in wifi:
                 # WiFi gets the window left by LTE-U.
-                wifi[key, lte_time] = _wifi_stats(
-                    collisions[key], t_total - lte_time, radio.wifi_phy_rate
-                )
-            by_scheme[scheme] = wifi[key, lte_time] + lte[lte_time]
+                wifi[lte_time] = _wifi_stats(collisions, t_total - lte_time, radio.wifi_phy_rate)
+            by_scheme[scheme] = wifi[lte_time] + lte[lte_time]
 
         rows.append(
             SweepRow(

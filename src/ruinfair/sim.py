@@ -14,9 +14,12 @@ Four sharing schemes are compared:
 * ``LTE_DOMINANT``: LTE-U takes the whole frame.
 * ``RUIN_FAIR``: LTE-U takes the duty cycle granted by the ruin policy.
 
-Collision draws are seeded per (run seed, channel) and shared by all
-schemes, so per-seed scheme comparisons are coupled: a scheme with a larger
-WiFi window never shows less successful WiFi airtime on the same seed.
+Each WiFi AP sits on its own channel, so a channel is all the simulator
+keeps of an AP: the sweep needs only the channel count (``wap_count``) and
+the stations per AP (``wst_per_wap``), never an object per AP.  Collision
+draws are seeded per (run seed, channel) and shared by all schemes, so
+per-seed scheme comparisons are coupled: a scheme with a larger WiFi
+window never shows less successful WiFi airtime on the same seed.
 
 Successful WiFi airtime converts to throughput at a fixed nominal PHY rate
 (default 54 Mb/s); collision time beyond the WiFi window is clipped, since
@@ -24,18 +27,18 @@ nothing can collide while LTE-U holds the channel.
 
 A long frame is assembled from parts computed at the level where they vary:
 
-* :func:`generate_topology` positions depend on the topology seed and the
-  site counts and radii, not on the station counts, and :func:`link_budget`
-  on those positions and the radio only;
+* :func:`generate_topology`'s UE positions depend on the topology seed,
+  the site counts and the SBS radius, not on the station counts, and
+  :func:`link_budget` on those positions and the radio only;
 * :func:`scheme_lte_time` depends on the scheme and the duty cycle, and
   :func:`lte_sum_rate` (one water-filling, whose rate every channel gets)
   on the LTE-U airtime and the link budget, not on the seed;
 * the collision totals depend on the seed, the station counts and the
-  traffic, not on the scheme: :func:`collision_totals` draws them for many
-  seeds at once with the lockstep compound-Poisson kernel, clipped at the
-  frame length.  The clip loses nothing, as collision time is clipped at
-  the WiFi window anyway and no window is longer than the frame; a draw
-  stops once its running total reaches the frame length.
+  traffic, not on the scheme: :func:`collision_totals` draws them for
+  every (seed, channel) cell with the lockstep compound-Poisson kernel,
+  clipped at the frame length.  The clip loses nothing, as collision time
+  is clipped at the WiFi window anyway and no window is longer than the
+  frame; a draw stops once its running total reaches the frame length.
 
 ``experiment.run_sweep`` computes each part once per distinct input and does
 the frame accounting as array operations.  ``tests/oracles.py`` holds the
@@ -53,16 +56,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels._lockstep import compound_poisson_totals, substream_states
+from ._kernels import _lockstep
 from .allocation import water_fill
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
-from .prng import SplitMix64
+from .prng import _GOLDEN, SplitMix64
 
 __all__ = [
     "Scheme",
     "TopologyConfig",
-    "WapSite",
     "UeSite",
     "Topology",
     "TrafficConfig",
@@ -87,11 +89,14 @@ class Scheme(Enum):
 
 @dataclass(frozen=True)
 class TopologyConfig:
+    """``wap_count`` WiFi APs, one per channel, with ``wst_per_wap`` stations
+    each, and ``ue_count`` LTE-U UEs in the small cell's disk of radius
+    ``sbs_radius``."""
+
     wap_count: int = 3
     wst_per_wap: int = 10
     ue_count: int = 15
     sbs_radius: float = 200.0
-    wap_radius: float = 100.0
     channel_count: Optional[int] = None
 
     def __post_init__(self):
@@ -99,10 +104,8 @@ class TopologyConfig:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise ConfigError(f"{name}: must be an integer >= 1, got {value}")
-        for name in ("sbs_radius", "wap_radius"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name}: must be > 0, got {value}")
+        if not (math.isfinite(self.sbs_radius) and self.sbs_radius > 0.0):
+            raise ConfigError(f"sbs_radius: must be > 0, got {self.sbs_radius}")
         channels = self.channels
         if not (isinstance(channels, int) and channels >= 1):
             raise ConfigError(
@@ -120,14 +123,6 @@ class TopologyConfig:
 
 
 @dataclass(frozen=True)
-class WapSite:
-    position: tuple[float, float]
-    radius: float
-    wst_count: int
-    channel: int
-
-
-@dataclass(frozen=True)
 class UeSite:
     position: tuple[float, float]
 
@@ -136,7 +131,6 @@ class UeSite:
 class Topology:
     sbs_position: tuple[float, float]
     sbs_radius: float
-    waps: tuple[WapSite, ...]
     ues: tuple[UeSite, ...]
 
 
@@ -203,35 +197,24 @@ def path_gain(distance: float, radio: RadioConfig) -> float:
 
 
 def generate_topology(seed: int, config: TopologyConfig) -> Topology:
-    """Drop WAPs and UEs uniformly inside the SBS disk, deterministically.
+    """Drop the UEs uniformly inside the SBS disk, deterministically.
 
-    WAPs get distinct channels 0..wap_count-1.  Station counts consume no
-    randomness, so varying ``wst_per_wap`` leaves every position unchanged
-    for a fixed seed.
+    The UEs take the uniforms of ``SplitMix64(seed)`` that follow the first
+    ``2 * wap_count``, which would place the WAPs.  No output reads a WAP's
+    position, so the stream starts past them instead of drawing them: each
+    draw adds the golden gamma to a SplitMix64 state.  Station counts
+    consume no randomness, so varying ``wst_per_wap`` leaves every position
+    unchanged for a fixed seed.
     """
-    rng = SplitMix64(seed)
+    rng = SplitMix64(seed + 2 * config.wap_count * _GOLDEN)
 
     def disk_point(radius: float) -> tuple[float, float]:
         r = radius * math.sqrt(rng.uniform())
         theta = 2.0 * math.pi * rng.uniform()
         return (r * math.cos(theta), r * math.sin(theta))
 
-    waps = tuple(
-        WapSite(
-            position=disk_point(config.sbs_radius),
-            radius=config.wap_radius,
-            wst_count=config.wst_per_wap,
-            channel=k,
-        )
-        for k in range(config.wap_count)
-    )
     ues = tuple(UeSite(position=disk_point(config.sbs_radius)) for _ in range(config.ue_count))
-    return Topology(
-        sbs_position=(0.0, 0.0),
-        sbs_radius=config.sbs_radius,
-        waps=waps,
-        ues=ues,
-    )
+    return Topology(sbs_position=(0.0, 0.0), sbs_radius=config.sbs_radius, ues=ues)
 
 
 def link_budget(topology: Topology, radio: RadioConfig) -> np.ndarray:
@@ -278,24 +261,28 @@ def lte_sum_rate(lte_time: float, bandwidth: float, gammas: np.ndarray) -> float
     return water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
 
 
-def collision_totals(waps, traffic: TrafficConfig, seeds, t_total: float) -> np.ndarray:
-    """Collision time per seed (rows) and WAP channel (columns, in the order
-    given), clipped to the long frame ``t_total``.
+def collision_totals(
+    model: CollisionModel, seeds, channels: int, t_total: float
+) -> np.ndarray:
+    """Collision time per seed (rows) and channel ``0 .. channels-1``
+    (columns), clipped to the long frame ``t_total``.
 
     Channel k of seed s draws from the substream seed (s, k), whatever the
-    scheme: entry ``[r, j]`` is a Poisson(``lambda_k``) count of
-    exponential(``mu``) durations drawn from ``SplitMix64(substream_seed(
-    seeds[r], waps[j].channel))``, added left to right and clipped at
-    ``t_total``.  No WiFi window is longer than the frame, so clipping at the window
-    afterwards gives the bits of the unclipped total clipped at the window,
-    and a draw stops at the frame: the durations beyond it are never drawn.
-    All seeds of a channel are drawn in one lockstep kernel call.
+    scheme: entry ``[r, k]`` is a Poisson(``model.lambda_k``) count of
+    exponential(``model.mu``) durations drawn from ``SplitMix64(
+    substream_seed(seeds[r], k))``, added left to right and clipped at
+    ``t_total``.  No WiFi window is longer than the frame, so clipping at
+    the window afterwards gives the bits of the unclipped total clipped at
+    the window, and a draw stops at the frame: the durations beyond it are
+    never drawn.  Every channel has the model's rate, so the cells are drawn
+    as one run of streams, ``_lockstep._CHUNK`` to a kernel call, which
+    bounds the working memory of a call.
     """
-    states = substream_states(seeds, [w.channel for w in waps])
-    totals = np.empty(states.shape)
-    for j, wap in enumerate(waps):
-        model = CollisionModel(traffic.lambda_base * wap.wst_count, traffic.mu)
-        totals[:, j] = compound_poisson_totals(
-            states[:, j], model.lambda_k, model.mu, t_total
+    states = _lockstep.substream_states(seeds, np.arange(channels, dtype=np.uint64)).ravel()
+    totals = np.empty(len(states))
+    chunk = _lockstep._CHUNK
+    for start in range(0, len(states), chunk):
+        totals[start : start + chunk] = _lockstep.compound_poisson_totals(
+            states[start : start + chunk], model.lambda_k, model.mu, t_total
         )
-    return totals
+    return totals.reshape(len(seeds), channels)

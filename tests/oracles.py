@@ -29,6 +29,7 @@ from ruinfair import (
     RadioConfig,
     Scheme,
     Topology,
+    TopologyConfig,
     TrafficConfig,
     duty_cycle_from_surplus,
     generate_topology,
@@ -166,6 +167,7 @@ class FrameOutcome:
 
 def simulate_long_frame(
     topology: Topology,
+    sites: TopologyConfig,
     frame: FrameConfig,
     scheme: Scheme,
     traffic: TrafficConfig,
@@ -176,6 +178,8 @@ def simulate_long_frame(
 ) -> list[FrameOutcome]:
     """Simulate one long frame on every channel under the given scheme.
 
+    ``topology`` places the UEs; ``sites`` gives the channels, one per WAP
+    (``wap_count``), and the stations behind each (``wst_per_wap``).
     Channel k's collision draw comes from the substream seed (seed, k) and
     does not depend on the scheme, so outcomes for different schemes on the
     same seed are directly comparable.
@@ -196,9 +200,9 @@ def simulate_long_frame(
     # is clipped, and the rest of the window is successful WiFi airtime.
     wifi_window = t_total - lte_time
     outcomes = []
-    for wap in sorted(topology.waps, key=lambda w: w.channel):
+    for channel in range(sites.wap_count):
         collision_total = sample_collisions(
-            traffic.lambda_base * wap.wst_count, traffic.mu, substream_seed(seed, wap.channel)
+            traffic.lambda_base * sites.wst_per_wap, traffic.mu, substream_seed(seed, channel)
         ).total
         collision_time = min(collision_total, wifi_window)
         wifi_success = max(0.0, wifi_window - collision_time)
@@ -206,7 +210,7 @@ def simulate_long_frame(
         outcomes.append(
             FrameOutcome(
                 scheme=scheme,
-                channel=wap.channel,
+                channel=channel,
                 wifi_success_time=wifi_success,
                 collision_time=collision_time,
                 lte_time=lte_time,
@@ -318,6 +322,7 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
             for scheme in Scheme:
                 outcomes = simulate_long_frame(
                     topology,
+                    scenario.topology,
                     scenario.frame,
                     scheme,
                     scenario.traffic,

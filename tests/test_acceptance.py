@@ -193,13 +193,13 @@ class TestCriterion4MonotonicitySuite:
         config = parse_scenario({"topology": {"ue_count": 6}})
         means = []
         for wst in (5, 10, 15, 20):
-            topology = rf.generate_topology(
-                3, rf.TopologyConfig(ue_count=6, wst_per_wap=wst)
-            )
+            sites = rf.TopologyConfig(ue_count=6, wst_per_wap=wst)
+            topology = rf.generate_topology(3, sites)
             total = 0.0
             for seed in range(100):
                 outcomes = simulate_long_frame(
                     topology,
+                    sites,
                     config.frame,
                     rf.Scheme.RUIN_FAIR,
                     config.traffic,

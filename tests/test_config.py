@@ -43,9 +43,13 @@ class TestDefaults:
 
 JUNK = [None, True, "x", [], {}, 10**400, -(10**400), 2**64, -1, 0, 1e308]
 
+# Fields the schema has dropped; manifests written before still set them.
+DROPPED = {"topology": ("wap_radius",)}
+
 
 def _junk_scenarios() -> list[dict]:
-    """One junk value in every field of the resolved defaults, and in each sweep's values."""
+    """One junk value in every field of the resolved defaults, in each
+    sweep's values, and in each dropped field."""
     scenarios = []
     for section, fields in scenario_to_dict(parse_scenario({})).items():
         for key, value in fields.items():
@@ -58,6 +62,8 @@ def _junk_scenarios() -> list[dict]:
         scenarios += [
             {"sweeps": {"s": {"variable": variable, "values": [j]}}} for j in JUNK
         ]
+    for section, keys in DROPPED.items():
+        scenarios += [{section: {key: j}} for key in keys for j in JUNK]
     return scenarios
 
 
@@ -89,6 +95,7 @@ class TestValidationErrors:
             ({"radio": {"ref_gain": "x"}}, "radio.ref_gain"),
             ({"radio": {"tx_power": 1e308}}, "radio.tx_power"),
             ({"frame": {"n_short": "x"}}, "^frame.n_short: expected int"),
+            ({"topology": {"wap_radius": 100.0}}, "^topology: unknown field"),
         ],
     )
     def test_error_names_field_path(self, data, needle):

@@ -1,9 +1,12 @@
 """Sweep runner and emitters: aggregation, determinism, reproducibility."""
 
+import math
+
 import pytest
 from oracles import sweep_rows_per_frame
 
 from ruinfair import ConfigError, PolicyKind, Scheme, experiment, sim
+from ruinfair._kernels import _lockstep
 from ruinfair.config import parse_scenario
 from ruinfair.experiment import CSV_COLUMNS, emit_csv, emit_manifest, run_sweep
 
@@ -132,44 +135,51 @@ class TestWorkReuse:
             "collision_totals": 0,
             "link_budget": 0,
             "generate_topology": 0,
+            "compound_poisson_totals": 0,
         }
 
-        def counting(name):
-            real = getattr(sim, name)
+        def count(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(sim, name, counting(name))
+        for name in ("water_fill", "collision_totals", "link_budget", "generate_topology"):
+            count(sim, name)
+        count(_lockstep, "compound_poisson_totals")
         # run_sweep calls these through its own import of the names.
         for name in ("link_budget", "collision_totals", "generate_topology"):
             monkeypatch.setattr(experiment, name, getattr(sim, name))
 
-        for sweep_name in ("wst", "psi", "lam"):
-            values = len(SMALL["sweeps"][sweep_name]["values"])
-            for reps, waps in ((1, 3), (6, 3), (6, 1)):
-                topology = dict(SMALL["topology"], wap_count=waps)
-                config = parse_scenario(
-                    dict(SMALL, topology=topology, seeds={"replications": reps})
-                )
-                for name in calls:
-                    calls[name] = 0
-                rows = run_sweep(config, sweep_name)
-                t_total = config.frame.total_duration
-                airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
-                # Topology and link budget once per sweep; collisions once per
-                # (topology, traffic), for all replications; one water-filling
-                # per LTE-U airtime, serving every channel and value.
-                assert calls == {
-                    "water_fill": len(airtimes - {0.0}),
-                    "collision_totals": 1 if sweep_name == "psi" else values,
-                    "link_budget": 1,
-                    "generate_topology": 1,
-                }, (sweep_name, reps, waps)
+        for chunk in (_lockstep._CHUNK, 4):
+            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+            for sweep_name in ("wst", "psi", "lam"):
+                values = len(SMALL["sweeps"][sweep_name]["values"])
+                for reps, waps in ((1, 3), (6, 3), (6, 1)):
+                    topology = dict(SMALL["topology"], wap_count=waps)
+                    config = parse_scenario(
+                        dict(SMALL, topology=topology, seeds={"replications": reps})
+                    )
+                    for name in calls:
+                        calls[name] = 0
+                    rows = run_sweep(config, sweep_name)
+                    t_total = config.frame.total_duration
+                    airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
+                    # Topology and link budget once per sweep; collisions once
+                    # per (topology, traffic), for all cells, one kernel call
+                    # per chunk of cells; one water-filling per LTE-U airtime,
+                    # serving every channel and value.
+                    keys = 1 if sweep_name == "psi" else values
+                    assert calls == {
+                        "water_fill": len(airtimes - {0.0}),
+                        "collision_totals": keys,
+                        "link_budget": 1,
+                        "generate_topology": 1,
+                        "compound_poisson_totals": keys * math.ceil(reps * waps / chunk),
+                    }, (chunk, sweep_name, reps, waps)
 
 
 class _FailingHalfway:

@@ -295,36 +295,46 @@ def test_np_log_stays_within_the_filter_premise():
     """
     one_minus_u = 1.0 - _lockstep._to_uniform(_lockstep._substreams(3, 0, 1_000_000))
     exact = _lockstep._libm_log(one_minus_u)
-    gap = np.abs(np.log(one_minus_u) - exact) / np.spacing(np.abs(exact))
+    gap = np.abs(_lockstep._fast_log(one_minus_u) - exact) / np.spacing(np.abs(exact))
     assert float(np.max(gap)) * 16 <= _lockstep._K
 
 
 def _first_flip(exact, fast):
-    """Index of the first value that ``np.log`` puts above libm's."""
+    """Index of the first value that the faster logarithm puts above libm's."""
     above = np.flatnonzero(fast > exact)
-    if not len(above):
-        pytest.skip("np.log agrees with libm on these draws")
+    assert len(above), "the off-by-one-ulp logarithm flips none of these draws"
     return int(above[0])
 
 
+def _log_one_ulp_off(x, libm_log=_lockstep._libm_log):
+    """libm's logarithm moved one ulp away from zero (``1 - u <= 1``, so the
+    claim ``-log(1 - u) / rate`` can only grow): a stand-in for a faster
+    logarithm that differs from libm's on some inputs, on every host."""
+    return np.nextafter(libm_log(x), -np.inf)
+
+
 def _flip_args(monkeypatch):
-    """Ruin and chance arguments whose last trial ``np.log`` decides wrongly.
+    """Ruin and chance arguments whose last trial the one-ulp-off logarithm
+    decides wrongly.
 
     Trial ``t`` is the first whose claim (or collision total) comes out
-    above libm's with ``np.log``; the capital (or threshold) is set to
-    libm's value, a tie that the oracle decides as "not ruined" (or "fits").
+    above libm's with :func:`_log_one_ulp_off`; the capital (or threshold)
+    is set to libm's value, a tie that the oracle decides as "not ruined"
+    (or "fits").  The ruin kernel's faster logarithm (``_fast_log``) is
+    patched with it for the rest of the test.
     """
     rate, seed = 450.0, 5
     states = _lockstep._substreams(seed, 0, 4096)
     one_minus_u = 1.0 - _lockstep._to_uniform(states + _lockstep._GAMMA)
-    fast = -np.log(one_minus_u) / rate
+    fast = -_log_one_ulp_off(one_minus_u) / rate
     exact = -_lockstep._libm_log(one_minus_u) / rate
     t = _first_flip(exact, fast)
     ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
+    monkeypatch.setattr(_lockstep, "_fast_log", _log_one_ulp_off)
 
     exact = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
     with monkeypatch.context() as patch:
-        patch.setattr(_lockstep, "_libm_log", np.log)
+        patch.setattr(_lockstep, "_libm_log", _log_one_ulp_off)
         fast = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
     t = _first_flip(exact, fast)
     chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
@@ -332,7 +342,8 @@ def _flip_args(monkeypatch):
 
 
 def test_filter_catches_np_log_flips(monkeypatch):
-    """A ruin decision that ``np.log`` flips is replayed; without the filter it is wrong."""
+    """A ruin decision that a faster logarithm flips is replayed; without the
+    filter it is wrong."""
     ruin, _ = _flip_args(monkeypatch)
     expected = oracles.ruin_mc_count(*ruin)
     assert _lockstep.ruin_mc_count(*ruin) == expected
@@ -342,8 +353,9 @@ def test_filter_catches_np_log_flips(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1e300], ids=["none", "all"])
 def test_chance_count_needs_no_filter(monkeypatch, k):
-    """A chance decision that ``np.log`` would flip is counted as the oracle
-    counts it, whatever ``_K`` is: the totals take libm's logarithm."""
+    """A chance decision that a faster logarithm would flip is counted as
+    the oracle counts it, whatever ``_K`` is: the totals take libm's
+    logarithm."""
     _, chance = _flip_args(monkeypatch)
     monkeypatch.setattr(_lockstep, "_K", k)
     assert _lockstep.chance_mc_count(*chance) == oracles.chance_mc_count(*chance)

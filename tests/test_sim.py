@@ -1,14 +1,13 @@
 """Frame-level simulator: topology, collisions, and scheme accounting."""
 
 import math
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import sample_collisions, simulate_long_frame
 from ruinfair import (
+    CollisionModel,
     ConfigError,
     DutyCyclePolicy,
     FrameConfig,
@@ -24,8 +23,8 @@ from ruinfair import (
     snr_utility,
 )
 from ruinfair._kernels import _lockstep
-from ruinfair.prng import substream_seed
-from ruinfair.sim import WapSite, collision_totals
+from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.sim import collision_totals
 
 LINEAR = DutyCyclePolicy(kind=PolicyKind.LINEAR)
 FRAME = FrameConfig(n_short=10, delta=0.001, r_reserved=1)
@@ -33,30 +32,43 @@ TRAFFIC = TrafficConfig(lambda_base=0.2, mu=450.0)
 RADIO = RadioConfig()
 
 
+def small_sites(**overrides):
+    return TopologyConfig(**{"ue_count": 6, **overrides})
+
+
 def small_topology(seed=3, **overrides):
-    config = TopologyConfig(**{"ue_count": 6, **overrides})
-    return generate_topology(seed, config)
+    return generate_topology(seed, small_sites(**overrides))
 
 
 class TestGenerateTopology:
-    def test_three_waps_get_distinct_channels(self):
-        topology = small_topology()
-        assert {w.channel for w in topology.waps} == {0, 1, 2}
-
     def test_deterministic_for_fixed_seed(self):
         assert small_topology(seed=9) == small_topology(seed=9)
         assert small_topology(seed=9) != small_topology(seed=10)
 
     def test_all_nodes_inside_sbs_disk(self):
         topology = small_topology(seed=1, ue_count=50)
-        for node in list(topology.waps) + list(topology.ues):
+        for node in topology.ues:
             assert math.hypot(*node.position) <= topology.sbs_radius + 1e-9
 
     def test_station_count_does_not_move_positions(self):
         sparse = small_topology(seed=4, wst_per_wap=5)
         dense = small_topology(seed=4, wst_per_wap=20)
-        assert [w.position for w in sparse.waps] == [w.position for w in dense.waps]
         assert [u.position for u in sparse.ues] == [u.position for u in dense.ues]
+
+    @pytest.mark.parametrize("waps", [1, 3, 10**5])
+    def test_ues_follow_the_wap_draws(self, waps):
+        """The UEs are where a stream that first places every WAP (two
+        uniforms each) puts them, bit for bit."""
+        config = small_sites(wap_count=waps)
+        rng = SplitMix64(11)
+        for _ in range(2 * waps):
+            rng.uniform()
+        expected = []
+        for _ in range(config.ue_count):
+            r = config.sbs_radius * math.sqrt(rng.uniform())
+            theta = 2.0 * math.pi * rng.uniform()
+            expected.append((r * math.cos(theta), r * math.sin(theta)))
+        assert [u.position for u in generate_topology(11, config).ues] == expected
 
     def test_rejects_zero_ues(self):
         with pytest.raises(ConfigError):
@@ -111,14 +123,15 @@ class TestSampleCollisions:
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n)
 
     def test_exponential_duration_mean_self_check(self):
-        total = 0.0
-        count = 0
-        for seed in range(100_000):
-            draw = sample_collisions(1.0, 4.0, seed)
-            if draw.count >= 1:
-                total += draw.durations[0]
-                count += 1
-        mean = total / count
+        # The first duration of sample_collisions(1.0, 4.0, seed) for every
+        # seed with a collision: a count of k takes uniforms 0 .. k, and the
+        # duration the uniform at index k + 1.
+        states = np.arange(100_000, dtype=np.uint64)
+        counts = _lockstep._poisson_counts(states, 1.0)
+        after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 2) * _lockstep._GAMMA
+        durations = -_lockstep._libm_log(1.0 - _lockstep._to_uniform(after)) / 4.0
+        count = len(durations)
+        mean = math.fsum(durations) / count
         assert abs(mean - 0.25) <= 3.0 * (0.25 / math.sqrt(count))
 
     def test_deterministic(self):
@@ -134,36 +147,29 @@ class TestSampleCollisions:
 
 
 class TestCollisionTotals:
-    WAPS = tuple(
-        WapSite(position=(0.0, 0.0), radius=50.0, wst_count=wst, channel=channel)
-        for wst, channel in ((3, 0), (40, 2), (1, 5))
-    )
+    MODEL = CollisionModel(lambda_k=7.5, mu=450.0)
 
-    def test_equals_one_scalar_draw_per_seed_and_channel(self):
-        traffic = TrafficConfig(lambda_base=2.5, mu=450.0)
+    def test_equals_one_scalar_draw_per_seed_and_channel(self, monkeypatch):
+        """Also when a kernel call's chunk of cells splits a seed's row."""
         seeds = [substream_seed(99, r) for r in range(12)] + [-3, 2**64 - 1]
-        totals = collision_totals(self.WAPS, traffic, seeds, math.inf)
-        assert totals.shape == (len(seeds), len(self.WAPS))
         expected = [
-            [
-                sample_collisions(
-                    traffic.lambda_base * w.wst_count, traffic.mu, substream_seed(s, w.channel)
-                ).total
-                for w in self.WAPS
-            ]
+            [sample_collisions(7.5, 450.0, substream_seed(s, k)).total for k in range(6)]
             for s in seeds
         ]
-        assert totals.tolist() == expected
+        for chunk in (_lockstep._CHUNK, 5):
+            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+            totals = collision_totals(self.MODEL, seeds, 6, math.inf)
+            assert totals.shape == (len(seeds), 6)
+            assert totals.tolist() == expected
 
     @pytest.mark.parametrize("lambda_base,mu", [(20.0, 450.0), (0.2, 0.0)])
     def test_rejects_what_sample_collisions_rejects(self, lambda_base, mu):
-        """A rate of 800 on the second channel, or a zero duration rate."""
-        # TrafficConfig itself rejects mu = 0; the function reads two fields.
-        traffic = SimpleNamespace(lambda_base=lambda_base, mu=mu)
+        """A rate of 800 (40 stations), or a zero duration rate: the model a
+        draw takes rejects them as the scalar draw does."""
         with pytest.raises(ValueError) as scalar:
-            sample_collisions(lambda_base * self.WAPS[1].wst_count, mu, 0)
+            sample_collisions(lambda_base * 40, mu, 0)
         with pytest.raises(ValueError) as batched:
-            collision_totals(self.WAPS, traffic, [0], 0.01)
+            collision_totals(CollisionModel(lambda_base * 40, mu), [0], 3, 0.01)
         assert str(batched.value) == str(scalar.value)
 
     HORIZONS = [0.0, 1e-6, 0.01, 1.0, math.inf]
@@ -171,7 +177,7 @@ class TestCollisionTotals:
     @pytest.mark.parametrize("block", [None, 1, 64])
     @pytest.mark.parametrize("lam", [1e-9, 2.0, 100.0, 500.0])
     def test_clipped_at_the_frame_length(self, monkeypatch, block, lam):
-        """Entry [r, j] is the scalar draw's total clipped to the frame, bit
+        """Entry [r, k] is the scalar draw's total clipped to the frame, bit
         for bit, also when the early stop falls across narrow blocks.
 
         ``lam = 0`` is rejected here as by ``sample_collisions``; the kernel
@@ -179,15 +185,14 @@ class TestCollisionTotals:
         """
         if block is not None:
             monkeypatch.setattr(_lockstep, "_BLOCK", block)
-        traffic = TrafficConfig(lambda_base=lam, mu=450.0)
-        waps = tuple(replace(w, wst_count=1) for w in self.WAPS[0::2])
+        model = CollisionModel(lam, 450.0)
         seeds = [substream_seed(5, r) for r in range(12)]
         scalar = [
-            [sample_collisions(lam, 450.0, substream_seed(s, w.channel)).total for w in waps]
+            [sample_collisions(lam, 450.0, substream_seed(s, k)).total for k in range(2)]
             for s in seeds
         ]
         for horizon in self.HORIZONS:
-            totals = collision_totals(waps, traffic, seeds, horizon)
+            totals = collision_totals(model, seeds, 2, horizon)
             assert totals.tolist() == [[min(t, horizon) for t in row] for row in scalar]
 
     def test_draws_stop_at_the_frame_length(self, monkeypatch):
@@ -201,12 +206,11 @@ class TestCollisionTotals:
             return libm_log(x)
 
         monkeypatch.setattr(_lockstep, "_libm_log", counted)
-        waps = (replace(self.WAPS[0], wst_count=1),)
-        traffic = TrafficConfig(lambda_base=500.0, mu=450.0)
+        model = CollisionModel(500.0, 450.0)
         seeds = [substream_seed(3, r) for r in range(20)]
-        whole = collision_totals(waps, traffic, seeds, math.inf)
+        whole = collision_totals(model, seeds, 1, math.inf)
         uncapped, logs[0] = logs[0], 0
-        clipped = collision_totals(waps, traffic, seeds, 0.01)
+        clipped = collision_totals(model, seeds, 1, 0.01)
         assert clipped.tolist() == np.minimum(whole, 0.01).tolist()
         assert 0 < logs[0] * 20 < uncapped
 
@@ -226,9 +230,10 @@ class TestLinkBudget:
             assert gammas[i] == pytest.approx(expected, rel=1e-12)
 
 
-def run_scheme(scheme, seed=11, topology=None, policy=LINEAR, traffic=TRAFFIC):
-    topology = topology or small_topology()
-    return simulate_long_frame(topology, FRAME, scheme, traffic, policy, RADIO, seed)
+def run_scheme(scheme, seed=11, topology_seed=3, policy=LINEAR, traffic=TRAFFIC, **sites):
+    sites = small_sites(**sites)
+    topology = generate_topology(topology_seed, sites)
+    return simulate_long_frame(topology, sites, FRAME, scheme, traffic, policy, RADIO, seed)
 
 
 class TestSimulateLongFrame:
@@ -292,10 +297,11 @@ class TestSimulateLongFrame:
     def test_more_stations_never_grow_mean_lte_time(self):
         means = []
         for wst in (5, 10, 15, 20):
-            topology = small_topology(seed=2, wst_per_wap=wst)
             total = 0.0
             for seed in range(100):
-                outcomes = run_scheme(Scheme.RUIN_FAIR, seed=seed, topology=topology)
+                outcomes = run_scheme(
+                    Scheme.RUIN_FAIR, seed=seed, topology_seed=2, wst_per_wap=wst
+                )
                 total += sum(o.lte_time for o in outcomes) / len(outcomes)
             means.append(total / 100)
         assert all(a >= b for a, b in zip(means, means[1:]))

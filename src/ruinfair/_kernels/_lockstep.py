@@ -38,10 +38,10 @@ collisions of about 2 ms against a 10 ms frame) that skips most of the
 logarithms.  The chance audit draws whole totals.
 ``ruin_mc_count`` takes a logarithm every period of every path, and a
 count needs only the sign of each decision, so it decides with ``np.log``
-(through the one name ``_fast_log``) and replays exactly only the few paths whose decision the faster
-logarithm could have flipped: a floating-point filter with an exact
-fallback (Shewchuk, "Adaptive predicates", Discrete Comput. Geom. 18,
-1997).  An unsure surplus path is replayed one draw at a time by
+(read through the one name ``_fast_log``) and replays exactly only the few
+paths whose decision the faster logarithm could have flipped: a
+floating-point filter with an exact fallback (Shewchuk, "Adaptive
+predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path is replayed one draw at a time by
 :func:`_path_ruins`, through :func:`surplus_path_values` and
 ``SplitMix64``.
 

@@ -20,10 +20,14 @@ double operations, in the same order:
   along a block of draws, each element one multiply or add of the previous
   one, with the running product or total carried from block to block.
 
-Streams that finish (ruined paths, completed Poisson counts and duration
-sums, and capped duration sums that reach their cap) are dropped from the
-working arrays as they go, so the cost of a step is proportional to the
-streams still live.
+Streams that finish (completed Poisson counts and duration sums, and
+capped duration sums that reach their cap) are dropped from the working
+arrays as they go, so the cost of a step is proportional to the streams
+still live.  ``ruin_mc_count`` steps its paths one period at a time in
+work arrays allocated once per chunk; a path that leaves (ruined or
+unsure) is marked with ``claims = -inf``, and the arrays drop the marked
+rows only once at least half of them are marked, so a step costs at most
+twice the live paths and most periods copy nothing.
 
 **Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
 which differs from glibc's in the last bit on some inputs; libm's is taken
@@ -85,6 +89,9 @@ exact test.  If the check fails (a NaN or infinite argument, say), the cut
 is ``-inf`` and every live path takes it.  Claims are sums of non-negative
 draws, never NaN, so each path is either below the cut or tested: no path
 the exact test would let leave is missed, and the counts are unchanged.
+A marked path's ``-inf`` would pass a ``-inf`` cut, so the kernel raises
+such a cut to the lowest finite double: every live path (claims at least
+``0.0``) still passes it and no marked one does.
 
 **Reuse.**  A chance trial's collision total does not depend on
 ``alpha_total`` or the threshold, only on ``(seed, trial, lam, mu)``.
@@ -109,6 +116,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -122,6 +130,8 @@ __all__ = [
     "surplus_path_values",
     "chance_mc_count",
     "compound_poisson_totals",
+    "seed_array",
+    "substream_pairs",
     "substream_states",
 ]
 
@@ -140,6 +150,7 @@ _BLOCK = 1 << 14
 _K = 64
 _EPS = 2.0**-52
 _TINY = math.ulp(0.0)
+_LOWEST = -sys.float_info.max
 
 _GAMMA = np.uint64(prng._GOLDEN)
 _MIX1 = np.uint64(prng._MIX1)
@@ -147,18 +158,41 @@ _MIX2 = np.uint64(prng._MIX2)
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """``prng._mix64`` on a uint64 array (multiplication wraps mod 2**64)."""
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+def _mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """``prng._mix64`` on a uint64 array (multiplication wraps mod 2**64).
+
+    The result is written into ``out`` (``z`` itself may be passed), with
+    ``scratch`` as the one work array of ``z``'s shape; each is a new array
+    when not given.
+    """
+    scratch = np.right_shift(z, _S30, out=scratch)
+    out = np.bitwise_xor(z, scratch, out=out)
+    out *= _MIX1
+    np.right_shift(out, _S27, out=scratch)
+    out ^= scratch
+    out *= _MIX2
+    np.right_shift(out, _S31, out=scratch)
+    out ^= scratch
+    return out
+
+
+def seed_array(seeds) -> np.ndarray:
+    """The seeds as a uint64 array, each taken mod 2**64 as :mod:`ruinfair.prng` does."""
+    return np.array([s & prng._MASK64 for s in seeds], dtype=np.uint64)
+
+
+def substream_pairs(seeds: np.ndarray, index) -> np.ndarray:
+    """``prng.substream_seed(seed, i)`` element by element of the uint64
+    ``seeds`` (see :func:`seed_array`) and the indices ``index``, which
+    broadcast together."""
+    z = seeds + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA
+    return _mix64(z, out=z)
 
 
 def substream_states(seeds, index) -> np.ndarray:
     """``prng.substream_seed(seed, i)`` for every seed (rows) and index ``i``
     (columns), as a uint64 array of shape ``(len(seeds), len(index))``."""
-    seeds = np.array([s & prng._MASK64 for s in seeds], dtype=np.uint64)
-    return _mix64(seeds[:, None] + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA)
+    return substream_pairs(seed_array(seeds)[:, None], index)
 
 
 def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
@@ -166,15 +200,20 @@ def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
     return substream_states([seed], np.arange(start, stop, dtype=np.uint64))[0]
 
 
-def _to_uniform(z: np.ndarray) -> np.ndarray:
-    """``SplitMix64.uniform`` from the advanced states ``z``."""
-    return (_mix64(z) >> _S11).astype(np.float64) * prng._INV_2_53
+def _to_uniform(z: np.ndarray, out=None, bits=None, scratch=None) -> np.ndarray:
+    """``SplitMix64.uniform`` from the advanced states ``z``, written into the
+    float64 ``out`` with the uint64 work arrays ``bits`` (``z`` itself may be
+    passed) and ``scratch``; each is a new array when not given."""
+    bits = _mix64(z, bits, scratch)
+    bits >>= _S11
+    return np.multiply(bits, prng._INV_2_53, out=out)
 
 
 def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
     """Uniforms ``start+1 .. start+width`` of each stream, one row per stream."""
     steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
-    return _to_uniform(states[:, None] + steps)
+    z = states[:, None] + steps
+    return _to_uniform(z, bits=z)
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -221,43 +260,67 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
 
     Steps every path with ``np.log``; a path leaves at its ruin or at the
     first period where it is unsure, and the unsure ones are replayed from
-    their start states by the scalar :func:`_path_ruins`.
-    Only the paths whose claims reach the period's cut take the exact test.
+    their start states by the scalar :func:`_path_ruins`.  Only the paths
+    whose claims reach the period's cut take the exact test.  Each period
+    is computed in work arrays allocated once per chunk.  A path that
+    leaves is marked with ``claims = -inf``, which no later draw lifts; the
+    arrays drop the marked rows once at least half of them are marked.
     """
     state = _substreams(seed, start, stop)
     claims = np.zeros(len(state))
+    bits = np.empty_like(state)
+    scratch = np.empty_like(state)
+    draw = np.empty_like(claims)
+    near = np.empty(len(state), dtype=bool)
+    marked = 0
     unsure = []
     ruined = 0
-    # A subnormal rate overflows a claim to inf, as the scalar draw does.
-    with np.errstate(over="ignore"):
+    # A subnormal rate overflows a claim to inf, as the scalar draw does; a
+    # marked row then reads -inf - -inf = NaN, which is never live either.
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, n + 1):
             state += _GAMMA
+            _to_uniform(state, out=draw, bits=bits, scratch=scratch)
+            np.subtract(1.0, draw, out=draw)
             # Subtracting log/rate gives the bits of adding -log/rate.
-            claims -= _fast_log(1.0 - _to_uniform(state)) / mu_prime
+            step = _fast_log(draw)
+            step /= mu_prime
+            claims -= step
             level = u + s * c
             a = _K * s * _EPS
             b = _K * s * (abs(level) * _EPS + _TINY)
-            near = np.flatnonzero(claims >= _cut(level, a, b))
-            if not len(near):
+            # Live claims are at least 0.0, marked ones -inf or NaN; a -inf
+            # cut is raised to the lowest double so marked rows stay out.
+            np.greater_equal(claims, max(_cut(level, a, b), _LOWEST), out=near)
+            tested = near.nonzero()[0]
+            if not len(tested):
                 continue
-            margin = level - claims[near]
-            bound = claims[near] * a + b
+            margin = claims[tested]
+            bound = margin * a
+            bound += b
+            np.subtract(level, margin, out=margin)
             # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
             leave = margin <= bound
-            if not leave.any():
+            gone = tested[leave]
+            if not len(gone):
                 continue
             close = np.abs(margin[leave]) <= bound[leave]
             ruined += len(close) - int(np.count_nonzero(close))
-            gone = near[leave]
             # The start state of a path is its state s steps back.
             unsure.append(state[gone[close]] - np.uint64(s * prng._GOLDEN & prng._MASK64))
-            stay = np.ones(len(state), dtype=bool)
-            stay[gone] = False
-            keep = np.flatnonzero(stay)
-            state = state[keep]
-            claims = claims[keep]
-            if not len(state):
-                break
+            claims[gone] = -math.inf
+            marked += len(gone)
+            if 2 * marked >= len(claims):
+                keep = np.flatnonzero(claims > -math.inf)
+                if not len(keep):
+                    break
+                state = state[keep]
+                claims = claims[keep]
+                live = len(keep)
+                bits, scratch, draw, near = (
+                    bits[:live], scratch[:live], draw[:live], near[:live]
+                )
+                marked = 0
     if unsure:
         for start_state in np.concatenate(unsure).tolist():
             ruined += _path_ruins(u, c, mu_prime, n, start_state)

@@ -275,14 +275,19 @@ def collision_totals(
     the window afterwards gives the bits of the unclipped total clipped at
     the window, and a draw stops at the frame: the durations beyond it are
     never drawn.  Every channel has the model's rate, so the cells are drawn
-    as one run of streams, ``_lockstep._CHUNK`` to a kernel call, which
-    bounds the working memory of a call.
+    as one run of streams in row-major order, ``_lockstep._CHUNK`` to a
+    kernel call.  Each call derives its cells' substream states from their
+    flat indices (cell ``i`` is seed ``i // channels``, channel ``i %
+    channels``), so no more than one chunk of states is held at a time.
     """
-    states = _lockstep.substream_states(seeds, np.arange(channels, dtype=np.uint64)).ravel()
-    totals = np.empty(len(states))
+    seeds = _lockstep.seed_array(seeds)
+    cells = len(seeds) * channels
+    totals = np.empty(cells)
     chunk = _lockstep._CHUNK
-    for start in range(0, len(states), chunk):
+    for start in range(0, cells, chunk):
+        cell = np.arange(start, min(start + chunk, cells))
+        states = _lockstep.substream_pairs(seeds[cell // channels], cell % channels)
         totals[start : start + chunk] = _lockstep.compound_poisson_totals(
-            states[start : start + chunk], model.lambda_k, model.mu, t_total
+            states, model.lambda_k, model.mu, t_total
         )
     return totals.reshape(len(seeds), channels)

@@ -6,6 +6,7 @@ unsure, so it is checked with the filter as shipped, with every path
 replayed and with none.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -270,6 +271,41 @@ def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
         assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
     expected = sum(args[-1] for args in RUIN_ARGS) if replay_all else 0
     assert len(replayed) == expected
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["every-period", "every-other-period"])
+def test_minus_inf_cut_keeps_counts(monkeypatch, every):
+    """A cut of ``-inf`` sends every live path to the exact test, which is
+    always sound, so the counts stay the oracle's.  Paths that left hold
+    ``claims = -inf`` (NaN once a claim overflows) until the arrays are
+    compacted, and must not be tested or counted again; in the second
+    argument set every path ruins in period 1 and compaction empties the
+    arrays."""
+    cut = _lockstep._cut
+    periods = itertools.count()
+
+    def minus_inf_cut(*args):
+        return -math.inf if next(periods) % every == 0 else cut(*args)
+
+    monkeypatch.setattr(_lockstep, "_cut", minus_inf_cut)
+    for args in [*RUIN_ARGS, (1.0, 1.0, 5e-324, 3, 10)]:
+        assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
+
+
+def test_lazy_compaction_across_chunks(monkeypatch):
+    """Chunks of 8 paths: the arrays are compacted once half the rows have
+    left, which happens in some chunks and not in others, and the count is
+    the oracle's either way."""
+    monkeypatch.setattr(_lockstep, "_CHUNK", 8)
+    replayed = _count_replays(monkeypatch)
+    args, trials, seed = (0.3, 0.8, 1.5, 12), 64, 42
+    assert _lockstep.ruin_mc_count(*args, trials, seed) == oracles.ruin_mc_count(
+        *args, trials, seed
+    )
+    # With nothing replayed, the paths that leave a chunk are its ruined ones.
+    assert not replayed
+    ruined = np.diff([oracles.ruin_mc_count(*args, stop, seed) for stop in range(0, trials + 1, 8)])
+    assert (2 * ruined >= 8).any() and (2 * ruined < 8).any()
 
 
 NONFINITE = [math.inf, -math.inf, math.nan]

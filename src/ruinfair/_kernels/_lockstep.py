@@ -206,7 +206,13 @@ def _to_uniform(z: np.ndarray, out=None, bits=None, scratch=None) -> np.ndarray:
     passed) and ``scratch``; each is a new array when not given."""
     bits = _mix64(z, bits, scratch)
     bits >>= _S11
-    return np.multiply(bits, prng._INV_2_53, out=out)
+    if out is None:
+        out = np.empty(bits.shape)
+    # Below 2**53, so the int64 view converts exactly, and NumPy converts
+    # int64 to float64 faster than uint64.
+    out[...] = bits.view(np.int64)
+    out *= prng._INV_2_53
+    return out
 
 
 def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:

@@ -33,8 +33,8 @@ ask for at most 10**5 UE draws and 10**7 collision cells, so that every
 scenario that validates can run; past either, validation fails naming the
 fields.  The slowest corner, timed on a 2-CPU x86-64 host: 10**7 cells at
 the collision-rate cap (``lambda_base x wst_count = 500``) take about 140 s
-and 260 MB per collision draw, one per ``wst_count`` or ``lambda_base``
-value (a ``psi`` sweep draws once).  At the default rate a draw of 10**7
+per collision draw, one per ``wst_count`` or ``lambda_base`` value (a
+``psi`` sweep draws once), and a run peaks at about 260 MB.  At the default rate a draw of 10**7
 cells takes about 8 s.
 
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is

@@ -101,8 +101,9 @@ def test_path_values_follow_premium_and_claims(impl):
         (0.0, 1e-300, 0.0, 0, 5),  # no draw, so the rate goes unchecked
         (1.0, 1.0, 5e-324, 3, 10),  # claims overflow to inf, without a warning
         (1.0, 1.0, 1e-310, 3, 10),
+        (1e308, 1.0, 1e-308, 3, 50),  # marked paths' claims overflow to NaN
     ],
-    ids=["n0", "one-trial", "n0-bad-rate", "rate-min-subnormal", "rate-subnormal"],
+    ids=["n0", "one-trial", "n0-bad-rate", "rate-min-subnormal", "rate-subnormal", "marked-nan"],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_edges_match_scalar(args, seed):
@@ -288,7 +289,7 @@ def test_minus_inf_cut_keeps_counts(monkeypatch, every):
         return -math.inf if next(periods) % every == 0 else cut(*args)
 
     monkeypatch.setattr(_lockstep, "_cut", minus_inf_cut)
-    for args in [*RUIN_ARGS, (1.0, 1.0, 5e-324, 3, 10)]:
+    for args in [*RUIN_ARGS, (1e308, 1.0, 1e-308, 3, 50)]:
         assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
 
 

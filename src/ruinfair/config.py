@@ -34,8 +34,8 @@ scenario that validates can run; past either, validation fails naming the
 fields.  The slowest corner, timed on a 2-CPU x86-64 host: 10**7 cells at
 the collision-rate cap (``lambda_base x wst_count = 500``) take about 140 s
 per collision draw, one per ``wst_count`` or ``lambda_base`` value (a
-``psi`` sweep draws once), and a run peaks at about 260 MB.  At the default rate a draw of 10**7
-cells takes about 8 s.
+``psi`` sweep draws once), and a run peaks at about 260 MB.  At the
+default rate a draw of 10**7 cells takes about 8 s.
 
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is
 applied to each value, no surplus computation); ``wst_count`` and

@@ -9,7 +9,11 @@ at seed 0 the per-layer metrics of the digest-checked run.  It also times two
 end-to-end wall clocks, ``ruinfair run`` on the default ``{}`` scenario and
 the Tier-1 suite, and tabulates the Monte Carlo kernels against the scalar
 references of the checkout's ``tests/oracles.py`` (asserting equal counts
-while timing).  ``perfbench/`` is only called, never changed.  Usage, from the root of a checkout:
+while timing).  The kernel seconds are raw; each case also records
+``ref_s``, perfbench's host-speed reference for the kernels
+(``splitmix_draws``) timed just before it, so kernel times from different
+files compare as ratios to their ``ref_s``.  ``perfbench/`` is only called
+or loaded, never changed.  Usage, from the root of a checkout:
 
     python benchmarks/bench.py --label LABEL [--root DIR]
 
@@ -168,13 +172,13 @@ def _best_of(fn, args, repeat, before=lambda: None):
     return best, result
 
 
-def _scalar_reference(root: Path):
-    """The checkout's scalar Monte Carlo counts: its ``tests/oracles.py``."""
-    spec = importlib.util.spec_from_file_location("oracles", root / "tests" / "oracles.py")
-    oracles = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = oracles  # its dataclasses look their module up
-    spec.loader.exec_module(oracles)
-    return oracles
+def _load(name: str, path: Path):
+    """Import the module file ``path`` as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
@@ -182,7 +186,10 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     sys.path.insert(0, str(root / "src"))
     from ruinfair._kernels import _lockstep
 
-    scalar = _scalar_reference(root)
+    # The checkout's scalar Monte Carlo counts, and the reference work that
+    # perfbench scales the kernels' workload by.
+    scalar = _load("oracles", root / "tests" / "oracles.py")
+    host_reference = _load("workloads", root / "perfbench" / "workloads.py").splitmix_draws
 
     # The lockstep chance kernel keeps its last chunk's draws for the next
     # call; clearing them before each timed call times the draws, not a
@@ -191,14 +198,16 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)
+        ref_s, _ = _best_of(host_reference, (), repeat)
         pure_s, expected = _best_of(getattr(scalar, kernel), call_args, repeat)
         lockstep_s, result = _best_of(getattr(_lockstep, kernel), call_args, repeat, clear)
         if result != expected:
             raise SystemExit(f"{name}: lockstep {result} != pure {expected}")
-        table.append({"case": name, "trials": call_args[-2], "pure_s": pure_s,
-                      "lockstep_s": lockstep_s, "speedup": pure_s / lockstep_s})
-        print(f"{name:<56} pure {pure_s:8.3f}s  lockstep {lockstep_s:8.4f}s  "
-              f"{pure_s / lockstep_s:6.1f}x", file=sys.stderr)
+        table.append({"case": name, "trials": call_args[-2], "ref_s": ref_s,
+                      "pure_s": pure_s, "lockstep_s": lockstep_s,
+                      "speedup": pure_s / lockstep_s})
+        print(f"{name:<56} ref {ref_s:7.4f}s  pure {pure_s:8.3f}s  "
+              f"lockstep {lockstep_s:8.4f}s  {pure_s / lockstep_s:6.1f}x", file=sys.stderr)
     return table
 
 

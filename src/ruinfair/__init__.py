@@ -41,7 +41,6 @@ from .ruin import (
 from .sim import (
     RadioConfig,
     Scheme,
-    Topology,
     TopologyConfig,
     TrafficConfig,
     generate_topology,
@@ -78,7 +77,6 @@ __all__ = [
     # sim
     "Scheme",
     "TopologyConfig",
-    "Topology",
     "TrafficConfig",
     "RadioConfig",
     "generate_topology",

@@ -130,9 +130,7 @@ __all__ = [
     "surplus_path_values",
     "chance_mc_count",
     "compound_poisson_totals",
-    "seed_array",
     "substream_pairs",
-    "substream_states",
 ]
 
 # Trials (or the sweep's collision cells) advanced together; bounds the
@@ -176,28 +174,19 @@ def _mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-def seed_array(seeds) -> np.ndarray:
-    """The seeds as a uint64 array, each taken mod 2**64 as :mod:`ruinfair.prng` does."""
-    return np.array([s & prng._MASK64 for s in seeds], dtype=np.uint64)
-
-
-def substream_pairs(seeds: np.ndarray, index) -> np.ndarray:
+def substream_pairs(seeds, index) -> np.ndarray:
     """``prng.substream_seed(seed, i)`` element by element of the uint64
-    ``seeds`` (see :func:`seed_array`) and the indices ``index``, which
-    broadcast together."""
+    ``seeds`` (each already taken mod 2**64) and the indices ``index``,
+    which broadcast together."""
     z = seeds + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA
     return _mix64(z, out=z)
 
 
-def substream_states(seeds, index) -> np.ndarray:
-    """``prng.substream_seed(seed, i)`` for every seed (rows) and index ``i``
-    (columns), as a uint64 array of shape ``(len(seeds), len(index))``."""
-    return substream_pairs(seed_array(seeds)[:, None], index)
-
-
 def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
     """States of trials ``start .. stop-1``: ``substream_seed(seed, t)`` each."""
-    return substream_states([seed], np.arange(start, stop, dtype=np.uint64))[0]
+    return substream_pairs(
+        np.uint64(seed & prng._MASK64), np.arange(start, stop, dtype=np.uint64)
+    )
 
 
 def _to_uniform(z: np.ndarray, out=None, bits=None, scratch=None) -> np.ndarray:

@@ -17,8 +17,9 @@ probability (``config.scenario_at``), so:
 * once per value of a ``psi`` sweep: the forced ruin-fair duty cycle;
 * once per distinct ``(topology, traffic)``: the collision total of each
   (replication, channel), drawn for all cells in one run of the lockstep
-  compound-Poisson kernel (``sim.collision_totals``) and shared by all four
-  schemes.  Each is clipped at the frame length ``T``, so its draw
+  compound-Poisson kernel (``sim.collision_totals``, which derives each
+  replication's stream from ``seeds.traffic`` itself) and shared by all
+  four schemes.  Each is clipped at the frame length ``T``, so its draw
   stops there; every scheme's WiFi window is ``T - lte_time <= T``, so
   clipping it again at the window gives ``min(total, window)`` bit for bit.
   A ``psi`` sweep draws once, a ``wst_count`` or ``lambda_base`` sweep once
@@ -28,9 +29,10 @@ probability (``config.scenario_at``), so:
   (``sim.lte_sum_rate``, one water-filling for every channel, none of it
   depending on the replication seed) and its mean and std;
 * once per distinct (collision key, LTE-U airtime): the WiFi frame
-  accounting as array operations on the replications x channels collision
-  array, summed over channels left to right in channel order, and its
-  mean and std.
+  accounting as array operations on blocks of rows of the replications x
+  channels collision array (about ``_lockstep._CHUNK`` cells a block),
+  summed over channels left to right in channel order into one total per
+  replication, and its mean and std.
 
 The result equals the scalar specification of ``tests/oracles.py``, one
 long frame per (value, replication, scheme) with one collision draw at a
@@ -51,11 +53,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
+from ._kernels import BACKEND, _lockstep
 from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
 from .duty import CollisionModel, DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
-from .prng import substream_seed
 from .sim import (
     Scheme,
     collision_totals,
@@ -126,15 +127,21 @@ def _mean_std(samples: np.ndarray) -> tuple[float, float]:
 def _wifi_stats(collisions: np.ndarray, window: float, phy_rate: float) -> tuple[float, float]:
     """Mean and std over replications (rows of ``collisions``) of the
     channel-summed WiFi throughput in a WiFi window of ``window`` seconds."""
-    # Collision time beyond the window is clipped: LTE-U holds the channel.
-    # phy_rate * max(0, window - min(collisions, window)), in one array.
-    throughput = np.minimum(collisions, window)
-    np.subtract(window, throughput, out=throughput)
-    np.maximum(0.0, throughput, out=throughput)
-    throughput *= phy_rate
-    # Left to right, as np.sum (pairwise) and sum() (compensated on Python
-    # >= 3.12) are not.
-    return _mean_std(np.add.accumulate(throughput, axis=1, out=throughput)[:, -1])
+    reps, channels = collisions.shape
+    totals = np.empty(reps)
+    # About _lockstep._CHUNK cells at a time, so the work array stays small.
+    step = max(1, _lockstep._CHUNK // channels)
+    for start in range(0, reps, step):
+        # Collision time beyond the window is clipped: LTE-U holds the channel.
+        # phy_rate * max(0, window - min(collisions, window)), in one array.
+        throughput = np.minimum(collisions[start : start + step], window)
+        np.subtract(window, throughput, out=throughput)
+        np.maximum(0.0, throughput, out=throughput)
+        throughput *= phy_rate
+        # Left to right, as np.sum (pairwise) and sum() (compensated on
+        # Python >= 3.12) are not.
+        totals[start : start + step] = np.add.accumulate(throughput, axis=1, out=throughput)[:, -1]
+    return _mean_std(totals)
 
 
 def _lte_stats(rate: float, channels: int, reps: int) -> tuple[float, float]:
@@ -154,7 +161,6 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         )
     sweep = config.sweeps[sweep_name]
     reps = config.seeds.replications
-    rep_seeds = [substream_seed(config.seeds.traffic, r) for r in range(reps)]
     t_total = config.frame.total_duration
     radio = config.radio
     channels = config.topology.wap_count
@@ -169,10 +175,9 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
             key = (scenario.topology, scenario.traffic)
             traffic = scenario.traffic
             lambda_k = traffic.lambda_base * scenario.topology.wst_per_wap
+            model = CollisionModel(lambda_k, traffic.mu)
             collisions = None  # free the last key's totals before drawing
-            collisions = collision_totals(
-                CollisionModel(lambda_k, traffic.mu), rep_seeds, channels, t_total
-            )
+            collisions = collision_totals(model, config.seeds.traffic, reps, channels, t_total)
             wifi = {}  # LTE-U airtime -> _wifi_stats of these totals
         by_scheme = {}
         for scheme in Scheme:

@@ -16,8 +16,9 @@ Four sharing schemes are compared:
 
 Each WiFi AP sits on its own channel, so a channel is all the simulator
 keeps of an AP: the sweep needs only the channel count (``wap_count``) and
-the stations per AP (``wst_per_wap``), never an object per AP.  Collision
-draws are seeded per (run seed, channel) and shared by all schemes, so
+the stations per AP (``wst_per_wap``), never an object per AP.  A UE is
+just its ``(x, y)`` position relative to the SBS at the origin.  Collision
+draws are seeded per (replication, channel) and shared by all schemes, so
 per-seed scheme comparisons are coupled: a scheme with a larger WiFi
 window never shows less successful WiFi airtime on the same seed.
 
@@ -33,12 +34,13 @@ A long frame is assembled from parts computed at the level where they vary:
 * :func:`scheme_lte_time` depends on the scheme and the duty cycle, and
   :func:`lte_sum_rate` (one water-filling, whose rate every channel gets)
   on the LTE-U airtime and the link budget, not on the seed;
-* the collision totals depend on the seed, the station counts and the
-  traffic, not on the scheme: :func:`collision_totals` draws them for
-  every (seed, channel) cell with the lockstep compound-Poisson kernel,
-  clipped at the frame length.  The clip loses nothing, as collision time
-  is clipped at the WiFi window anyway and no window is longer than the
-  frame; a draw stops once its running total reaches the frame length.
+* the collision totals depend on the replication, the station counts and
+  the traffic, not on the scheme: :func:`collision_totals` derives every
+  (replication, channel) cell's stream from the traffic seed and draws
+  them with the lockstep compound-Poisson kernel, clipped at the frame
+  length.  The clip loses nothing, as collision time is clipped at the
+  WiFi window anyway and no window is longer than the frame; a draw stops
+  once its running total reaches the frame length.
 
 ``experiment.run_sweep`` computes each part once per distinct input and does
 the frame accounting as array operations.  ``tests/oracles.py`` holds the
@@ -60,13 +62,11 @@ from ._kernels import _lockstep
 from .allocation import water_fill
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
-from .prng import _GOLDEN, SplitMix64
+from .prng import _GOLDEN, _MASK64, SplitMix64
 
 __all__ = [
     "Scheme",
     "TopologyConfig",
-    "UeSite",
-    "Topology",
     "TrafficConfig",
     "RadioConfig",
     "generate_topology",
@@ -120,18 +120,6 @@ class TopologyConfig:
     @property
     def channels(self) -> int:
         return self.wap_count if self.channel_count is None else self.channel_count
-
-
-@dataclass(frozen=True)
-class UeSite:
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Topology:
-    sbs_position: tuple[float, float]
-    sbs_radius: float
-    ues: tuple[UeSite, ...]
 
 
 @dataclass(frozen=True)
@@ -196,9 +184,10 @@ def path_gain(distance: float, radio: RadioConfig) -> float:
     return radio.ref_gain * (radio.ref_distance / clamped) ** radio.path_exponent
 
 
-def generate_topology(seed: int, config: TopologyConfig) -> Topology:
+def generate_topology(seed: int, config: TopologyConfig) -> tuple[tuple[float, float], ...]:
     """Drop the UEs uniformly inside the SBS disk, deterministically.
 
+    Returns one ``(x, y)`` pair per UE, relative to the SBS at the origin.
     The UEs take the uniforms of ``SplitMix64(seed)`` that follow the first
     ``2 * wap_count``, which would place the WAPs.  No output reads a WAP's
     position, so the stream starts past them instead of drawing them: each
@@ -213,25 +202,25 @@ def generate_topology(seed: int, config: TopologyConfig) -> Topology:
         theta = 2.0 * math.pi * rng.uniform()
         return (r * math.cos(theta), r * math.sin(theta))
 
-    ues = tuple(UeSite(position=disk_point(config.sbs_radius)) for _ in range(config.ue_count))
-    return Topology(sbs_position=(0.0, 0.0), sbs_radius=config.sbs_radius, ues=ues)
+    return tuple(disk_point(config.sbs_radius) for _ in range(config.ue_count))
 
 
-def link_budget(topology: Topology, radio: RadioConfig) -> np.ndarray:
+def link_budget(positions, radio: RadioConfig) -> np.ndarray:
     """Downlink SNR utility ``ln(1 + P * g / sigma^2)`` of every UE, in UE order.
 
-    ``P`` is ``radio.tx_power``, ``sigma^2`` is ``radio.noise`` and ``g`` is
-    :func:`path_gain` of the UE's distance to the SBS under ``radio``'s path
-    loss.  Path loss is frequency-flat here, so one utility per UE holds on
-    every channel.  Every UE is eligible on every channel (the cell
-    aggregates across all of them).
+    ``positions`` are the UEs' ``(x, y)`` pairs relative to the SBS, as
+    :func:`generate_topology` returns them.  ``P`` is ``radio.tx_power``,
+    ``sigma^2`` is ``radio.noise`` and ``g`` is :func:`path_gain` of the
+    UE's distance to the SBS under ``radio``'s path loss.  Path loss is
+    frequency-flat here, so one utility per UE holds on every channel.
+    Every UE is eligible on every channel (the cell aggregates across all of
+    them).  The distances and gains are scalar libm calls, UE by UE:
+    NumPy's ``hypot`` and ``power`` differ from libm's in the last bit on
+    some inputs.
     """
-    gains = []
-    for ue in topology.ues:
-        dx = ue.position[0] - topology.sbs_position[0]
-        dy = ue.position[1] - topology.sbs_position[1]
-        distance = max(math.hypot(dx, dy), radio.ref_distance)
-        gains.append(path_gain(distance, radio))
+    gains = [
+        path_gain(max(math.hypot(x, y), radio.ref_distance), radio) for x, y in positions
+    ]
     return np.log1p(radio.tx_power * np.asarray(gains) / radio.noise)
 
 
@@ -262,32 +251,35 @@ def lte_sum_rate(lte_time: float, bandwidth: float, gammas: np.ndarray) -> float
 
 
 def collision_totals(
-    model: CollisionModel, seeds, channels: int, t_total: float
+    model: CollisionModel, seed: int, reps: int, channels: int, t_total: float
 ) -> np.ndarray:
-    """Collision time per seed (rows) and channel ``0 .. channels-1``
-    (columns), clipped to the long frame ``t_total``.
+    """Collision time per replication ``0 .. reps-1`` (rows) and channel
+    ``0 .. channels-1`` (columns), clipped to the long frame ``t_total``.
 
-    Channel k of seed s draws from the substream seed (s, k), whatever the
-    scheme: entry ``[r, k]`` is a Poisson(``model.lambda_k``) count of
-    exponential(``model.mu``) durations drawn from ``SplitMix64(
-    substream_seed(seeds[r], k))``, added left to right and clipped at
-    ``t_total``.  No WiFi window is longer than the frame, so clipping at
-    the window afterwards gives the bits of the unclipped total clipped at
-    the window, and a draw stops at the frame: the durations beyond it are
-    never drawn.  Every channel has the model's rate, so the cells are drawn
-    as one run of streams in row-major order, ``_lockstep._CHUNK`` to a
-    kernel call.  Each call derives its cells' substream states from their
-    flat indices (cell ``i`` is seed ``i // channels``, channel ``i %
-    channels``), so no more than one chunk of states is held at a time.
+    Replication r of the master ``seed`` (taken mod 2**64, as
+    :mod:`ruinfair.prng` does) draws channel k from the substream seed
+    ``substream_seed(substream_seed(seed, r), k)``, whatever the scheme:
+    entry ``[r, k]`` is a Poisson(``model.lambda_k``) count of
+    exponential(``model.mu``) durations drawn from ``SplitMix64`` of that
+    seed, added left to right and clipped at ``t_total``.  No WiFi window is
+    longer than the frame, so clipping at the window afterwards gives the
+    bits of the unclipped total clipped at the window, and a draw stops at
+    the frame: the durations beyond it are never drawn.  Every channel has
+    the model's rate, so the cells are drawn as one run of streams in
+    row-major order, ``_lockstep._CHUNK`` to a kernel call.  Each call
+    derives its cells' substream states from their flat indices (cell ``i``
+    is replication ``i // channels``, channel ``i % channels``), so no more
+    than one chunk of states is held at a time.
     """
-    seeds = _lockstep.seed_array(seeds)
-    cells = len(seeds) * channels
+    master = np.uint64(seed & _MASK64)
+    cells = reps * channels
     totals = np.empty(cells)
     chunk = _lockstep._CHUNK
     for start in range(0, cells, chunk):
         cell = np.arange(start, min(start + chunk, cells))
-        states = _lockstep.substream_pairs(seeds[cell // channels], cell % channels)
+        rows = _lockstep.substream_pairs(master, cell // channels)
+        states = _lockstep.substream_pairs(rows, cell % channels)
         totals[start : start + chunk] = _lockstep.compound_poisson_totals(
             states, model.lambda_k, model.mu, t_total
         )
-    return totals.reshape(len(seeds), channels)
+    return totals.reshape(reps, channels)

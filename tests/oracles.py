@@ -28,7 +28,6 @@ from ruinfair import (
     FrameConfig,
     RadioConfig,
     Scheme,
-    Topology,
     TopologyConfig,
     TrafficConfig,
     duty_cycle_from_surplus,
@@ -166,7 +165,7 @@ class FrameOutcome:
 
 
 def simulate_long_frame(
-    topology: Topology,
+    positions,
     sites: TopologyConfig,
     frame: FrameConfig,
     scheme: Scheme,
@@ -178,8 +177,9 @@ def simulate_long_frame(
 ) -> list[FrameOutcome]:
     """Simulate one long frame on every channel under the given scheme.
 
-    ``topology`` places the UEs; ``sites`` gives the channels, one per WAP
-    (``wap_count``), and the stations behind each (``wst_per_wap``).
+    ``positions`` are the UEs' ``(x, y)`` pairs relative to the SBS, as
+    ``generate_topology`` returns them; ``sites`` gives the channels, one per
+    WAP (``wap_count``), and the stations behind each (``wst_per_wap``).
     Channel k's collision draw comes from the substream seed (seed, k) and
     does not depend on the scheme, so outcomes for different schemes on the
     same seed are directly comparable.
@@ -194,7 +194,7 @@ def simulate_long_frame(
     if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
         ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
     lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
-    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(topology, radio))
+    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(positions, radio))
 
     # WiFi gets the window left by LTE-U; collision time beyond that window
     # is clipped, and the rest of the window is successful WiFi airtime.
@@ -313,7 +313,7 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
         duty = ruin_duty if ruin_duty is not None else duty_cycle_from_surplus(
             scenario.frame, scenario.traffic.mu, policy=scenario.policy
         )
-        topology = generate_topology(scenario.seeds.topology, scenario.topology)
+        positions = generate_topology(scenario.seeds.topology, scenario.topology)
 
         wifi = {scheme: [] for scheme in Scheme}
         lte = {scheme: [] for scheme in Scheme}
@@ -321,7 +321,7 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
             seed = substream_seed(config.seeds.traffic, r)
             for scheme in Scheme:
                 outcomes = simulate_long_frame(
-                    topology,
+                    positions,
                     scenario.topology,
                     scenario.frame,
                     scheme,

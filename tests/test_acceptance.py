@@ -194,11 +194,11 @@ class TestCriterion4MonotonicitySuite:
         means = []
         for wst in (5, 10, 15, 20):
             sites = rf.TopologyConfig(ue_count=6, wst_per_wap=wst)
-            topology = rf.generate_topology(3, sites)
+            positions = rf.generate_topology(3, sites)
             total = 0.0
             for seed in range(100):
                 outcomes = simulate_long_frame(
-                    topology,
+                    positions,
                     sites,
                     config.frame,
                     rf.Scheme.RUIN_FAIR,

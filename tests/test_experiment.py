@@ -125,9 +125,14 @@ class TestWorkReuse:
         [(SMALL, "wst"), (SMALL, "psi"), (SMALL, "lam"), (CONGESTED, "lam")],
         ids=["wst", "psi", "lam", "congested-lam"],
     )
-    def test_rows_equal_per_frame_oracle(self, scenario, name):
+    def test_rows_equal_per_frame_oracle(self, monkeypatch, scenario, name):
+        """Also with a chunk of 7 cells, which splits the collision draws
+        across rows and sums the throughput in blocks of 2 or 3 rows."""
         config = parse_scenario(scenario)
-        assert run_sweep(config, name) == sweep_rows_per_frame(config, name)
+        expected = sweep_rows_per_frame(config, name)
+        for chunk in (_lockstep._CHUNK, 7):
+            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+            assert run_sweep(config, name) == expected
 
     def test_per_level_call_counts(self, monkeypatch):
         calls = {

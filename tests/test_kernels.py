@@ -190,7 +190,7 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     totals that are common at ``lam = 1``.
     """
     seeds = [substream_seed(2024, t) for t in range(streams)]
-    states = _lockstep.substream_states([2024], range(streams))[0]
+    states = _lockstep._substreams(2024, 0, streams)
     assert states.tolist() == seeds
     totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
@@ -205,7 +205,7 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     ],
 )
 def test_capped_totals_are_clipped_uncapped_ones(lam, mu, cap):
-    states = _lockstep.substream_states([8], range(64))[0]
+    states = _lockstep._substreams(8, 0, 64)
     uncapped = _lockstep.compound_poisson_totals(states, lam, mu, math.inf)
     capped = _lockstep.compound_poisson_totals(states, lam, mu, cap)
     assert capped.tolist() == np.minimum(uncapped, cap).tolist()

@@ -36,24 +36,24 @@ def small_sites(**overrides):
     return TopologyConfig(**{"ue_count": 6, **overrides})
 
 
-def small_topology(seed=3, **overrides):
+def small_positions(seed=3, **overrides):
     return generate_topology(seed, small_sites(**overrides))
 
 
 class TestGenerateTopology:
     def test_deterministic_for_fixed_seed(self):
-        assert small_topology(seed=9) == small_topology(seed=9)
-        assert small_topology(seed=9) != small_topology(seed=10)
+        assert small_positions(seed=9) == small_positions(seed=9)
+        assert small_positions(seed=9) != small_positions(seed=10)
 
     def test_all_nodes_inside_sbs_disk(self):
-        topology = small_topology(seed=1, ue_count=50)
-        for node in topology.ues:
-            assert math.hypot(*node.position) <= topology.sbs_radius + 1e-9
+        sites = small_sites(ue_count=50)
+        for x, y in generate_topology(1, sites):
+            assert math.hypot(x, y) <= sites.sbs_radius + 1e-9
 
     def test_station_count_does_not_move_positions(self):
-        sparse = small_topology(seed=4, wst_per_wap=5)
-        dense = small_topology(seed=4, wst_per_wap=20)
-        assert [u.position for u in sparse.ues] == [u.position for u in dense.ues]
+        sparse = small_positions(seed=4, wst_per_wap=5)
+        dense = small_positions(seed=4, wst_per_wap=20)
+        assert sparse == dense
 
     @pytest.mark.parametrize("waps", [1, 3, 10**5])
     def test_ues_follow_the_wap_draws(self, waps):
@@ -68,7 +68,7 @@ class TestGenerateTopology:
             r = config.sbs_radius * math.sqrt(rng.uniform())
             theta = 2.0 * math.pi * rng.uniform()
             expected.append((r * math.cos(theta), r * math.sin(theta)))
-        assert [u.position for u in generate_topology(11, config).ues] == expected
+        assert list(generate_topology(11, config)) == expected
 
     def test_rejects_zero_ues(self):
         with pytest.raises(ConfigError):
@@ -146,21 +146,34 @@ class TestSampleCollisions:
             sample_collisions(600.0, 500.0, 0)
 
 
+def scalar_totals(lam, master, reps, channels):
+    """The scalar draw's total of each replication (rows) and channel of
+    ``master``, at a duration rate of 450."""
+    return [
+        [
+            sample_collisions(lam, 450.0, substream_seed(substream_seed(master, r), k)).total
+            for k in range(channels)
+        ]
+        for r in range(reps)
+    ]
+
+
 class TestCollisionTotals:
     MODEL = CollisionModel(lambda_k=7.5, mu=450.0)
 
     def test_equals_one_scalar_draw_per_seed_and_channel(self, monkeypatch):
-        """Also when a kernel call's chunk of cells splits a seed's row."""
-        seeds = [substream_seed(99, r) for r in range(12)] + [-3, 2**64 - 1]
-        expected = [
-            [sample_collisions(7.5, 450.0, substream_seed(s, k)).total for k in range(6)]
-            for s in seeds
-        ]
-        for chunk in (_lockstep._CHUNK, 5):
-            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
-            totals = collision_totals(self.MODEL, seeds, 6, math.inf)
-            assert totals.shape == (len(seeds), 6)
-            assert totals.tolist() == expected
+        """Also when a kernel call's chunk of cells splits a replication's
+        row, and for master seeds that the mask reduces."""
+        for master in (99, -3, 2**64 - 1):
+            expected = scalar_totals(7.5, master, 5, 6)
+            for chunk in (_lockstep._CHUNK, 5):
+                monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+                totals = collision_totals(self.MODEL, master, 5, 6, math.inf)
+                assert totals.shape == (5, 6)
+                assert totals.tolist() == expected
+                # The master seed is taken mod 2**64, as substream_seed takes it.
+                wrapped = collision_totals(self.MODEL, master + 2**64, 5, 6, math.inf)
+                assert wrapped.tolist() == expected
 
     @pytest.mark.parametrize("lambda_base,mu", [(20.0, 450.0), (0.2, 0.0)])
     def test_rejects_what_sample_collisions_rejects(self, lambda_base, mu):
@@ -169,7 +182,7 @@ class TestCollisionTotals:
         with pytest.raises(ValueError) as scalar:
             sample_collisions(lambda_base * 40, mu, 0)
         with pytest.raises(ValueError) as batched:
-            collision_totals(CollisionModel(lambda_base * 40, mu), [0], 3, 0.01)
+            collision_totals(CollisionModel(lambda_base * 40, mu), 0, 1, 3, 0.01)
         assert str(batched.value) == str(scalar.value)
 
     HORIZONS = [0.0, 1e-6, 0.01, 1.0, math.inf]
@@ -186,13 +199,9 @@ class TestCollisionTotals:
         if block is not None:
             monkeypatch.setattr(_lockstep, "_BLOCK", block)
         model = CollisionModel(lam, 450.0)
-        seeds = [substream_seed(5, r) for r in range(12)]
-        scalar = [
-            [sample_collisions(lam, 450.0, substream_seed(s, k)).total for k in range(2)]
-            for s in seeds
-        ]
+        scalar = scalar_totals(lam, 5, 12, 2)
         for horizon in self.HORIZONS:
-            totals = collision_totals(model, seeds, 2, horizon)
+            totals = collision_totals(model, 5, 12, 2, horizon)
             assert totals.tolist() == [[min(t, horizon) for t in row] for row in scalar]
 
     def test_draws_stop_at_the_frame_length(self, monkeypatch):
@@ -207,10 +216,9 @@ class TestCollisionTotals:
 
         monkeypatch.setattr(_lockstep, "_libm_log", counted)
         model = CollisionModel(500.0, 450.0)
-        seeds = [substream_seed(3, r) for r in range(20)]
-        whole = collision_totals(model, seeds, 1, math.inf)
+        whole = collision_totals(model, 3, 20, 1, math.inf)
         uncapped, logs[0] = logs[0], 0
-        clipped = collision_totals(model, seeds, 1, 0.01)
+        clipped = collision_totals(model, 3, 20, 1, 0.01)
         assert clipped.tolist() == np.minimum(whole, 0.01).tolist()
         assert 0 < logs[0] * 20 < uncapped
 
@@ -218,22 +226,22 @@ class TestCollisionTotals:
 class TestLinkBudget:
     def test_one_utility_per_ue(self):
         # frequency-flat path loss: one utility serves every channel
-        gammas = link_budget(small_topology(seed=6), RADIO)
+        gammas = link_budget(small_positions(seed=6), RADIO)
         assert gammas.shape == (6,)
 
     def test_matches_scalar_utility_per_ue(self):
-        topology = small_topology(seed=6)
-        gammas = link_budget(topology, RADIO)
-        for i, ue in enumerate(topology.ues):
-            distance = max(math.hypot(*ue.position), RADIO.ref_distance)
+        positions = small_positions(seed=6)
+        gammas = link_budget(positions, RADIO)
+        for i, (x, y) in enumerate(positions):
+            distance = max(math.hypot(x, y), RADIO.ref_distance)
             expected = snr_utility(RADIO.tx_power, path_gain(distance, RADIO), RADIO.noise)
             assert gammas[i] == pytest.approx(expected, rel=1e-12)
 
 
 def run_scheme(scheme, seed=11, topology_seed=3, policy=LINEAR, traffic=TRAFFIC, **sites):
     sites = small_sites(**sites)
-    topology = generate_topology(topology_seed, sites)
-    return simulate_long_frame(topology, sites, FRAME, scheme, traffic, policy, RADIO, seed)
+    positions = generate_topology(topology_seed, sites)
+    return simulate_long_frame(positions, sites, FRAME, scheme, traffic, policy, RADIO, seed)
 
 
 class TestSimulateLongFrame:

@@ -20,6 +20,23 @@ or loaded, never changed.  Usage, from the root of a checkout:
 ``--root`` measures another checkout (its ``src``, ``perfbench`` and
 tests) with this script; the file is written to ``BENCH_<label>.json`` in
 the current directory.  A file takes about five minutes on two CPUs.
+``--seeds`` replaces the untraced runs' seeds (default 1-5).
+
+To compare a change with its parent:
+
+    python benchmarks/bench.py --label LABEL --against PARENT_DIR --seeds S1 ... S10
+
+measures both checkouts and writes ``BENCH_<label>-parent.json`` for
+``PARENT_DIR`` and ``BENCH_<label>.json`` for ``--root``.  The untraced
+runs are taken in pairs, the parent and the change at the same seed, and
+the side that runs first alternates from pair to pair; give at least ten
+seeds that were not used while the change was written (default 1-10).
+Both files carry a ``pairs`` section: every pair, each side's median and
+quartiles, and per metric the change's wins, losses and ties, the median
+gap (change minus parent) and the parent's IQR.  ``claim`` is true when the
+change won at least nine tenths of the pairs and its median beats the
+parent's by more than the parent's IQR.  Such a run takes about fifteen
+minutes on two CPUs.
 """
 
 from __future__ import annotations
@@ -38,6 +55,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 
 SEEDS = [1, 2, 3, 4, 5]  # perfbench seeds; seed 0 is the digest-checked one
+PAIR_SEEDS = list(range(1, 11))
+PAIR_SHARE = 0.9  # share of the pairs the change must win to claim a gain
 SECONDS = 8.0  # perfbench --seconds per run
 CLI_REPEAT = 5
 KERNEL_TRIALS = 100_000
@@ -97,39 +116,97 @@ def _summary(values: list[float]) -> dict:
             "min": min(values), "max": max(values)}
 
 
-def measure_workloads(root: Path, seeds: list[int], seconds: float) -> tuple[dict, dict]:
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+def _metrics(result: dict) -> dict:
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def _untraced(roots: list[Path], workload: str, seeds: list[int], seconds: float):
+    """One ``--trace 0`` run per root and seed; the root that runs first at a
+    seed rotates from seed to seed.  Returns the env line and each root's
+    runs."""
+    env, runs = {}, [[] for _ in roots]
+    for i, seed in enumerate(seeds):
+        for k in [(i + j) % len(roots) for j in range(len(roots))]:
+            env, result = _perfbench(roots[k], workload, seed, seconds, 0)
+            runs[k].append({"seed": seed, "first": k == i % len(roots),
+                            "correct": result["correct"], "failed": result["failed"],
+                            "attempted": result["attempted"], "metrics": _metrics(result)})
+            print(f"{roots[k]} {workload} seed {seed}: {runs[k][-1]['metrics']}",
+                  file=sys.stderr)
+    return env, runs
+
+
+def _summaries(runs: list[dict], better: dict) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        values = [run["metrics"][name] for run in runs]
+        stats = _summary(values)
+        stats["best"] = min(values) if direction == "lower" else max(values)
+        summary[name] = stats
+    return summary
+
+
+def _traced(root: Path, workload: str, seeds: list[int], seconds: float) -> dict:
+    traced = []
+    for seed in [0, *seeds]:
+        _, result = _perfbench(root, workload, seed, seconds, 1)
+        traced.append({"seed": seed, "correct": result["correct"], **_metrics(result)})
+    layers = [name for name in traced[0] if name not in ("seed", "correct")]
+    return {
+        "trace_seed0": traced[0],
+        "trace_runs": traced[1:],
+        "trace_median": {name: statistics.median(run[name] for run in traced[1:])
+                         for name in layers},
+    }
+
+
+def measure_workloads(roots: list[Path], seeds: list[int], seconds: float) -> list[tuple]:
+    """Each root's env line and workloads section; the untraced runs of
+    the roots alternate (see ``_untraced``)."""
+    spec = json.loads((roots[0] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    env, workloads = {}, {}
+    measured = [({}, {}) for _ in roots]
     for workload in [w["name"] for w in spec["workloads"]]:
-        runs = []
-        for seed in seeds:
-            env, result = _perfbench(root, workload, seed, seconds, 0)
-            runs.append({"seed": seed, "correct": result["correct"],
-                         "failed": result["failed"], "attempted": result["attempted"],
-                         "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
-            print(f"{workload} seed {seed}: {runs[-1]['metrics']}", file=sys.stderr)
-        summary = {}
+        env, runs = _untraced(roots, workload, seeds, seconds)
+        for root, (root_env, workloads), root_runs in zip(roots, measured, runs):
+            root_env.update(env)
+            workloads[workload] = {"runs": root_runs, "summary": _summaries(root_runs, better),
+                                   **_traced(root, workload, seeds, seconds)}
+    return measured
+
+
+def compare(parent: dict, change: dict, better: dict) -> dict:
+    """Pair by pair, the change's workloads section against the parent's."""
+    pairs = {}
+    for workload, side in change.items():
+        base = parent[workload]
+        metrics = {}
         for name, direction in better.items():
-            values = [run["metrics"][name] for run in runs]
-            stats = _summary(values)
-            stats["best"] = min(values) if direction == "lower" else max(values)
-            summary[name] = stats
-        traced = []
-        for seed in [0, *seeds]:
-            _, result = _perfbench(root, workload, seed, seconds, 1)
-            traced.append({"seed": seed, "correct": result["correct"],
-                           **{k: v["value"] for k, v in result["metrics"].items()}})
-        layers = [name for name in traced[0] if name not in ("seed", "correct")]
-        workloads[workload] = {
-            "runs": runs,
-            "summary": summary,
-            "trace_seed0": traced[0],
-            "trace_runs": traced[1:],
-            "trace_median": {name: statistics.median(run[name] for run in traced[1:])
-                             for name in layers},
+            sign = 1.0 if direction == "lower" else -1.0
+            # Positive when the change is better.
+            gains = [sign * (p["metrics"][name] - c["metrics"][name])
+                     for p, c in zip(base["runs"], side["runs"])]
+            gap = side["summary"][name]["median"] - base["summary"][name]["median"]
+            wins = sum(g > 0 for g in gains)
+            metrics[name] = {
+                "parent": {k: base["summary"][name][k] for k in ("median", "q1", "q3")},
+                "change": {k: side["summary"][name][k] for k in ("median", "q1", "q3")},
+                "wins": wins,
+                "losses": sum(g < 0 for g in gains),
+                "ties": sum(g == 0 for g in gains),
+                "median_gap": gap,
+                "median_ratio": side["summary"][name]["median"] / base["summary"][name]["median"],
+                "parent_iqr": base["summary"][name]["iqr"],
+                "claim": wins >= PAIR_SHARE * len(gains)
+                and -sign * gap > base["summary"][name]["iqr"],
+            }
+        pairs[workload] = {
+            "runs": [{"seed": p["seed"], "parent_first": p["first"],
+                      "parent": p["metrics"], "change": c["metrics"]}
+                     for p, c in zip(base["runs"], side["runs"])],
+            "metrics": metrics,
         }
-    return env, workloads
+    return pairs
 
 
 def measure_cli(root: Path, repeat: int) -> dict:
@@ -183,6 +260,9 @@ def _load(name: str, path: Path):
 
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     """Lockstep against the scalar reference, best of ``repeat`` each."""
+    # Another checkout's ruinfair may have been loaded before: load this one.
+    for name in [m for m in sys.modules if m.partition(".")[0] == "ruinfair"]:
+        del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
     from ruinfair._kernels import _lockstep
 
@@ -217,27 +297,49 @@ def _tree(root: Path) -> str | None:
     return done.stdout.strip() or None
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--root", type=Path, default=HERE.parent)
-    args = parser.parse_args()
-    root = args.root.resolve()
-
-    env, workloads = measure_workloads(root, SEEDS, SECONDS)
-    report = {
+def _report(root: Path, env: dict, workloads: dict, settings: dict) -> dict:
+    return {
         "tree": _tree(root),
         "env": env,
-        "settings": {"seeds": SEEDS, "seconds": SECONDS, "cli_repeat": CLI_REPEAT,
-                     "kernel_trials": KERNEL_TRIALS, "kernel_repeat": KERNEL_REPEAT},
+        "settings": settings,
         "workloads": workloads,
         "cli_run_default": measure_cli(root, CLI_REPEAT),
         "tier1": measure_tier1(root),
         "kernels": measure_kernels(root, KERNEL_TRIALS, KERNEL_REPEAT),
     }
-    out = Path(f"BENCH_{args.label}.json")
+
+
+def _write(label: str, report: dict) -> None:
+    out = Path(f"BENCH_{label}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--root", type=Path, default=HERE.parent)
+    parser.add_argument("--against", type=Path, help="parent checkout to compare with")
+    parser.add_argument("--seeds", type=int, nargs="+")
+    args = parser.parse_args()
+    roots = [args.root.resolve()]
+    if args.against:
+        roots.insert(0, args.against.resolve())
+    seeds = args.seeds or (PAIR_SEEDS if args.against else SEEDS)
+    settings = {"seeds": seeds, "seconds": SECONDS, "cli_repeat": CLI_REPEAT,
+                "kernel_trials": KERNEL_TRIALS, "kernel_repeat": KERNEL_REPEAT}
+    measured = measure_workloads(roots, seeds, SECONDS)
+    reports = [_report(root, env, workloads, settings)
+               for root, (env, workloads) in zip(roots, measured)]
+    if args.against:
+        parent, change = reports
+        spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        pairs = compare(parent["workloads"], change["workloads"], better)
+        parent["pairs"] = change["pairs"] = {"parent": parent["tree"],
+                                             "change": change["tree"], "workloads": pairs}
+        _write(f"{args.label}-parent", parent)
+    _write(args.label, reports[-1])
     return 0
 
 

@@ -27,12 +27,19 @@ probability (``config.scenario_at``), so:
   back, and only the current key's array is held;
 * once per distinct LTE-U airtime: the water-filled sum rate
   (``sim.lte_sum_rate``, one water-filling for every channel, none of it
-  depending on the replication seed) and its mean and std;
-* once per distinct (collision key, LTE-U airtime): the WiFi frame
-  accounting as array operations on blocks of rows of the replications x
-  channels collision array (about ``_lockstep._CHUNK`` cells a block),
+  depending on the replication seed);
+* once per collision key: the WiFi frame accounting of all the LTE-U
+  airtimes of that key's values, as array operations on a batch of
+  airtimes times a block of the replications x channels collision array,
   summed over channels left to right in channel order into one total per
-  replication, and its mean and std.
+  (airtime, replication), then each airtime's mean and std as row-wise
+  reductions.  The LTE-U sums of all the sweep's airtimes are taken the
+  same way in one call, after the last collision array is freed.  A batch
+  holds about ``_lockstep._CHUNK // replications`` airtimes (at least
+  one) and a block about ``_CHUNK`` cells, a row of more channels than that
+  being split into column blocks with the running total carried left to
+  right, so memory stays at the collision array plus a replication-length
+  row or two and a few blocks.
 
 The result equals the scalar specification of ``tests/oracles.py``, one
 long frame per (value, replication, scheme) with one collision draw at a
@@ -118,39 +125,86 @@ def _ruin_duties(config: ScenarioConfig, sweep: Sweep) -> list[DutyCycleResult]:
     return [duty] * len(sweep.values)
 
 
-def _mean_std(samples: np.ndarray) -> tuple[float, float]:
-    """Mean and sample standard deviation (0 for a single sample)."""
-    std = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
-    return float(np.mean(samples)), std
+def _row_sums(cells, count: int, reps: int, channels: int) -> np.ndarray:
+    """Sum over channels, left to right in channel order, of
+    ``cells(rows, cols)``: the ``count x rows x cols`` values of ``count``
+    airtimes on a block of replications and channels, in an array this
+    function may overwrite.  Returns the ``count x reps`` totals.
+
+    The work is done in blocks of about ``_lockstep._CHUNK`` cells: blocks
+    of rows, and of columns when one row of the batch is more than a block,
+    with the running total carried from one column block to the next.
+    """
+    chunk = _lockstep._CHUNK
+    totals = np.empty((count, reps))
+    row_step = max(1, chunk // (count * channels))
+    col_step = max(1, chunk // count)
+    for start in range(0, reps, row_step):
+        rows = slice(start, min(start + row_step, reps))
+        for first in range(0, channels, col_step):
+            work = cells(rows, slice(first, min(first + col_step, channels)))
+            if first:
+                # The first column starts the total itself, so a -0.0 keeps
+                # its sign.
+                work[:, :, 0] += totals[:, rows]
+            # Left to right, as np.sum (pairwise) and sum() (compensated on
+            # Python >= 3.12) are not.
+            totals[:, rows] = np.add.accumulate(work, axis=2, out=work)[:, :, -1]
+    return totals
 
 
-def _wifi_stats(collisions: np.ndarray, window: float, phy_rate: float) -> tuple[float, float]:
+def _stats(totals_of, count: int, reps: int) -> list[tuple[float, float]]:
+    """Mean and sample standard deviation (0 for a single replication) of
+    each row of ``totals_of(batch)``, the ``len(batch) x reps`` totals of a
+    slice of ``count`` airtimes.  Airtimes are taken about
+    ``_lockstep._CHUNK // reps`` at a time, so at most one row is held when
+    ``reps`` is above ``_CHUNK``."""
+    step = max(1, _lockstep._CHUNK // reps)
+    stats = []
+    for start in range(0, count, step):
+        totals = totals_of(slice(start, min(start + step, count)))
+        means = np.mean(totals, axis=1).tolist()
+        stds = np.std(totals, axis=1, ddof=1).tolist() if reps > 1 else [0.0] * len(means)
+        stats += zip(means, stds)
+    return stats
+
+
+def _wifi_stats(
+    collisions: np.ndarray, windows: np.ndarray, phy_rate: float
+) -> list[tuple[float, float]]:
     """Mean and std over replications (rows of ``collisions``) of the
-    channel-summed WiFi throughput in a WiFi window of ``window`` seconds."""
+    channel-summed WiFi throughput in each WiFi window of ``windows``
+    (seconds)."""
     reps, channels = collisions.shape
-    totals = np.empty(reps)
-    # About _lockstep._CHUNK cells at a time, so the work array stays small.
-    step = max(1, _lockstep._CHUNK // channels)
-    for start in range(0, reps, step):
-        # Collision time beyond the window is clipped: LTE-U holds the channel.
-        # phy_rate * max(0, window - min(collisions, window)), in one array.
-        throughput = np.minimum(collisions[start : start + step], window)
-        np.subtract(window, throughput, out=throughput)
-        np.maximum(0.0, throughput, out=throughput)
-        throughput *= phy_rate
-        # Left to right, as np.sum (pairwise) and sum() (compensated on
-        # Python >= 3.12) are not.
-        totals[start : start + step] = np.add.accumulate(throughput, axis=1, out=throughput)[:, -1]
-    return _mean_std(totals)
+
+    def throughput(batch):
+        window = windows[batch, None, None]
+
+        def cells(rows, cols):
+            # Collision time beyond the window is clipped: LTE-U holds the
+            # channel.  phy_rate * max(0, window - min(collisions, window)).
+            work = np.minimum(collisions[None, rows, cols], window)
+            np.subtract(window, work, out=work)
+            np.maximum(0.0, work, out=work)
+            work *= phy_rate
+            return work
+
+        return _row_sums(cells, len(window), reps, channels)
+
+    return _stats(throughput, len(windows), reps)
 
 
-def _lte_stats(rate: float, channels: int, reps: int) -> tuple[float, float]:
-    """Mean and std over ``reps`` replications of the LTE-U sum rate
-    ``rate`` summed over ``channels`` channels (the same in each)."""
-    # Left to right, as in _wifi_stats.
-    partial = np.full(channels, rate)
-    lte_total = float(np.add.accumulate(partial, out=partial)[-1])
-    return _mean_std(np.full(reps, lte_total))
+def _lte_stats(rates: np.ndarray, channels: int, reps: int) -> list[tuple[float, float]]:
+    """Mean and std over ``reps`` replications of each LTE-U sum rate of
+    ``rates`` summed over ``channels`` channels (the same in each and in
+    every replication)."""
+    count = len(rates)
+
+    def cells(rows, cols):
+        return np.repeat(rates[:, None, None], cols.stop - cols.start, axis=2)
+
+    totals = _row_sums(cells, count, 1, channels)
+    return _stats(lambda batch: np.repeat(totals[batch], reps, axis=1), count, reps)
 
 
 def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
@@ -166,30 +220,38 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     channels = config.topology.wap_count
     gains = link_budget(generate_topology(config.seeds.topology, config.topology), radio)
 
-    lte = {}  # LTE-U airtime -> _lte_stats
-    key = None  # the (topology, traffic) whose totals `collisions` holds
-    rows = []
-    for value, duty in zip(sweep.values, _ruin_duties(config, sweep)):
-        scenario = scenario_at(config, sweep, value)
-        if key != (scenario.topology, scenario.traffic):
-            key = (scenario.topology, scenario.traffic)
-            traffic = scenario.traffic
-            lambda_k = traffic.lambda_base * scenario.topology.wst_per_wap
-            model = CollisionModel(lambda_k, traffic.mu)
-            collisions = None  # free the last key's totals before drawing
-            collisions = collision_totals(model, config.seeds.traffic, reps, channels, t_total)
-            wifi = {}  # LTE-U airtime -> _wifi_stats of these totals
-        by_scheme = {}
-        for scheme in Scheme:
-            lte_time = scheme_lte_time(scheme, t_total, duty)
-            if lte_time not in lte:
-                rate = lte_sum_rate(lte_time, radio.bandwidth, gains)
-                lte[lte_time] = _lte_stats(rate, channels, reps)
-            if lte_time not in wifi:
-                # WiFi gets the window left by LTE-U.
-                wifi[lte_time] = _wifi_stats(collisions, t_total - lte_time, radio.wifi_phy_rate)
-            by_scheme[scheme] = wifi[lte_time] + lte[lte_time]
+    duties = _ruin_duties(config, sweep)
+    airtimes = [[scheme_lte_time(s, t_total, duty) for s in Scheme] for duty in duties]
+    # Distinct airtimes in first-seen order, one water-filling per positive one.
+    distinct = list(dict.fromkeys(a for times in airtimes for a in times))
+    rates = np.array([lte_sum_rate(a, radio.bandwidth, gains) for a in distinct])
 
+    # The LTE-U airtimes of each (topology, traffic), in first-seen order.
+    keys = []
+    by_key = {}
+    for value, times in zip(sweep.values, airtimes):
+        scenario = scenario_at(config, sweep, value)
+        keys.append((scenario.topology, scenario.traffic))
+        by_key.setdefault(keys[-1], {}).update(dict.fromkeys(times))
+
+    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
+    for key, times in by_key.items():
+        topology, traffic = key
+        model = CollisionModel(traffic.lambda_base * topology.wst_per_wap, traffic.mu)
+        collisions = None  # free the last key's totals before drawing
+        collisions = collision_totals(model, config.seeds.traffic, reps, channels, t_total)
+        # WiFi gets the window left by LTE-U.
+        windows = np.array([t_total - a for a in times])
+        for a, stats in zip(times, _wifi_stats(collisions, windows, radio.wifi_phy_rate)):
+            wifi[key, a] = stats
+    # The LTE-U stats come last, so that their replication-length rows never
+    # sit beside a collision array.
+    collisions = None
+    lte = dict(zip(distinct, _lte_stats(rates, channels, reps)))
+
+    rows = []
+    for value, duty, key, times in zip(sweep.values, duties, keys, airtimes):
+        by_scheme = {s: wifi[key, a] + lte[a] for s, a in zip(Scheme, times)}
         rows.append(
             SweepRow(
                 variable=sweep.variable,

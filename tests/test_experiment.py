@@ -1,6 +1,11 @@
 """Sweep runner and emitters: aggregation, determinism, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from oracles import sweep_rows_per_frame
@@ -27,6 +32,16 @@ CONGESTED = {
     "policy": {"kind": "thresholded_linear"},
     "seeds": {"replications": 10},
     "sweeps": {"lam": {"variable": "lambda_base", "values": [0.1, 10, 49.9]}},
+}
+
+ELEVEN_PSI = {"psi": {"variable": "psi", "values": [i / 10 for i in range(11)]}}
+
+# Three replications on four channels, eleven psi values: eleven distinct
+# LTE-U airtimes (0, T/2 and T come back among the ruin-fair ones).
+WIDE_PSI = {
+    "topology": {"wap_count": 4, "ue_count": 5},
+    "seeds": {"replications": 3},
+    "sweeps": ELEVEN_PSI,
 }
 
 
@@ -114,7 +129,8 @@ class TestRunSweep:
             }
         )
         row = run_sweep(config, "psi")[0]
-        assert all(s == 0.0 for s in row.wifi_std.values())
+        for std in (row.wifi_std, row.lte_std):
+            assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for s in std.values())
 
 
 class TestWorkReuse:
@@ -122,15 +138,21 @@ class TestWorkReuse:
 
     @pytest.mark.parametrize(
         "scenario, name",
-        [(SMALL, "wst"), (SMALL, "psi"), (SMALL, "lam"), (CONGESTED, "lam")],
-        ids=["wst", "psi", "lam", "congested-lam"],
+        [(SMALL, "wst"), (SMALL, "psi"), (SMALL, "lam"), (CONGESTED, "lam"), (WIDE_PSI, "psi")],
+        ids=["wst", "psi", "lam", "congested-lam", "wide-psi"],
     )
     def test_rows_equal_per_frame_oracle(self, monkeypatch, scenario, name):
-        """Also with a chunk of 7 cells, which splits the collision draws
-        across rows and sums the throughput in blocks of 2 or 3 rows."""
+        """Also with chunks of a few cells, which split the collision draws
+        across rows and the accounting into batches of airtimes and blocks
+        of rows or columns.  With 25 replications on 3 channels (``SMALL``),
+        50 takes 2 airtimes a batch in blocks of 8 rows, 7 one airtime in
+        blocks of 2 rows, and 2 one airtime with each row in blocks of 2
+        and 1 columns.  ``WIDE_PSI`` has more airtimes than a batch holds
+        at 12, 7 and 2: 12 takes 4 airtimes a batch with each row in blocks
+        of 3 and 1 columns."""
         config = parse_scenario(scenario)
         expected = sweep_rows_per_frame(config, name)
-        for chunk in (_lockstep._CHUNK, 7):
+        for chunk in (_lockstep._CHUNK, 50, 12, 7, 2):
             monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
             assert run_sweep(config, name) == expected
 
@@ -185,6 +207,55 @@ class TestWorkReuse:
                         "generate_topology": 1,
                         "compound_poisson_totals": keys * math.ceil(reps * waps / chunk),
                     }, (chunk, sweep_name, reps, waps)
+
+    @pytest.mark.parametrize("reps, waps", [(20_000, 10), (1, 200_000)], ids=["tall", "wide"])
+    def test_peak_memory_is_totals_plus_work_blocks(self, monkeypatch, reps, waps):
+        """The sweep holds the collision totals, a few replication-length
+        rows (one batch's WiFi totals and ``np.std``'s temporaries) and a
+        few work arrays of ``_CHUNK`` cells: never a row per airtime of
+        ``reps`` above ``_CHUNK``, nor a copy of a row of more than
+        ``_CHUNK`` channels.  The kernel's blocks are made as small, so
+        that the draw's own work arrays do not hide the accounting's."""
+        chunk = 2048
+        monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        monkeypatch.setattr(_lockstep, "_BLOCK", chunk)
+        config = parse_scenario(
+            {
+                "topology": {"wap_count": waps, "ue_count": 5},
+                "seeds": {"replications": reps},
+                "sweeps": ELEVEN_PSI,
+            }
+        )
+        tracemalloc.start()
+        try:
+            run_sweep(config, "psi")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (reps * waps + 3 * reps + 32 * chunk)
+
+    def test_sweep_leaves_numpy_ma_unimported(self):
+        """np.unique imports numpy.ma on NumPy 2.x, about 1 MB of peak RSS
+        for every sweep; the runner finds its distinct inputs without it.
+        (NumPy 1.x imports numpy.ma with numpy itself.)"""
+        code = (
+            "import sys\n"
+            "from ruinfair.config import parse_scenario\n"
+            "from ruinfair.experiment import run_sweep\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "config = parse_scenario({})\n"
+            "for name in config.sweeps:\n"
+            "    run_sweep(config, name)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        before, after = done.stdout.split()
+        assert after == before
 
 
 class _FailingHalfway:

@@ -34,8 +34,8 @@ scenario that validates can run; past either, validation fails naming the
 fields.  The slowest corner, timed on a 2-CPU x86-64 host: 10**7 cells at
 the collision-rate cap (``lambda_base x wst_count = 500``) take 140 to 230 s
 per collision draw, one per ``wst_count`` or ``lambda_base`` value (a
-``psi`` sweep draws once), and a run peaks at about 190 MB (one
-replication x 10**7 WAPs; 130 MB at 10**6 replications x 10 WAPs).  At the
+``psi`` sweep draws once), and a run peaks at about 130 MB (10**6
+replications x 10 WAPs; 115 MB at one replication x 10**7 WAPs).  At the
 default rate a draw of 10**7 cells takes about 8 s.
 
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is

@@ -216,7 +216,7 @@ class TestWorkReuse:
         ``reps`` above ``_CHUNK``, nor a copy of a row of more than
         ``_CHUNK`` channels.  The kernel's blocks are made as small, so
         that the draw's own work arrays do not hide the accounting's."""
-        chunk = 2048
+        chunk = 4096
         monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
         monkeypatch.setattr(_lockstep, "_BLOCK", chunk)
         config = parse_scenario(

@@ -56,7 +56,7 @@ def _cmd_validate(config_path: str) -> int:
     print(f"{config_path}: OK ({len(config.sweeps)} sweep(s): {', '.join(sorted(config.sweeps))})")
     reps = config.seeds.replications
     schemes = len(Scheme)
-    channels = config.topology.wap_count
+    channels = config.topology.channels
     for name in sorted(config.sweeps):
         values = len(config.sweeps[name].values)
         print(

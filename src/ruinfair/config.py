@@ -11,7 +11,7 @@ without the sweeps:
     {
       "frame":    {"n_short": 10, "delta": 0.001, "r_reserved": 1},
       "topology": {"wap_count": 3, "wst_per_wap": 10, "ue_count": 15,
-                   "sbs_radius": 200.0, "channel_count": null},
+                   "sbs_radius": 200.0},
       "traffic":  {"lambda_base": 0.2, "mu": 450.0},
       "radio":    {"bandwidth": 2e7, "tx_power": 0.5, "noise": 1e-13,
                    "path_exponent": 3.5, "ref_distance": 1.0,
@@ -23,8 +23,7 @@ without the sweeps:
 ``sweeps`` maps a name to ``{"variable": ..., "values": [...]}``; the
 default sweeps are ``wst`` (``wst_count`` over 5, 10, 15, 20) and ``psi``
 (``psi`` over 0.0, 0.1, ..., 1.0).  A float field takes any JSON number
-that fits a float, an int field only integers, and only
-``topology.channel_count`` takes ``null``.
+that fits a float, and an int field only integers.
 
 Size budget: at each sweep value a run draws ``topology.ue_count`` UE
 positions and ``seeds.replications x topology.wap_count`` collision cells
@@ -36,7 +35,9 @@ the collision-rate cap (``lambda_base x wst_count = 500``) take 140 to 230 s
 per collision draw, one per ``wst_count`` or ``lambda_base`` value (a
 ``psi`` sweep draws once), and a run peaks at about 130 MB (10**6
 replications x 10 WAPs; 115 MB at one replication x 10**7 WAPs).  At the
-default rate a draw of 10**7 cells takes about 8 s.
+default rate a draw of 10**7 cells takes about 8 s.  The ruin probability of
+a ``wst_count`` or ``lambda_base`` sweep sums one term per short slot, so
+there the horizon ``frame.n_short`` may be at most 10**7 (about 8 s).
 
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is
 applied to each value, no surplus computation); ``wst_count`` and
@@ -55,6 +56,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
 
+from .allocation import snr_utility
 from .duty import DutyCyclePolicy, FrameConfig
 from .errors import ConfigError
 from .prng import _POISSON_LAM_MAX
@@ -74,6 +76,7 @@ _FLOAT_MAX = sys.float_info.max
 # The size budget of the module docstring, per sweep value.
 _MAX_UE_DRAWS = 10**5
 _MAX_COLLISION_CELLS = 10**7
+_MAX_HORIZON = 10**7  # once per wst_count or lambda_base sweep
 
 # Evaluating the annotations is most of a parse's time; the classes are fixed.
 _field_types = functools.cache(get_type_hints)
@@ -195,8 +198,7 @@ def _coerce(value: Any, kind: Any, path: str):
                 return _coerce(value, arm, path)
             except ConfigError:
                 pass
-        names = ["null" if arm is type(None) else arm.__name__ for arm in args]
-        raise _expected(path, " or ".join(names), value)
+        raise _expected(path, " or ".join(arm.__name__ for arm in args), value)
     if issubclass(kind, Enum):
         choices = [member.value for member in kind]
         if value not in choices:
@@ -230,7 +232,7 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
     Each channel's collision rate ``lambda_base * wst_count`` must stay
     within the Poisson sampler's cap, and the ``wst_count`` and
     ``lambda_base`` sweeps compute the ruin probability, which needs a
-    positive premium (``r_reserved >= 1``).
+    positive premium (``r_reserved >= 1``) and a horizon within the budget.
     """
     for name, sweep in config.sweeps.items():
         for value in sweep.values:
@@ -249,6 +251,11 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
                 f"({sweep.variable}), which computes the ruin probability; "
                 f"got {config.frame.r_reserved}"
             )
+        if sweep.variable != "psi" and config.frame.n_short > _MAX_HORIZON:
+            raise ConfigError(
+                f"frame.n_short: {config.frame.n_short} slots exceed the horizon budget "
+                f"of {_MAX_HORIZON} for sweeps.{name} ({sweep.variable})"
+            )
 
 
 def _check_size(config: ScenarioConfig) -> None:
@@ -258,7 +265,7 @@ def _check_size(config: ScenarioConfig) -> None:
         raise ConfigError(
             f"topology.ue_count: {ues} UE draws exceed the budget of {_MAX_UE_DRAWS}"
         )
-    reps, waps = config.seeds.replications, config.topology.wap_count
+    reps, waps = config.seeds.replications, config.topology.channels
     if reps * waps > _MAX_COLLISION_CELLS:
         raise ConfigError(
             f"seeds.replications x topology.wap_count: {reps} x {waps} = "
@@ -283,14 +290,14 @@ def _check_cells_finite(config: ScenarioConfig) -> None:
     """
     radio, topology = config.radio, config.topology
     t_total = config.frame.total_duration  # finite: FrameConfig checks it
-    gamma_max = math.log1p(radio.tx_power * radio.ref_gain / radio.noise)
+    gamma_max = snr_utility(radio.tx_power, radio.ref_gain, radio.noise)
     fill = gamma_max * (radio.bandwidth * t_total)
     if not fill <= _FLOAT_MAX / 2:
         raise ConfigError(
             f"scenario: water-filling forms gamma_max x bandwidth x T = {fill}, "
             "which must be finite"
         )
-    channels = topology.wap_count  # the size budget keeps the counts small
+    channels = topology.channels  # the size budget keeps the counts small
     wifi = channels * (radio.wifi_phy_rate * t_total)
     lte = channels * t_total * (topology.ue_count * math.log1p(fill))
     replications = config.seeds.replications

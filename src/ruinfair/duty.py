@@ -189,7 +189,7 @@ def duty_cycle_from_surplus(
         raise ValueError(f"alpha_seed must be in [0, T={t_total}], got {alpha_seed}")
 
     if units == "seconds":
-        capital = frame.n_short * frame.delta
+        capital = t_total
         premium = frame.r_reserved * frame.delta
     else:
         capital = float(frame.n_short)

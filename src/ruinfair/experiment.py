@@ -75,7 +75,7 @@ from .sim import (
 
 __all__ = ["SweepRow", "run_sweep", "emit_csv", "emit_manifest"]
 
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,9 @@ def _wifi_stats(
 
         def cells(rows, cols):
             # Collision time beyond the window is clipped: LTE-U holds the
-            # channel.  phy_rate * max(0, window - min(collisions, window)).
+            # channel.  phy_rate * (window - min(collisions, window)) >= +0.0.
             work = np.minimum(collisions[None, rows, cols], window)
             np.subtract(window, work, out=work)
-            np.maximum(0.0, work, out=work)
             work *= phy_rate
             return work
 
@@ -217,7 +216,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     reps = config.seeds.replications
     t_total = config.frame.total_duration
     radio = config.radio
-    channels = config.topology.wap_count
+    channels = config.topology.channels
     gains = link_budget(generate_topology(config.seeds.topology, config.topology), radio)
 
     duties = _ruin_duties(config, sweep)

@@ -59,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import _lockstep
-from .allocation import water_fill
+from .allocation import snr_utility, water_fill
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
 from .prng import _GOLDEN, _MASK64, SplitMix64
@@ -97,7 +97,6 @@ class TopologyConfig:
     wst_per_wap: int = 10
     ue_count: int = 15
     sbs_radius: float = 200.0
-    channel_count: Optional[int] = None
 
     def __post_init__(self):
         for name in ("wap_count", "wst_per_wap", "ue_count"):
@@ -106,20 +105,10 @@ class TopologyConfig:
                 raise ConfigError(f"{name}: must be an integer >= 1, got {value}")
         if not (math.isfinite(self.sbs_radius) and self.sbs_radius > 0.0):
             raise ConfigError(f"sbs_radius: must be > 0, got {self.sbs_radius}")
-        channels = self.channels
-        if not (isinstance(channels, int) and channels >= 1):
-            raise ConfigError(
-                f"channel_count: must be an integer >= 1, got {channels}"
-            )
-        if self.wap_count > channels:
-            raise ConfigError(
-                f"wap_count: {self.wap_count} WAPs need non-overlapping "
-                f"channels but only {channels} are available"
-            )
 
     @property
     def channels(self) -> int:
-        return self.wap_count if self.channel_count is None else self.channel_count
+        return self.wap_count
 
 
 @dataclass(frozen=True)
@@ -214,14 +203,14 @@ def link_budget(positions, radio: RadioConfig) -> np.ndarray:
     UE's distance to the SBS under ``radio``'s path loss.  Path loss is
     frequency-flat here, so one utility per UE holds on every channel.
     Every UE is eligible on every channel (the cell aggregates across all of
-    them).  The distances and gains are scalar libm calls, UE by UE:
-    NumPy's ``hypot`` and ``power`` differ from libm's in the last bit on
-    some inputs.
+    them).  The distances, gains and utilities (:func:`snr_utility`) are
+    scalar libm calls, UE by UE: NumPy's ``hypot``, ``power`` and ``log1p``
+    differ from libm's in the last bit on some inputs.
     """
     gains = [
         path_gain(max(math.hypot(x, y), radio.ref_distance), radio) for x, y in positions
     ]
-    return np.log1p(radio.tx_power * np.asarray(gains) / radio.noise)
+    return np.array([snr_utility(radio.tx_power, g, radio.noise) for g in gains])
 
 
 def scheme_lte_time(

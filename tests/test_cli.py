@@ -51,6 +51,9 @@ LTE_OVERFLOW = {
     "sweeps": {"p": {"variable": "psi", "values": [0.5]}},
 }
 
+# A frame of 10**12 slots, one ruin-probability term each.
+TOO_LONG_HORIZON = {"frame": {"n_short": 10**12, "delta": 1e-15}}
+
 UNRUNNABLE = [
     (
         {
@@ -70,6 +73,8 @@ UNRUNNABLE = [
     ({"frame": {"delta": 1e300}}, "bandwidth x T"),
     ({"radio": {"wifi_phy_rate": 1e308}, "frame": {"delta": 1.0}}, "wifi_throughput"),
     (LTE_OVERFLOW, "lte_sum_rate"),
+    # The wst sweep's ruin probability would sum 10**12 terms (days).
+    (TOO_LONG_HORIZON, "frame.n_short"),
 ]
 
 
@@ -274,6 +279,8 @@ def _scenarios(draw):
 @example({"frame": {"delta": 1e300}})
 @example({"radio": {"wifi_phy_rate": 1e308}, "frame": {"delta": 1.0}})
 @example(LTE_OVERFLOW)
+# The horizon outruns any run (validate used to accept it).
+@example(TOO_LONG_HORIZON)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_validated_scenario_runs(scenario):
     """Whatever ``validate`` accepts, ``run`` completes with exit 0 and

@@ -44,7 +44,7 @@ class TestDefaults:
 JUNK = [None, True, "x", [], {}, 10**400, -(10**400), 2**64, -1, 0, 1e308]
 
 # Fields the schema has dropped; manifests written before still set them.
-DROPPED = {"topology": ("wap_radius",)}
+DROPPED = {"topology": ("wap_radius", "channel_count")}
 
 
 def _junk_scenarios() -> list[dict]:
@@ -76,7 +76,7 @@ class TestValidationErrors:
             ({"frame": {"n_short": 0}}, "frame"),
             ({"frame": {"delta": "soon"}}, "frame.delta"),
             ({"topology": {"ue_count": 0}}, "topology.ue_count"),
-            ({"topology": {"wap_count": 9, "channel_count": 2}}, "topology.wap_count"),
+            ({"topology": {"wap_count": 0}}, "topology.wap_count"),
             ({"radio": {"noise": 0.0}}, "radio.noise"),
             ({"policy": {"kind": "greedy"}}, "policy.kind"),
             ({"policy": {"psi_cutoff": 2.0}}, "policy.psi_cutoff"),
@@ -221,6 +221,19 @@ class TestCrossFieldLimits:
                 },
                 "frame.r_reserved",
             ),
+            (
+                {"frame": {"n_short": 10**7 + 1, "delta": 1e-10}},
+                "frame.n_short: 10000001 slots exceed the horizon budget of 10000000 "
+                "for sweeps.wst",
+            ),
+            (
+                {
+                    "frame": {"n_short": 10**7 + 1, "delta": 1e-10},
+                    "sweeps": {"lam": {"variable": "lambda_base", "values": [0.1]}},
+                },
+                "frame.n_short: 10000001 slots exceed the horizon budget of 10000000 "
+                "for sweeps.lam",
+            ),
         ],
     )
     def test_unrunnable_sweep_is_config_error(self, data, needle):
@@ -244,6 +257,19 @@ class TestCrossFieldLimits:
             }
         )
         assert config.frame.r_reserved == 0
+
+    def test_horizon_exactly_at_the_cap_is_accepted(self):
+        config = parse_scenario({"frame": {"n_short": 10**7, "delta": 1e-10}})
+        assert config.frame.n_short == 10**7
+
+    def test_psi_sweep_takes_any_horizon(self):
+        config = parse_scenario(
+            {
+                "frame": {"n_short": 10**12, "delta": 1e-15},
+                "sweeps": {"psi": {"variable": "psi", "values": [0.5]}},
+            }
+        )
+        assert config.frame.n_short == 10**12
 
     def test_base_scenario_outside_every_sweep_is_not_checked(self):
         # The wst sweep overrides wst_per_wap, so 60 x 10 is never simulated.

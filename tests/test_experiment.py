@@ -25,10 +25,10 @@ SMALL = {
     },
 }
 
-# Two WAPs on four channels, ruin-fair cut off (psi above the threshold):
+# Two WAPs, one channel each, ruin-fair cut off (psi above the threshold):
 # collisions fill the WiFi window on every channel from lambda_base 10 on.
 CONGESTED = {
-    "topology": {"wap_count": 2, "channel_count": 4, "ue_count": 5},
+    "topology": {"wap_count": 2, "ue_count": 5},
     "policy": {"kind": "thresholded_linear"},
     "seeds": {"replications": 10},
     "sweeps": {"lam": {"variable": "lambda_base", "values": [0.1, 10, 49.9]}},

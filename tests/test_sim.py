@@ -74,10 +74,6 @@ class TestGenerateTopology:
         with pytest.raises(ConfigError):
             TopologyConfig(ue_count=0)
 
-    def test_rejects_more_waps_than_channels(self):
-        with pytest.raises(ConfigError):
-            TopologyConfig(wap_count=4, channel_count=3)
-
 
 class TestPathGain:
     LOSS = RadioConfig(path_exponent=3.5, ref_distance=1.0, ref_gain=1e-3)
@@ -230,12 +226,16 @@ class TestLinkBudget:
         assert gammas.shape == (6,)
 
     def test_matches_scalar_utility_per_ue(self):
-        positions = small_positions(seed=6)
-        gammas = link_budget(positions, RADIO)
-        for i, (x, y) in enumerate(positions):
+        # Bit for bit, on every host: NumPy's log1p differs from libm's in
+        # the last bit on some of these 2,000 UEs under AVX-512 dispatch.
+        positions = small_positions(seed=6, ue_count=2000)
+        expected = []
+        for x, y in positions:
             distance = max(math.hypot(x, y), RADIO.ref_distance)
-            expected = snr_utility(RADIO.tx_power, path_gain(distance, RADIO), RADIO.noise)
-            assert gammas[i] == pytest.approx(expected, rel=1e-12)
+            expected.append(
+                snr_utility(RADIO.tx_power, path_gain(distance, RADIO), RADIO.noise)
+            )
+        assert link_budget(positions, RADIO).tolist() == expected
 
 
 def run_scheme(scheme, seed=11, topology_seed=3, policy=LINEAR, traffic=TRAFFIC, **sites):

@@ -140,83 +140,38 @@ def lte_duty_cycle(psi: float, frame: FrameConfig, policy: DutyCyclePolicy) -> f
 def duty_cycle_from_surplus(
     frame: FrameConfig,
     mu: float,
-    alpha_seed: float = 0.0,
     policy: DutyCyclePolicy = DutyCyclePolicy(),
-    units: str = "seconds",
-    fixed_point: bool = False,
-    max_iterations: int = 100,
 ) -> DutyCycleResult:
     """Compute the ruin probability of the frame's surplus process and apply the policy.
 
-    The surplus process starts with the whole long frame as capital, earns
-    the reserved slot time per period, and runs for one period per short
-    frame.  ``alpha_seed`` is the LTE-U duty cycle whose claim-inflating
-    effect is being evaluated; by default 0, i.e. the ruin probability of
-    pure-WiFi claims.
-
-    The claim rate feeds back on the policy output (the granted duty cycle
-    enlarges the claim rate, which changes the ruin probability).  One-shot
-    mode evaluates at ``alpha_seed`` only.  With ``fixed_point=True`` the
-    map ``alpha -> policy(psi(mu + alpha))`` is iterated from ``alpha_seed``
-    until successive iterates differ by at most ``1e-9 * T``; the map is
-    nondecreasing in alpha, so the iterates are monotone and converge.
+    The surplus process starts with the whole long frame as capital
+    (``u = N*delta`` seconds), earns the reserved slot time per period
+    (``c = r*delta``), and runs for one period per short frame, with the
+    pure-WiFi claim rate ``mu``.
 
     Args:
         frame: Long-frame structure; ``r_reserved`` must be >= 1 so the
             premium is positive.
         mu: Collision-duration rate (1/s).
-        alpha_seed: Duty cycle entering the claim rate, in [0, T] seconds.
         policy: Mapping from psi to the granted duty cycle.
-        units: "seconds" measures capital and premium in seconds
-            (``u = N*delta``, ``c = r*delta``); "slots" keeps them as raw
-            slot counts (``u = N``, ``c = r``) while ``mu`` and
-            ``alpha_seed`` stay as given, preserving the unit-mixing
-            formulation this model was originally stated in.
 
     Returns:
         ``(alpha_star, psi)``: the granted LTE-U duty cycle (seconds) and
         the ruin probability it was derived from.
     """
-    if units not in ("seconds", "slots"):
-        raise ValueError(f"units must be 'seconds' or 'slots', got {units!r}")
     if frame.r_reserved < 1:
         raise ValueError(
             "duty_cycle_from_surplus needs r_reserved >= 1; "
             "a zero premium makes the surplus process degenerate"
         )
-    t_total = frame.total_duration
-    if not (math.isfinite(alpha_seed) and 0.0 <= alpha_seed <= t_total):
-        raise ValueError(f"alpha_seed must be in [0, T={t_total}], got {alpha_seed}")
-
-    if units == "seconds":
-        capital = t_total
-        premium = frame.r_reserved * frame.delta
-    else:
-        capital = float(frame.n_short)
-        premium = float(frame.r_reserved)
-
-    def evaluate(alpha: float) -> DutyCycleResult:
-        params = SurplusParams(
-            initial_capital=capital,
-            premium=premium,
-            claim_rate=effective_claim_rate(mu, alpha),
-            horizon=frame.n_short,
-        )
-        psi = ruin_probability_exact(params)
-        return DutyCycleResult(lte_duty_cycle(psi, frame, policy), psi)
-
-    result = evaluate(alpha_seed)
-    if not fixed_point:
-        return result
-
-    alpha = alpha_seed
-    tolerance = 1e-9 * t_total
-    for _ in range(max_iterations):
-        result = evaluate(alpha)
-        if abs(result.alpha_star - alpha) <= tolerance:
-            break
-        alpha = result.alpha_star
-    return result
+    params = SurplusParams(
+        initial_capital=frame.total_duration,
+        premium=frame.r_reserved * frame.delta,
+        claim_rate=effective_claim_rate(mu, 0.0),
+        horizon=frame.n_short,
+    )
+    psi = ruin_probability_exact(params)
+    return DutyCycleResult(lte_duty_cycle(psi, frame, policy), psi)
 
 
 def verify_chance_constraint(

@@ -25,9 +25,11 @@ probability (``config.scenario_at``), so:
   A ``psi`` sweep draws once, a ``wst_count`` or ``lambda_base`` sweep once
   per value.  Sweep values are strictly increasing, so a key never comes
   back, and only the current key's array is held;
-* once per distinct LTE-U airtime: the water-filled sum rate
-  (``sim.lte_sum_rate``, one water-filling for every channel, none of it
-  depending on the replication seed);
+* once per sweep: the water-filled sum rate of every distinct positive
+  LTE-U airtime (``sim.lte_sum_rate``, whose rates serve every channel and
+  none of which depends on the replication seed), in one water-filling
+  call that sorts the UEs once, or in blocks of airtimes when the UEs are
+  many;
 * once per collision key: the WiFi frame accounting of all the LTE-U
   airtimes of that key's values, as array operations on a batch of
   airtimes times a block of the replications x channels collision array,
@@ -76,6 +78,8 @@ from .sim import (
 __all__ = ["SweepRow", "run_sweep", "emit_csv", "emit_manifest"]
 
 MANIFEST_SCHEMA_VERSION = 2
+
+SCHEMES = tuple(Scheme)
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,10 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     gains = link_budget(generate_topology(config.seeds.topology, config.topology), radio)
 
     duties = _ruin_duties(config, sweep)
-    airtimes = [[scheme_lte_time(s, t_total, duty) for s in Scheme] for duty in duties]
-    # Distinct airtimes in first-seen order, one water-filling per positive one.
+    airtimes = [[scheme_lte_time(s, t_total, duty) for s in SCHEMES] for duty in duties]
+    # Distinct airtimes in first-seen order, water-filled together.
     distinct = list(dict.fromkeys(a for times in airtimes for a in times))
-    rates = np.array([lte_sum_rate(a, radio.bandwidth, gains) for a in distinct])
+    rates = lte_sum_rate(distinct, radio.bandwidth, gains)
 
     # The LTE-U airtimes of each (topology, traffic), in first-seen order.
     keys = []
@@ -233,7 +237,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         keys.append((scenario.topology, scenario.traffic))
         by_key.setdefault(keys[-1], {}).update(dict.fromkeys(times))
 
-    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
+    wifi = {}  # (topology, traffic) -> {LTE-U airtime: _wifi_stats}
     for key, times in by_key.items():
         topology, traffic = key
         model = CollisionModel(traffic.lambda_base * topology.wst_per_wap, traffic.mu)
@@ -241,8 +245,7 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
         collisions = collision_totals(model, config.seeds.traffic, reps, channels, t_total)
         # WiFi gets the window left by LTE-U.
         windows = np.array([t_total - a for a in times])
-        for a, stats in zip(times, _wifi_stats(collisions, windows, radio.wifi_phy_rate)):
-            wifi[key, a] = stats
+        wifi[key] = dict(zip(times, _wifi_stats(collisions, windows, radio.wifi_phy_rate)))
     # The LTE-U stats come last, so that their replication-length rows never
     # sit beside a collision array.
     collisions = None
@@ -250,15 +253,17 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
 
     rows = []
     for value, duty, key, times in zip(sweep.values, duties, keys, airtimes):
-        by_scheme = {s: wifi[key, a] + lte[a] for s, a in zip(Scheme, times)}
+        # (wifi_mean, wifi_std, lte_mean, lte_std), each in SCHEMES order.
+        wifi_at = wifi[key]
+        wifi_mean, wifi_std, lte_mean, lte_std = zip(*(wifi_at[a] + lte[a] for a in times))
         rows.append(
             SweepRow(
                 variable=sweep.variable,
                 value=float(value),
-                wifi_mean={s: by_scheme[s][0] for s in Scheme},
-                wifi_std={s: by_scheme[s][1] for s in Scheme},
-                lte_mean={s: by_scheme[s][2] for s in Scheme},
-                lte_std={s: by_scheme[s][3] for s in Scheme},
+                wifi_mean=dict(zip(SCHEMES, wifi_mean)),
+                wifi_std=dict(zip(SCHEMES, wifi_std)),
+                lte_mean=dict(zip(SCHEMES, lte_mean)),
+                lte_std=dict(zip(SCHEMES, lte_std)),
                 alpha_star=duty.alpha_star,
                 psi=duty.psi,
             )
@@ -295,7 +300,7 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         cells = [row.variable, _fmt(row.value)]
-        for scheme in Scheme:
+        for scheme in SCHEMES:
             cells += [
                 _fmt(row.wifi_mean[scheme]),
                 _fmt(row.wifi_std[scheme]),

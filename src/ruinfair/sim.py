@@ -32,8 +32,10 @@ A long frame is assembled from parts computed at the level where they vary:
   the site counts and the SBS radius, not on the station counts, and
   :func:`link_budget` on those positions and the radio only;
 * :func:`scheme_lte_time` depends on the scheme and the duty cycle, and
-  :func:`lte_sum_rate` (one water-filling, whose rate every channel gets)
-  on the LTE-U airtime and the link budget, not on the seed;
+  :func:`lte_sum_rate` (water-filling, whose rate every channel gets) on
+  the LTE-U airtime and the link budget, not on the seed: it takes a
+  vector of airtimes and water-fills them together, one sort of the UEs
+  per call;
 * the collision totals depend on the replication, the station counts and
   the traffic, not on the scheme: :func:`collision_totals` derives every
   (replication, channel) cell's stream from the traffic seed and draws
@@ -59,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import _lockstep
-from .allocation import snr_utility, water_fill
+from .allocation import snr_utility, water_fill_batch
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
 from .prng import _GOLDEN, _MASK64, SplitMix64
@@ -230,13 +232,24 @@ def scheme_lte_time(
     return ruin_duty.alpha_star
 
 
-def lte_sum_rate(lte_time: float, bandwidth: float, gammas: np.ndarray) -> float:
-    """Water-filled LTE-U sum rate on one channel.
+def lte_sum_rate(lte_times, bandwidth: float, gammas: np.ndarray) -> np.ndarray:
+    """Water-filled LTE-U sum rate on one channel at each airtime of the
+    vector ``lte_times``, 0.0 at airtime 0.
 
     ``gammas`` is :func:`link_budget`'s utility per UE, the same on every
-    channel, so every channel gets this rate.
+    channel, so every channel gets these rates.  The positive airtimes are
+    water-filled together, ``_lockstep._CHUNK // len(gammas)`` of them (at
+    least one) to a call, so that about ``_CHUNK`` shares are held at a
+    time.
     """
-    return water_fill(lte_time, bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
+    lte_times = np.asarray(lte_times, dtype=float)
+    rates = np.zeros(lte_times.shape)
+    positive = np.flatnonzero(lte_times > 0.0)
+    step = max(1, _lockstep._CHUNK // len(gammas))
+    for start in range(0, len(positive), step):
+        block = positive[start : start + step]
+        rates[block] = water_fill_batch(lte_times[block], bandwidth, gammas).sum_rate
+    return rates
 
 
 def collision_totals(

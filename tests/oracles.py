@@ -8,9 +8,11 @@ checks, so agreement is evidence, not tautology.
 The scalar specifications (the Monte Carlo counts, the collision draw and
 the long frame) draw from the package's ``SplitMix64`` with the recipes
 documented in :mod:`ruinfair.prng`, one stream at a time, where the package
-draws all streams in lockstep.  The long frame also takes the package's
-duty cycle, link budget and water-filling as they are: it pins how the
-sweep runner reuses them, not the parts themselves.
+draws all streams in lockstep.  :func:`water_fill` solves one duty cycle at
+a time, where the package solves a vector of them at once.  The long frame
+takes this water-filling, and the package's duty cycle and link budget as
+they are: it pins how the sweep runner reuses them, not the parts
+themselves.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from typing import Optional
 import numpy as np
 
 from ruinfair import (
+    AllocationResult,
     CollisionModel,
     DutyCyclePolicy,
     DutyCycleResult,
     FrameConfig,
+    NumericalError,
     RadioConfig,
     Scheme,
     TopologyConfig,
@@ -37,7 +41,7 @@ from ruinfair import (
 )
 from ruinfair.experiment import SweepRow
 from ruinfair.prng import SplitMix64, substream_seed
-from ruinfair.sim import lte_sum_rate, scheme_lte_time
+from ruinfair.sim import scheme_lte_time
 
 
 def ruin_one_period(u: float, c: float, rate: float) -> float:
@@ -194,7 +198,8 @@ def simulate_long_frame(
     if scheme is Scheme.RUIN_FAIR and ruin_duty is None:
         ruin_duty = duty_cycle_from_surplus(frame, traffic.mu, policy=policy)
     lte_time = scheme_lte_time(scheme, t_total, ruin_duty)
-    lte_rate = lte_sum_rate(lte_time, radio.bandwidth, link_budget(positions, radio))
+    gammas = link_budget(positions, radio)
+    lte_rate = water_fill(lte_time, radio.bandwidth, gammas).sum_rate if lte_time > 0.0 else 0.0
 
     # WiFi gets the window left by LTE-U; collision time beyond that window
     # is clipped, and the rest of the window is successful WiFi airtime.
@@ -224,6 +229,49 @@ def simulate_long_frame(
 
 def water_objective(alpha: float, y: np.ndarray, gammas: np.ndarray) -> float:
     return alpha * float(np.sum(np.log1p(y * gammas)))
+
+
+def water_fill(alpha_star: float, bandwidth: float, gammas) -> AllocationResult:
+    """Water-filling of one duty cycle, by a scan of the sorted users.
+
+    Prefix k of the users by rising 1/gamma has the water level
+    (budget + sum of its 1/gamma) / k, and the served set is the prefix up
+    to the last user strictly below its prefix's level (the strongest user
+    always).  Each served user gets the level less its 1/gamma, written
+    relative to the other served users, whose 1/gamma are summed in index
+    order; every other user gets 0.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    if alpha_star == 0.0 or not np.any(gammas > 0.0):
+        y = np.zeros_like(gammas)
+        return AllocationResult(y=y, water_level=math.inf, sum_rate=0.0, budget=0.0)
+
+    budget = bandwidth * alpha_star
+    inv_gamma = np.full_like(gammas, np.inf)
+    usable = gammas > 0.0
+    inv_gamma[usable] = 1.0 / gammas[usable]
+    order = np.argsort(inv_gamma, kind="stable")
+    inv_sorted = inv_gamma[order]
+    levels = (budget + np.cumsum(inv_sorted)) / np.arange(1, gammas.size + 1)
+    served = int(np.max(np.flatnonzero(inv_sorted < levels), initial=0)) + 1
+    active = np.zeros(gammas.size, dtype=bool)
+    active[order[:served]] = True
+    inv_served = float(np.sum(inv_gamma[active]))
+    nu = served * alpha_star / (budget + inv_served)
+
+    y = np.zeros_like(gammas)
+    y[active] = np.maximum(
+        0.0, (budget + (inv_served - served * inv_gamma[active])) / served
+    )
+    consumed = float(np.sum(y))
+    if not math.isclose(consumed, budget, rel_tol=1e-9):
+        raise NumericalError(f"budget mismatch: consumed {consumed}, budget {budget}")
+    return AllocationResult(
+        y=y,
+        water_level=nu,
+        sum_rate=water_objective(alpha_star, y, gammas),
+        budget=consumed,
+    )
 
 
 def grid_best_two_users(

@@ -10,11 +10,15 @@ from ruinfair import (
     TopologyConfig,
     generate_topology,
     link_budget,
+    sim,
     snr_utility,
     sum_rate,
     water_fill,
 )
+from ruinfair._kernels import _lockstep
+from ruinfair.allocation import water_fill_batch
 
+import oracles
 from oracles import grid_best_three_users, grid_best_two_users
 
 
@@ -249,3 +253,93 @@ class TestWaterFillValidation:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
             water_fill(1.0, 0.0, [1.0])
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_rows_equal_oracle(alphas, bandwidth, gammas):
+    """Every row of the batch has the oracle's bits, field by field."""
+    batch = water_fill_batch(alphas, bandwidth, gammas)
+    assert batch.y.shape == (len(alphas), len(gammas))
+    for i, alpha in enumerate(alphas):
+        expected = oracles.water_fill(alpha, bandwidth, gammas)
+        for field in ("y", "water_level", "sum_rate", "budget"):
+            got = getattr(batch, field)[i]
+            assert _bits(got) == _bits(getattr(expected, field)), (field, alpha)
+
+
+class TestWaterFillBatch:
+    """The batched solver against the scalar oracle of ``tests/oracles.py``,
+    bit for bit: NumPy's pairwise sums change association from 8 users on
+    and split into halves above 128, so the user counts straddle both."""
+
+    @pytest.mark.parametrize("users", [1, 2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 200, 257])
+    def test_rows_equal_scalar_oracle(self, users):
+        rng = np.random.default_rng(users)
+        for _ in range(20):
+            gammas = 10.0 ** rng.uniform(-4.0, 3.0, size=users)
+            gammas[rng.random(users) < 0.2] = 0.0
+            # Airtimes across 7 decades, with zeros and repeats among them.
+            alphas = 10.0 ** rng.uniform(-5.0, 2.0, size=9)
+            alphas[rng.random(9) < 0.2] = 0.0
+            alphas = np.concatenate([alphas, alphas[:3], [0.0]])
+            _assert_rows_equal_oracle(alphas, 10.0 ** rng.uniform(-1.0, 7.0), gammas)
+
+    @pytest.mark.parametrize("users", [1, 9, 200])
+    def test_all_zero_gammas(self, users):
+        _assert_rows_equal_oracle([0.0, 0.5, 2.0], 2.0, np.zeros(users))
+        batch = water_fill_batch([0.5], 2.0, np.zeros(users))
+        assert batch.water_level.tolist() == [math.inf]
+        assert batch.sum_rate.tolist() == [0.0]
+
+    @pytest.mark.parametrize("users", [1, 2, 15, 130])
+    def test_inverse_utility_far_above_the_budget(self, users):
+        alphas = [1e-3, 0.5, 1.0, 1.0, 1e3]
+        _assert_rows_equal_oracle(alphas, 1.0, np.full(users, 1e-12))
+        _assert_rows_equal_oracle(alphas, 1.0, 1e-12 / (1.0 + 1e-3 * np.arange(users)))
+        mixed = np.full(users, 1e-20)
+        mixed[::3] = 5.0
+        _assert_rows_equal_oracle(alphas, 1.0, mixed)
+
+    def test_default_cell(self):
+        radio = RadioConfig()
+        gammas = link_budget(generate_topology(7, TopologyConfig()), radio)
+        _assert_rows_equal_oracle([0.0, 0.0025, 0.005, 0.0075, 0.01], radio.bandwidth, gammas)
+
+    def test_water_fill_is_one_row(self):
+        rng = np.random.default_rng(5)
+        for users in (1, 9, 40):
+            gammas = 10.0 ** rng.uniform(-2.0, 1.0, size=users)
+            gammas[::4] = 0.0
+            for alpha in (0.0, 0.3, 2.0):
+                result = water_fill(alpha, 3.0, gammas)
+                expected = oracles.water_fill(alpha, 3.0, gammas)
+                assert _bits(result.y) == _bits(expected.y)
+                for field in ("water_level", "sum_rate", "budget"):
+                    assert type(getattr(result, field)) is float
+                    assert _bits(getattr(result, field)) == _bits(getattr(expected, field))
+
+    @pytest.mark.parametrize("chunk", [_lockstep._CHUNK, 1, 40, 81, 200])
+    def test_lte_sum_rate_blocks_equal_oracle(self, monkeypatch, chunk):
+        """40 UEs: one airtime to a call at chunks 1 and 40, 2 at 81 and 5
+        at 200, so the blocks split the positive airtimes unevenly."""
+        monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        rng = np.random.default_rng(6)
+        gammas = 10.0 ** rng.uniform(-2.0, 1.0, size=40)
+        times = [0.0, 0.004, 0.01, 0.0, 0.007, 0.001, 0.002, 0.003, 0.0095, 0.008, 0.006]
+        expected = [
+            oracles.water_fill(t, 2e7, gammas).sum_rate if t > 0.0 else 0.0 for t in times
+        ]
+        assert _bits(sim.lte_sum_rate(times, 2e7, gammas)) == _bits(expected)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            water_fill_batch([[1.0]], 2.0, [1.0])
+        with pytest.raises(ValueError):
+            water_fill_batch([1.0, -0.1], 2.0, [1.0])
+        with pytest.raises(ValueError):
+            water_fill_batch([1.0, math.nan], 2.0, [1.0])
+        with pytest.raises(ValueError):
+            water_fill(np.array([1.0, 2.0]), 2.0, [1.0])

@@ -112,45 +112,9 @@ class TestDutyCycleFromSurplus:
         ]
         assert all(a <= b for a, b in zip(alphas, alphas[1:]))
 
-    def test_alpha_seed_inflates_claim_rate(self):
-        lean = duty_cycle_from_surplus(FRAME, mu=450.0, alpha_seed=0.0, policy=LINEAR)
-        fat = duty_cycle_from_surplus(FRAME, mu=450.0, alpha_seed=0.01, policy=LINEAR)
-        # the additive convention folds the duty cycle into the rate, which
-        # shrinks claims; see ruinfair.ruin module notes
-        assert fat.psi <= lean.psi
-
-    def test_fixed_point_mode_converges_to_self_consistent_alpha(self):
-        result = duty_cycle_from_surplus(
-            FRAME, mu=450.0, policy=LINEAR, fixed_point=True
-        )
-        re_evaluated = duty_cycle_from_surplus(
-            FRAME, mu=450.0, alpha_seed=result.alpha_star, policy=LINEAR
-        )
-        assert re_evaluated.alpha_star == pytest.approx(
-            result.alpha_star, abs=1e-9 * FRAME.total_duration
-        )
-
-    def test_slots_units_follow_raw_frame_counts(self):
-        seconds = duty_cycle_from_surplus(FRAME, mu=450.0, policy=LINEAR, units="seconds")
-        # slots mode turns capital and premium into raw counts (u=10, c=1)
-        # and leaves the rate as given
-        slots = duty_cycle_from_surplus(FRAME, mu=0.45, policy=LINEAR, units="slots")
-        assert slots.psi != seconds.psi
-        from ruinfair import ruin_probability_exact
-
-        assert slots.psi == ruin_probability_exact(SurplusParams(10.0, 1.0, 0.45, 10))
-
     def test_rejects_zero_reservation(self):
         with pytest.raises(ValueError):
             duty_cycle_from_surplus(FrameConfig(10, 0.001, 0), mu=1.0, policy=LINEAR)
-
-    def test_rejects_alpha_seed_outside_frame(self):
-        with pytest.raises(ValueError):
-            duty_cycle_from_surplus(FRAME, mu=1.0, alpha_seed=0.02, policy=LINEAR)
-
-    def test_rejects_unknown_units(self):
-        with pytest.raises(ValueError):
-            duty_cycle_from_surplus(FRAME, mu=1.0, policy=LINEAR, units="minutes")
 
 
 class TestVerifyChanceConstraint:

@@ -158,30 +158,34 @@ class TestWorkReuse:
 
     def test_per_level_call_counts(self, monkeypatch):
         calls = {
-            "water_fill": 0,
+            "water_fill_batch": 0,
             "collision_totals": 0,
             "link_budget": 0,
             "generate_topology": 0,
             "compound_poisson_totals": 0,
         }
+        water_filled = []
 
         def count(module, name):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "water_fill_batch":
+                    water_filled.extend(args[0].tolist())
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("water_fill", "collision_totals", "link_budget", "generate_topology"):
+        for name in ("water_fill_batch", "collision_totals", "link_budget", "generate_topology"):
             count(sim, name)
         count(_lockstep, "compound_poisson_totals")
         # run_sweep calls these through its own import of the names.
         for name in ("link_budget", "collision_totals", "generate_topology"):
             monkeypatch.setattr(experiment, name, getattr(sim, name))
 
-        for chunk in (_lockstep._CHUNK, 4):
+        ues = SMALL["topology"]["ue_count"]
+        for chunk in (_lockstep._CHUNK, 4, 12):
             monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
             for sweep_name in ("wst", "psi", "lam"):
                 values = len(SMALL["sweeps"][sweep_name]["values"])
@@ -192,21 +196,26 @@ class TestWorkReuse:
                     )
                     for name in calls:
                         calls[name] = 0
+                    water_filled.clear()
                     rows = run_sweep(config, sweep_name)
                     t_total = config.frame.total_duration
                     airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
                     # Topology and link budget once per sweep; collisions once
                     # per (topology, traffic), for all cells, one kernel call
-                    # per chunk of cells; one water-filling per LTE-U airtime,
-                    # serving every channel and value.
+                    # per chunk of cells; every positive LTE-U airtime
+                    # water-filled once, serving every channel and value, in
+                    # one call per block of _CHUNK // ue_count airtimes.
                     keys = 1 if sweep_name == "psi" else values
+                    positive = len(airtimes - {0.0})
                     assert calls == {
-                        "water_fill": len(airtimes - {0.0}),
+                        "water_fill_batch": math.ceil(positive / max(1, chunk // ues)),
                         "collision_totals": keys,
                         "link_budget": 1,
                         "generate_topology": 1,
                         "compound_poisson_totals": keys * math.ceil(reps * waps / chunk),
                     }, (chunk, sweep_name, reps, waps)
+                    assert len(water_filled) == positive
+                    assert set(water_filled) == airtimes - {0.0}
 
     @pytest.mark.parametrize("reps, waps", [(20_000, 10), (1, 200_000)], ids=["tall", "wide"])
     def test_peak_memory_is_totals_plus_work_blocks(self, monkeypatch, reps, waps):
@@ -233,6 +242,29 @@ class TestWorkReuse:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (reps * waps + 3 * reps + 32 * chunk)
+
+    def test_peak_memory_water_fills_one_airtime_at_a_time(self, monkeypatch):
+        """With more UEs than ``_CHUNK``, a psi sweep water-fills its 101
+        airtimes one to a call: it holds the UE positions (a tuple of
+        ``(x, y)`` pairs, 14 words a UE) and a few UE-length rows, never a
+        row per airtime (about 500 words a UE here)."""
+        ues = 4096
+        monkeypatch.setattr(_lockstep, "_CHUNK", 64)
+        monkeypatch.setattr(_lockstep, "_BLOCK", 64)
+        config = parse_scenario(
+            {
+                "topology": {"wap_count": 1, "ue_count": ues},
+                "seeds": {"replications": 2},
+                "sweeps": {"psi": {"variable": "psi", "values": [i / 100 for i in range(101)]}},
+            }
+        )
+        tracemalloc.start()
+        try:
+            run_sweep(config, "psi")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (14 + 12) * ues
 
     def test_sweep_leaves_numpy_ma_unimported(self):
         """np.unique imports numpy.ma on NumPy 2.x, about 1 MB of peak RSS

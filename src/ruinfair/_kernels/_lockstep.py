@@ -20,6 +20,22 @@ double operations, in the same order:
   along a block of draws, each element one multiply or add of the previous
   one, with the running product or total carried from block to block.
 
+**Per-stream rates and block widths.**  :func:`compound_poisson_totals`
+takes the Poisson mean as one float or as one mean per stream, so the sweep
+draws the cells of all its collision keys in one run; the duration rate and
+the cap are shared.  Each distinct mean is checked once, and its limit is
+``math.exp(-lam)``, the scalar recipe's bits (``np.exp`` may differ in the
+last bit).  A block is ``n_live x width`` draws, ``width`` at most
+``max(1, _BLOCK // n_live)``.  The carried product or total sets the bits,
+block boundaries do not, so each block is sized to what the live streams
+still need: the Poisson blocks add up to the largest mean plus three
+standard deviations (``typical - drawn``), then go one standard deviation
+at a time, and the duration blocks add up to ``cap*mu + 1`` (about the
+durations a capped total takes to reach its cap), then go ``sqrt(cap*mu)
++ 1`` at a time.  A stream never draws a whole ``typical`` again once it
+has drawn that many, so draws past a stream's count or cap are few, and
+few of them take a logarithm.
+
 Streams that finish (completed Poisson counts and duration sums, and
 capped duration sums that reach their cap) are dropped from the working
 arrays as they go, so the cost of a step is proportional to the streams
@@ -343,35 +359,64 @@ def ruin_mc_count(
     )
 
 
-def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
-    """``SplitMix64(s).poisson(lam)`` for every state ``s``.
+def _rate_table(lam, n: int):
+    """The distinct Poisson means of ``lam``, a float or one mean for each
+    of ``n`` streams, and the index of each stream's mean among them.
 
-    The running products only shrink (each uniform is below 1), so a
-    stream's count is the number of products above ``exp(-lam)``; it is
-    complete at the first block where some product is not.  A count of k
-    takes k + 1 uniforms; blocks are no wider than the mean plus three
-    standard deviations of that, so few draws are wasted.
+    Each distinct mean is checked in first-seen order.
 
     Raises:
-        ValueError: As ``SplitMix64.poisson`` does, if ``lam`` is not in
+        ValueError: As ``SplitMix64.poisson`` does, for the first mean not in
             ``[0, prng._POISSON_LAM_MAX]``.
     """
-    if not 0.0 <= lam <= prng._POISSON_LAM_MAX:
-        raise ValueError(
-            f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {lam}"
-        )
-    limit = math.exp(-lam)
-    typical = math.ceil(lam + 3.0 * math.sqrt(lam)) + 1
+    if np.ndim(lam) == 0:
+        rates = [lam]
+    else:
+        lam = np.asarray(lam, dtype=np.float64)
+        # A chunk of one collision key has one rate; skip the Python pass.
+        one = len(lam) and lam.min() == lam.max()
+        rates = [float(lam[0])] if one else list(dict.fromkeys(lam.tolist()))
+    for rate in rates:
+        if not 0.0 <= rate <= prng._POISSON_LAM_MAX:
+            raise ValueError(
+                f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {rate}"
+            )
+    if len(rates) < 2:
+        return rates, np.zeros(n, dtype=np.intp)
+    rates.sort()
+    return rates, np.searchsorted(rates, lam)
+
+
+def _poisson_counts(states: np.ndarray, lam) -> np.ndarray:
+    """``SplitMix64(s).poisson(lam)`` for every state ``s``, with ``lam`` a
+    float or one mean per stream.
+
+    The running products only shrink (each uniform is below 1), so a
+    stream's count is the number of products above its ``exp(-lam)``; it is
+    complete at the first block where some product is not.  A count of k
+    takes k + 1 uniforms.  The first blocks reach the largest mean plus
+    three standard deviations of that; later ones are one standard
+    deviation wide, so few draws are wasted.  Each limit is ``math.exp``'s,
+    the scalar recipe's bits.
+
+    Raises:
+        ValueError: As :func:`_rate_table` does.
+    """
+    rates, which = _rate_table(lam, len(states))
+    limit = np.array([math.exp(-rate) for rate in rates])[which]
+    top = max(rates, default=0.0)
+    typical = math.ceil(top + 3.0 * math.sqrt(top)) + 1
+    tail = math.ceil(math.sqrt(top)) + 1
     counts = np.zeros(len(states), dtype=np.int64)
     product = np.ones(len(states))
     live = np.arange(len(states))
     drawn = 0
     while len(live):
-        width = max(1, min(_BLOCK // len(live), typical))
+        width = max(1, min(_BLOCK // len(live), max(tail, typical - drawn)))
         block = _uniforms(states[live], drawn, width)
         block[:, 0] *= product[live]
         block = np.multiply.accumulate(block, axis=1)
-        above = np.count_nonzero(block > limit, axis=1)
+        above = np.count_nonzero(block > limit[live, None], axis=1)
         counts[live] += above
         product[live] = block[:, -1]
         live = live[above == width]
@@ -380,27 +425,27 @@ def _poisson_counts(states: np.ndarray, lam: float) -> np.ndarray:
 
 
 def compound_poisson_totals(
-    states: np.ndarray, lam: float, mu: float, cap: float
+    states: np.ndarray, lam, mu: float, cap: float
 ) -> np.ndarray:
     """Compound-Poisson total of every stream, drawn in lockstep and clipped
     to ``cap``.
 
-    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson(``lam``) count
-    by Knuth's method, then that many exponential(``mu``) durations, each
-    ``-log(1 - u) / mu`` with libm's logarithm, added left to right from
-    ``0.0``.  Each result equals the scalar draw's total clipped to ``cap``
-    bit for bit (``cap = math.inf`` leaves the totals whole).  A stream
-    stops drawing durations once its running total reaches ``cap``, which
-    leaves the clipped total unchanged (the partial sums never decrease).
-    Draws are made in blocks of at most ``max(_BLOCK, len(states))``
-    elements.
+    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson count by
+    Knuth's method, of mean ``lam`` (a float, or ``lam[i]`` for one mean per
+    stream), then that many exponential(``mu``) durations, each ``-log(1 -
+    u) / mu`` with libm's logarithm, added left to right from ``0.0``.  Each
+    result equals the scalar draw's total clipped to ``cap`` bit for bit
+    (``cap = math.inf`` leaves the totals whole).  A stream stops drawing
+    durations once its running total reaches ``cap``, which leaves the
+    clipped total unchanged (the partial sums never decrease).  Draws are
+    made in blocks of at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
         ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
-            ``lam`` is not in ``[0, prng._POISSON_LAM_MAX]``; as
+            a mean is not in ``[0, prng._POISSON_LAM_MAX]``; as
             ``SplitMix64.exponential`` does, if some count is positive and
-            ``mu`` is not a positive finite rate.  Each is checked once per
-            call.
+            ``mu`` is not a positive finite rate.  Each distinct rate is
+            checked once per call.
     """
     totals = np.zeros(len(states))
     if not len(states):
@@ -411,11 +456,15 @@ def compound_poisson_totals(
         return np.minimum(totals, cap)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"exponential rate must be positive and finite, got {mu}")
-    # About cap*mu + 1 durations reach the cap; blocks are no wider than that
-    # plus three standard deviations.  cap*mu is inf for an uncapped sum, or
-    # when a huge cap and rate overflow, so it is clamped before rounding.
+    # About cap*mu + 1 durations reach the cap, so the first block is that
+    # wide and later ones one standard deviation.  cap*mu is inf for an
+    # uncapped sum, or when a huge cap and rate overflow, so it is clamped
+    # before rounding.
     reach = min(cap * mu, float(_BLOCK))
-    typical = math.ceil(reach + 3.0 * math.sqrt(reach)) + 1 if reach > 0.0 else 1
+    if reach > 0.0:
+        typical, tail = math.ceil(reach) + 1, math.ceil(math.sqrt(reach)) + 1
+    else:
+        typical = tail = 1
     # A count of k took k + 1 uniforms; the durations start after them.
     after = states + (counts.astype(np.uint64) + 1) * _GAMMA
     drawn = 0
@@ -423,7 +472,8 @@ def compound_poisson_totals(
     with np.errstate(over="ignore"):
         while len(live):
             left = counts[live] - drawn
-            width = max(1, min(_BLOCK // len(live), int(left.max()), typical))
+            need = max(tail, typical - drawn)
+            width = max(1, min(_BLOCK // len(live), int(left.max()), need))
             one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
             wanted = np.arange(width) < left[:, None]
             # Padding past a stream's last duration adds 0.0, which leaves the

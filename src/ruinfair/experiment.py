@@ -16,32 +16,38 @@ probability (``config.scenario_at``), so:
   ruin-fair duty cycle of a ``wst_count`` or ``lambda_base`` sweep;
 * once per value of a ``psi`` sweep: the forced ruin-fair duty cycle;
 * once per distinct ``(topology, traffic)``: the collision total of each
-  (replication, channel), drawn for all cells in one run of the lockstep
-  compound-Poisson kernel (``sim.collision_totals``, which derives each
-  replication's stream from ``seeds.traffic`` itself) and shared by all
-  four schemes.  Each is clipped at the frame length ``T``, so its draw
-  stops there; every scheme's WiFi window is ``T - lte_time <= T``, so
-  clipping it again at the window gives ``min(total, window)`` bit for bit.
-  A ``psi`` sweep draws once, a ``wst_count`` or ``lambda_base`` sweep once
-  per value.  Sweep values are strictly increasing, so a key never comes
-  back, and only the current key's array is held;
+  (replication, channel), shared by all four schemes.  Each is clipped at
+  the frame length ``T``, so its draw stops there; every scheme's WiFi
+  window is ``T - lte_time <= T``, so clipping it again at the window
+  gives ``min(total, window)`` bit for bit.  A ``psi`` sweep has one key,
+  a ``wst_count`` or ``lambda_base`` sweep one per value (sweep values are
+  strictly increasing, so a key never comes back).  Consecutive keys are
+  drawn in groups of ``max(1, _lockstep._CHUNK // (replications x
+  channels))``, each group in one ``sim.collision_totals`` call (one run of
+  the lockstep compound-Poisson kernel over a sequence of rates, which
+  derives each replication's stream from ``seeds.traffic`` itself), and
+  only the current group's array is held: at most about ``_CHUNK`` cells,
+  or one key's array when a key has more;
 * once per sweep: the water-filled sum rate of every distinct positive
   LTE-U airtime (``sim.lte_sum_rate``, whose rates serve every channel and
   none of which depends on the replication seed), in one water-filling
   call that sorts the UEs once, or in blocks of airtimes when the UEs are
   many;
-* once per collision key: the WiFi frame accounting of all the LTE-U
-  airtimes of that key's values, as array operations on a batch of
-  airtimes times a block of the replications x channels collision array,
-  summed over channels left to right in channel order into one total per
-  (airtime, replication), then each airtime's mean and std as row-wise
-  reductions.  The LTE-U sums of all the sweep's airtimes are taken the
-  same way in one call, after the last collision array is freed.  A batch
-  holds about ``_lockstep._CHUNK // replications`` airtimes (at least
-  one) and a block about ``_CHUNK`` cells, a row of more channels than that
-  being split into column blocks with the running total carried left to
-  right, so memory stays at the collision array plus a replication-length
-  row or two and a few blocks.
+* once per group of collision keys: the WiFi frame accounting of every
+  (key, LTE-U airtime) pair of the group, as array operations on a batch
+  of pairs times a block of the keys x replications x channels collision
+  array, summed over channels left to right in channel order into one
+  total per (pair, replication), then each pair's mean and std as
+  row-wise reductions.  Every key is accounted at every distinct airtime
+  of the sweep, which costs nothing extra: a ``psi`` sweep has one key,
+  and a ``wst_count`` or ``lambda_base`` sweep one duty cycle, so its keys
+  share their airtimes.  The LTE-U sums of all the sweep's airtimes are
+  taken the same way in one call, after the last collision array is
+  freed.  A batch holds about ``_lockstep._CHUNK // replications`` pairs
+  (at least one) and a block about ``_CHUNK`` cells, a row of more
+  channels than that being split into column blocks with the running
+  total carried left to right, so memory stays at the collision array
+  plus a replication-length row or two and a few blocks.
 
 The result equals the scalar specification of ``tests/oracles.py``, one
 long frame per (value, replication, scheme) with one collision draw at a
@@ -64,7 +70,7 @@ import numpy as np
 from . import __version__
 from ._kernels import BACKEND, _lockstep
 from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
-from .duty import CollisionModel, DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
+from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
 from .sim import (
     Scheme,
@@ -176,25 +182,31 @@ def _stats(totals_of, count: int, reps: int) -> list[tuple[float, float]]:
 def _wifi_stats(
     collisions: np.ndarray, windows: np.ndarray, phy_rate: float
 ) -> list[tuple[float, float]]:
-    """Mean and std over replications (rows of ``collisions``) of the
-    channel-summed WiFi throughput in each WiFi window of ``windows``
-    (seconds)."""
-    reps, channels = collisions.shape
+    """Mean and std over replications of the channel-summed WiFi throughput
+    of each collision key (first axis of the ``keys x reps x channels``
+    ``collisions``) in each WiFi window of ``windows`` (seconds), key by
+    key, in window order within a key."""
+    keys, reps, channels = collisions.shape
+    count = len(windows)
 
     def throughput(batch):
-        window = windows[batch, None, None]
+        # The batch's (key, window) pairs.
+        pairs = np.arange(batch.start, batch.stop)
+        key = pairs // count
+        window = windows[pairs % count, None, None]
 
         def cells(rows, cols):
             # Collision time beyond the window is clipped: LTE-U holds the
             # channel.  phy_rate * (window - min(collisions, window)) >= +0.0.
-            work = np.minimum(collisions[None, rows, cols], window)
+            work = collisions[key, rows, cols]
+            np.minimum(work, window, out=work)
             np.subtract(window, work, out=work)
             work *= phy_rate
             return work
 
-        return _row_sums(cells, len(window), reps, channels)
+        return _row_sums(cells, len(pairs), reps, channels)
 
-    return _stats(throughput, len(windows), reps)
+    return _stats(throughput, keys * count, reps)
 
 
 def _lte_stats(rates: np.ndarray, channels: int, reps: int) -> list[tuple[float, float]]:
@@ -227,35 +239,38 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     airtimes = [[scheme_lte_time(s, t_total, duty) for s in SCHEMES] for duty in duties]
     # Distinct airtimes in first-seen order, water-filled together.
     distinct = list(dict.fromkeys(a for times in airtimes for a in times))
-    rates = lte_sum_rate(distinct, radio.bandwidth, gains)
+    lte_rates = lte_sum_rate(distinct, radio.bandwidth, gains)
 
-    # The LTE-U airtimes of each (topology, traffic), in first-seen order.
-    keys = []
-    by_key = {}
-    for value, times in zip(sweep.values, airtimes):
-        scenario = scenario_at(config, sweep, value)
-        keys.append((scenario.topology, scenario.traffic))
-        by_key.setdefault(keys[-1], {}).update(dict.fromkeys(times))
-
-    wifi = {}  # (topology, traffic) -> {LTE-U airtime: _wifi_stats}
-    for key, times in by_key.items():
-        topology, traffic = key
-        model = CollisionModel(traffic.lambda_base * topology.wst_per_wap, traffic.mu)
-        collisions = None  # free the last key's totals before drawing
-        collisions = collision_totals(model, config.seeds.traffic, reps, channels, t_total)
-        # WiFi gets the window left by LTE-U.
-        windows = np.array([t_total - a for a in times])
-        wifi[key] = dict(zip(times, _wifi_stats(collisions, windows, radio.wifi_phy_rate)))
+    # Each key is accounted at every distinct airtime of the sweep, which are
+    # its own airtimes: a psi sweep has one key, and the values of a
+    # wst_count or lambda_base sweep (a key each) share one duty cycle.
+    scenarios = (scenario_at(config, sweep, value) for value in sweep.values)
+    keys = [(scenario.topology, scenario.traffic) for scenario in scenarios]
+    distinct_keys = list(dict.fromkeys(keys))
+    # WiFi gets the window left by LTE-U.
+    windows = np.array([t_total - a for a in distinct])
+    # A group of keys of about _CHUNK cells is drawn in one kernel run and
+    # accounted in one pass; a key of more cells is drawn on its own.
+    group = max(1, _lockstep._CHUNK // (reps * channels))
+    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
+    for start in range(0, len(distinct_keys), group):
+        batch = distinct_keys[start : start + group]
+        rates = [traffic.lambda_base * topology.wst_per_wap for topology, traffic in batch]
+        collisions = None  # free the last group's totals before drawing
+        collisions = collision_totals(
+            rates, config.traffic.mu, config.seeds.traffic, reps, channels, t_total
+        )
+        stats = _wifi_stats(collisions, windows, radio.wifi_phy_rate)
+        wifi.update(zip(((key, a) for key in batch for a in distinct), stats))
     # The LTE-U stats come last, so that their replication-length rows never
     # sit beside a collision array.
     collisions = None
-    lte = dict(zip(distinct, _lte_stats(rates, channels, reps)))
+    lte = dict(zip(distinct, _lte_stats(lte_rates, channels, reps)))
 
     rows = []
     for value, duty, key, times in zip(sweep.values, duties, keys, airtimes):
         # (wifi_mean, wifi_std, lte_mean, lte_std), each in SCHEMES order.
-        wifi_at = wifi[key]
-        wifi_mean, wifi_std, lte_mean, lte_std = zip(*(wifi_at[a] + lte[a] for a in times))
+        wifi_mean, wifi_std, lte_mean, lte_std = zip(*(wifi[key, a] + lte[a] for a in times))
         rows.append(
             SweepRow(
                 variable=sweep.variable,

@@ -37,12 +37,16 @@ A long frame is assembled from parts computed at the level where they vary:
   vector of airtimes and water-fills them together, one sort of the UEs
   per call;
 * the collision totals depend on the replication, the station counts and
-  the traffic, not on the scheme: :func:`collision_totals` derives every
-  (replication, channel) cell's stream from the traffic seed and draws
-  them with the lockstep compound-Poisson kernel, clipped at the frame
-  length.  The clip loses nothing, as collision time is clipped at the
-  WiFi window anyway and no window is longer than the frame; a draw stops
-  once its running total reaches the frame length.
+  the traffic, not on the scheme: :func:`collision_totals` takes a
+  sequence of collision rates (one per ``(topology, traffic)`` key, with
+  one duration rate, seed and frame), derives every (replication,
+  channel) cell's stream from the traffic seed, the same at every rate,
+  and draws the cells of all the rates in one run of the lockstep
+  compound-Poisson kernel, each stream at its own rate, clipped at the
+  frame length.  A single key is the same call with one rate.  The clip
+  loses nothing, as collision time is clipped at the WiFi window anyway
+  and no window is longer than the frame; a draw stops once its running
+  total reaches the frame length.
 
 ``experiment.run_sweep`` computes each part once per distinct input and does
 the frame accounting as array operations.  ``tests/oracles.py`` holds the
@@ -87,6 +91,11 @@ class Scheme(Enum):
     EQUAL_SHARING = "equal_sharing"
     LTE_DOMINANT = "lte_dominant"
     RUIN_FAIR = "ruin_fair"
+
+    # Members are singletons, so identity hashing agrees with equality, and
+    # it runs in C: the sweep's row dicts hash a scheme on every insert and
+    # lookup, where Enum.__hash__ hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -253,35 +262,41 @@ def lte_sum_rate(lte_times, bandwidth: float, gammas: np.ndarray) -> np.ndarray:
 
 
 def collision_totals(
-    model: CollisionModel, seed: int, reps: int, channels: int, t_total: float
+    rates, mu: float, seed: int, reps: int, channels: int, t_total: float
 ) -> np.ndarray:
-    """Collision time per replication ``0 .. reps-1`` (rows) and channel
-    ``0 .. channels-1`` (columns), clipped to the long frame ``t_total``.
+    """Collision time per collision rate of ``rates`` (first axis),
+    replication ``0 .. reps-1`` (second) and channel ``0 .. channels-1``
+    (third), clipped to the long frame ``t_total``.
 
     Replication r of the master ``seed`` (taken mod 2**64, as
     :mod:`ruinfair.prng` does) draws channel k from the substream seed
-    ``substream_seed(substream_seed(seed, r), k)``, whatever the scheme:
-    entry ``[r, k]`` is a Poisson(``model.lambda_k``) count of
-    exponential(``model.mu``) durations drawn from ``SplitMix64`` of that
-    seed, added left to right and clipped at ``t_total``.  No WiFi window is
+    ``substream_seed(substream_seed(seed, r), k)`` at every rate and for
+    every scheme: entry ``[i, r, k]`` is a Poisson(``rates[i]``) count of
+    exponential(``mu``) durations drawn from ``SplitMix64`` of that seed,
+    added left to right and clipped at ``t_total``.  Each rate is checked
+    as the scalar draw checks it (``CollisionModel``).  No WiFi window is
     longer than the frame, so clipping at the window afterwards gives the
     bits of the unclipped total clipped at the window, and a draw stops at
-    the frame: the durations beyond it are never drawn.  Every channel has
-    the model's rate, so the cells are drawn as one run of streams in
-    row-major order, ``_lockstep._CHUNK`` to a kernel call.  Each call
-    derives its cells' substream states from their flat indices (cell ``i``
-    is replication ``i // channels``, channel ``i % channels``), so no more
-    than one chunk of states is held at a time.
+    the frame: the durations beyond it are never drawn.  The cells of all
+    rates are drawn as one run of streams in row-major order, each with its
+    own rate, ``_lockstep._CHUNK`` to a kernel call.  Each call derives its
+    cells' substream states from their flat indices (cell ``i`` is rate
+    ``i // (reps*channels)``, then replication and channel of the
+    remainder), so no more than one chunk of states is held at a time.
     """
+    # CollisionModel checks each rate as the scalar draw does.
+    lams = np.array([CollisionModel(rate, mu).lambda_k for rate in rates], dtype=float)
     master = np.uint64(seed & _MASK64)
-    cells = reps * channels
+    per_rate = reps * channels
+    cells = len(lams) * per_rate
     totals = np.empty(cells)
     chunk = _lockstep._CHUNK
     for start in range(0, cells, chunk):
         cell = np.arange(start, min(start + chunk, cells))
-        rows = _lockstep.substream_pairs(master, cell // channels)
-        states = _lockstep.substream_pairs(rows, cell % channels)
+        local = cell % per_rate
+        rows = _lockstep.substream_pairs(master, local // channels)
+        states = _lockstep.substream_pairs(rows, local % channels)
         totals[start : start + chunk] = _lockstep.compound_poisson_totals(
-            states, model.lambda_k, model.mu, t_total
+            states, lams[cell // per_rate], mu, t_total
         )
-    return totals.reshape(reps, channels)
+    return totals.reshape(len(lams), reps, channels)

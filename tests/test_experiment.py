@@ -36,6 +36,8 @@ CONGESTED = {
 
 ELEVEN_PSI = {"psi": {"variable": "psi", "values": [i / 10 for i in range(11)]}}
 
+TWO_HUNDRED_WST = {"wst": {"variable": "wst_count", "values": list(range(1, 201))}}
+
 # Three replications on four channels, eleven psi values: eleven distinct
 # LTE-U airtimes (0, T/2 and T come back among the ruin-fair ones).
 WIDE_PSI = {
@@ -145,14 +147,16 @@ class TestWorkReuse:
         """Also with chunks of a few cells, which split the collision draws
         across rows and the accounting into batches of airtimes and blocks
         of rows or columns.  With 25 replications on 3 channels (``SMALL``),
-        50 takes 2 airtimes a batch in blocks of 8 rows, 7 one airtime in
-        blocks of 2 rows, and 2 one airtime with each row in blocks of 2
-        and 1 columns.  ``WIDE_PSI`` has more airtimes than a batch holds
-        at 12, 7 and 2: 12 takes 4 airtimes a batch with each row in blocks
-        of 3 and 1 columns."""
+        160 draws two of the 75-cell collision keys in one run and accounts
+        them in batches of 6 (key, airtime) pairs, 50 takes 2 airtimes a
+        batch in blocks of 8 rows, 7 one airtime in blocks of 2 rows, and 2
+        one airtime with each row in blocks of 2 and 1 columns.
+        ``WIDE_PSI`` has more airtimes than a batch holds at 12, 7 and 2: 12
+        takes 4 airtimes a batch with each row in blocks of 3 and 1
+        columns."""
         config = parse_scenario(scenario)
         expected = sweep_rows_per_frame(config, name)
-        for chunk in (_lockstep._CHUNK, 50, 12, 7, 2):
+        for chunk in (_lockstep._CHUNK, 160, 50, 12, 7, 2):
             monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
             assert run_sweep(config, name) == expected
 
@@ -201,30 +205,47 @@ class TestWorkReuse:
                     t_total = config.frame.total_duration
                     airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
                     # Topology and link budget once per sweep; collisions once
-                    # per (topology, traffic), for all cells, one kernel call
-                    # per chunk of cells; every positive LTE-U airtime
-                    # water-filled once, serving every channel and value, in
-                    # one call per block of _CHUNK // ue_count airtimes.
+                    # per group of max(1, _CHUNK // cells) (topology, traffic)
+                    # keys, one kernel call per chunk of the group's cells;
+                    # every positive LTE-U airtime water-filled once, serving
+                    # every channel and value, in one call per block of
+                    # _CHUNK // ue_count airtimes.
                     keys = 1 if sweep_name == "psi" else values
+                    cells = reps * waps
+                    group = max(1, chunk // cells)
+                    groups = [min(group, keys - start) for start in range(0, keys, group)]
                     positive = len(airtimes - {0.0})
                     assert calls == {
                         "water_fill_batch": math.ceil(positive / max(1, chunk // ues)),
-                        "collision_totals": keys,
+                        "collision_totals": math.ceil(keys / group),
                         "link_budget": 1,
                         "generate_topology": 1,
-                        "compound_poisson_totals": keys * math.ceil(reps * waps / chunk),
+                        "compound_poisson_totals": sum(
+                            math.ceil(size * cells / chunk) for size in groups
+                        ),
                     }, (chunk, sweep_name, reps, waps)
                     assert len(water_filled) == positive
                     assert set(water_filled) == airtimes - {0.0}
 
-    @pytest.mark.parametrize("reps, waps", [(20_000, 10), (1, 200_000)], ids=["tall", "wide"])
-    def test_peak_memory_is_totals_plus_work_blocks(self, monkeypatch, reps, waps):
-        """The sweep holds the collision totals, a few replication-length
-        rows (one batch's WiFi totals and ``np.std``'s temporaries) and a
-        few work arrays of ``_CHUNK`` cells: never a row per airtime of
+    @pytest.mark.parametrize(
+        "reps, waps, scenario",
+        [
+            (20_000, 10, {"sweeps": ELEVEN_PSI}),
+            (1, 200_000, {"sweeps": ELEVEN_PSI}),
+            # Few collisions, so that 200 keys draw quickly.
+            (250, 4, {"traffic": {"lambda_base": 0.01}, "sweeps": TWO_HUNDRED_WST}),
+        ],
+        ids=["tall", "wide", "grouped"],
+    )
+    def test_peak_memory_is_totals_plus_work_blocks(self, monkeypatch, reps, waps, scenario):
+        """The sweep holds the collision totals of one key, or of a group
+        of keys of at most ``_CHUNK`` cells, a few replication-length rows
+        (one batch's WiFi totals and ``np.std``'s temporaries) and a few
+        work arrays of ``_CHUNK`` cells: never a row per airtime of
         ``reps`` above ``_CHUNK``, nor a copy of a row of more than
-        ``_CHUNK`` channels.  The kernel's blocks are made as small, so
-        that the draw's own work arrays do not hide the accounting's."""
+        ``_CHUNK`` channels, nor the totals of every key of a sweep (200
+        keys of 1,000 cells here).  The kernel's blocks are made as small,
+        so that the draw's own work arrays do not hide the accounting's."""
         chunk = 4096
         monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
         monkeypatch.setattr(_lockstep, "_BLOCK", chunk)
@@ -232,16 +253,19 @@ class TestWorkReuse:
             {
                 "topology": {"wap_count": waps, "ue_count": 5},
                 "seeds": {"replications": reps},
-                "sweeps": ELEVEN_PSI,
+                **scenario,
             }
         )
+        (name,) = scenario["sweeps"]
         tracemalloc.start()
         try:
-            run_sweep(config, "psi")
+            run_sweep(config, name)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * (reps * waps + 3 * reps + 32 * chunk)
+        cells = reps * waps
+        held = cells * max(1, chunk // cells)
+        assert peak <= 8 * (held + 3 * reps + 32 * chunk)
 
     def test_peak_memory_water_fills_one_airtime_at_a_time(self, monkeypatch):
         """With more UEs than ``_CHUNK``, a psi sweep water-fills its 101

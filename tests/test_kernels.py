@@ -218,6 +218,84 @@ def test_compound_totals_of_no_streams():
     assert _lockstep.compound_poisson_totals(no_streams, math.nan, 0.0, 0.01).shape == (0,)
 
 
+MIXED_RATES = [0.0, 1e-9, 2.0, 100.0, 500.0]
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("cap", [0.0, 0.01, math.inf])
+def test_mixed_rates_equal_one_call_per_rate(monkeypatch, block, cap):
+    """One call with a rate per stream gives each stream the bits of the
+    call at its rate alone, whatever the neighbouring streams need."""
+    monkeypatch.setattr(_lockstep, "_BLOCK", block)
+    states = _lockstep._substreams(13, 0, 12)
+    expected = [
+        _lockstep.compound_poisson_totals(states, lam, 450.0, cap) for lam in MIXED_RATES
+    ]
+    mixed = _lockstep.compound_poisson_totals(
+        np.tile(states, len(MIXED_RATES)), np.repeat(MIXED_RATES, len(states)), 450.0, cap
+    )
+    assert mixed.tolist() == np.concatenate(expected).tolist()
+    # Interleaved, so that every block holds streams of every rate.
+    interleaved = _lockstep.compound_poisson_totals(
+        np.repeat(states, len(MIXED_RATES)), np.tile(MIXED_RATES, len(states)), 450.0, cap
+    )
+    assert interleaved.tolist() == np.stack(expected, axis=1).ravel().tolist()
+
+
+@pytest.mark.parametrize("bad", [-1.0, 500.5, math.nan, math.inf])
+@pytest.mark.parametrize("where", [0, 3, -1, slice(None)], ids=["first", "middle", "last", "all"])
+def test_mixed_rates_reject_what_the_scalar_draw_rejects(bad, where):
+    with pytest.raises(ValueError) as scalar:
+        SplitMix64(0).poisson(bad)
+    lam = np.array(MIXED_RATES * 2)
+    lam[where] = bad
+    with pytest.raises(ValueError) as mixed:
+        _lockstep.compound_poisson_totals(_lockstep._substreams(1, 0, len(lam)), lam, 450.0, 0.01)
+    assert str(mixed.value) == str(scalar.value)
+
+
+def test_draws_follow_what_streams_still_need(monkeypatch):
+    """Rates 100 to 500 on 60 cells each, clipped at 10 ms with durations of
+    mean 2.2 ms: the uniforms drawn stay within 1.2 times those the streams
+    consume (each count of k takes k + 1, then the durations up to the cap),
+    and the logarithms within 1.6 times the durations up to the cap.  Blocks
+    of a full mean plus three standard deviations, drawn again whenever a
+    stream is still live, took 1.37 and 2.1 times."""
+    drawn = {"uniforms": 0, "logs": 0}
+    uniforms, libm_log = _lockstep._uniforms, _lockstep._libm_log
+
+    def counted_uniforms(states, start, width):
+        drawn["uniforms"] += len(states) * width
+        return uniforms(states, start, width)
+
+    def counted_log(x):
+        drawn["logs"] += len(x)
+        return libm_log(x)
+
+    monkeypatch.setattr(_lockstep, "_uniforms", counted_uniforms)
+    monkeypatch.setattr(_lockstep, "_libm_log", counted_log)
+    rates, cells, mu, cap = [100.0, 200.0, 300.0, 400.0, 500.0], 60, 450.0, 0.01
+    seeds = [substream_seed(2025, t) for t in range(cells)]
+    states = np.tile(np.array(seeds, dtype=np.uint64), len(rates))
+    totals = _lockstep.compound_poisson_totals(states, np.repeat(rates, cells), mu, cap)
+    expected, uniforms_used, durations_used = [], 0, 0
+    for lam in rates:
+        for seed in seeds:
+            draw = sample_collisions(lam, mu, seed)
+            expected.append(min(draw.total, cap))
+            total, used = 0.0, 0
+            for duration in draw.durations:
+                total += duration
+                used += 1
+                if total >= cap:
+                    break
+            uniforms_used += draw.count + 1 + used
+            durations_used += used
+    assert totals.tolist() == expected
+    assert uniforms_used <= drawn["uniforms"] <= 1.2 * uniforms_used
+    assert durations_used <= drawn["logs"] <= 1.6 * durations_used
+
+
 def _outcome(impl, args):
     try:
         return ("count", impl.chance_mc_count(*args))

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import sample_collisions, simulate_long_frame
 from ruinfair import (
-    CollisionModel,
     ConfigError,
     DutyCyclePolicy,
     FrameConfig,
@@ -155,8 +154,6 @@ def scalar_totals(lam, master, reps, channels):
 
 
 class TestCollisionTotals:
-    MODEL = CollisionModel(lambda_k=7.5, mu=450.0)
-
     def test_equals_one_scalar_draw_per_seed_and_channel(self, monkeypatch):
         """Also when a kernel call's chunk of cells splits a replication's
         row, and for master seeds that the mask reduces."""
@@ -164,22 +161,34 @@ class TestCollisionTotals:
             expected = scalar_totals(7.5, master, 5, 6)
             for chunk in (_lockstep._CHUNK, 5):
                 monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
-                totals = collision_totals(self.MODEL, master, 5, 6, math.inf)
+                totals = collision_totals([7.5], 450.0, master, 5, 6, math.inf)[0]
                 assert totals.shape == (5, 6)
                 assert totals.tolist() == expected
                 # The master seed is taken mod 2**64, as substream_seed takes it.
-                wrapped = collision_totals(self.MODEL, master + 2**64, 5, 6, math.inf)
+                wrapped = collision_totals([7.5], 450.0, master + 2**64, 5, 6, math.inf)[0]
                 assert wrapped.tolist() == expected
 
     @pytest.mark.parametrize("lambda_base,mu", [(20.0, 450.0), (0.2, 0.0)])
     def test_rejects_what_sample_collisions_rejects(self, lambda_base, mu):
         """A rate of 800 (40 stations), or a zero duration rate: the model a
-        draw takes rejects them as the scalar draw does."""
+        draw takes rejects them as the scalar draw does, also after a rate
+        it accepts."""
         with pytest.raises(ValueError) as scalar:
             sample_collisions(lambda_base * 40, mu, 0)
         with pytest.raises(ValueError) as batched:
-            collision_totals(CollisionModel(lambda_base * 40, mu), 0, 1, 3, 0.01)
+            collision_totals([2.0, lambda_base * 40], mu, 0, 1, 3, 0.01)
         assert str(batched.value) == str(scalar.value)
+
+    def test_rates_stack_along_the_first_axis(self, monkeypatch):
+        """Each rate draws from the same (replication, channel) substreams,
+        also when a kernel call's chunk of cells spans two rates."""
+        rates = [0.5, 7.5, 120.0]
+        expected = [scalar_totals(lam, 99, 5, 6) for lam in rates]
+        for chunk in (_lockstep._CHUNK, 7):
+            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+            totals = collision_totals(rates, 450.0, 99, 5, 6, math.inf)
+            assert totals.shape == (3, 5, 6)
+            assert totals.tolist() == expected
 
     HORIZONS = [0.0, 1e-6, 0.01, 1.0, math.inf]
 
@@ -194,10 +203,9 @@ class TestCollisionTotals:
         """
         if block is not None:
             monkeypatch.setattr(_lockstep, "_BLOCK", block)
-        model = CollisionModel(lam, 450.0)
         scalar = scalar_totals(lam, 5, 12, 2)
         for horizon in self.HORIZONS:
-            totals = collision_totals(model, 5, 12, 2, horizon)
+            totals = collision_totals([lam], 450.0, 5, 12, 2, horizon)[0]
             assert totals.tolist() == [[min(t, horizon) for t in row] for row in scalar]
 
     def test_draws_stop_at_the_frame_length(self, monkeypatch):
@@ -211,10 +219,9 @@ class TestCollisionTotals:
             return libm_log(x)
 
         monkeypatch.setattr(_lockstep, "_libm_log", counted)
-        model = CollisionModel(500.0, 450.0)
-        whole = collision_totals(model, 3, 20, 1, math.inf)
+        whole = collision_totals([500.0], 450.0, 3, 20, 1, math.inf)[0]
         uncapped, logs[0] = logs[0], 0
-        clipped = collision_totals(model, 3, 20, 1, 0.01)
+        clipped = collision_totals([500.0], 450.0, 3, 20, 1, 0.01)[0]
         assert clipped.tolist() == np.minimum(whole, 0.01).tolist()
         assert 0 < logs[0] * 20 < uncapped
 

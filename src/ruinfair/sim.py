@@ -284,7 +284,6 @@ def collision_totals(
     ``i // (reps*channels)``, then replication and channel of the
     remainder), so no more than one chunk of states is held at a time.
     """
-    # CollisionModel checks each rate as the scalar draw does.
     lams = np.array([CollisionModel(rate, mu).lambda_k for rate in rates], dtype=float)
     master = np.uint64(seed & _MASK64)
     per_rate = reps * channels

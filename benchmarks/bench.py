@@ -65,7 +65,10 @@ KERNEL_REPEAT = 3
 # (name, kernel, arguments before trials and seed, share of KERNEL_TRIALS).
 # Cases with many draws per trial run a fraction of the trials, so the
 # scalar reference stays quick; the chance cases at lam = 100 and 500 make
-# the lockstep kernel carry its products and totals over many blocks.
+# the lockstep kernel carry its products and totals over many blocks.  The
+# collision-draw cases clip each total at a 10 ms frame, as the sweeps do:
+# at rates 100-500 every stream is certified at the cap with the faster
+# logarithm, and at rate 2 few are (see ``_collision_draws``).
 KERNEL_CASES = [
     (
         "ruin_mc_count (u=0.01, c=0.001, rate=450, n=10)",
@@ -91,6 +94,18 @@ KERNEL_CASES = [
         "chance_mc_count",
         (0.004, 1.1, 500.0, 450.0),
         1 / 500,
+    ),
+    (
+        "compound_poisson_totals (lam=100..500, mu=450, cap=10ms)",
+        "compound_poisson_totals",
+        ((100.0, 200.0, 300.0, 400.0, 500.0), 450.0, 0.01),
+        1 / 100,
+    ),
+    (
+        "compound_poisson_totals (lam=2, mu=450, cap=10ms)",
+        "compound_poisson_totals",
+        ((2.0,), 450.0, 0.01),
+        1 / 10,
     ),
 ]
 
@@ -258,6 +273,27 @@ def _load(name: str, path: Path):
     return module
 
 
+def _collision_draws(scalar, lockstep):
+    """Scalar and lockstep collision totals with the chance kernels' calling
+    convention, ``(rates, mu, cap, trials, seed)``: trial ``t`` draws at
+    ``rates[t % len(rates)]`` from ``substream_seed(seed, t)``, and its total
+    is clipped at ``cap``."""
+    import numpy as np
+    from ruinfair.prng import substream_seed
+
+    def pure(rates, mu, cap, trials, seed):
+        return [
+            min(scalar.sample_collisions(rates[t % len(rates)], mu, substream_seed(seed, t)).total, cap)
+            for t in range(trials)
+        ]
+
+    def lockstep_totals(rates, mu, cap, trials, seed):
+        states = lockstep._substreams(seed, 0, trials)
+        return lockstep.compound_poisson_totals(states, np.resize(rates, trials), mu, cap).tolist()
+
+    return pure, lockstep_totals
+
+
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     """Lockstep against the scalar reference, best of ``repeat`` each."""
     # Another checkout's ruinfair may have been loaded before: load this one.
@@ -278,9 +314,13 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)
+        if kernel == "compound_poisson_totals":
+            pure_fn, lockstep_fn = _collision_draws(scalar, _lockstep)
+        else:
+            pure_fn, lockstep_fn = getattr(scalar, kernel), getattr(_lockstep, kernel)
         ref_s, _ = _best_of(host_reference, (), repeat)
-        pure_s, expected = _best_of(getattr(scalar, kernel), call_args, repeat)
-        lockstep_s, result = _best_of(getattr(_lockstep, kernel), call_args, repeat, clear)
+        pure_s, expected = _best_of(pure_fn, call_args, repeat)
+        lockstep_s, result = _best_of(lockstep_fn, call_args, repeat, clear)
         if result != expected:
             raise SystemExit(f"{name}: lockstep {result} != pure {expected}")
         table.append({"case": name, "trials": call_args[-2], "ref_s": ref_s,

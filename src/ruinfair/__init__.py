@@ -32,11 +32,9 @@ from .errors import ConfigError, NumericalError
 from .ruin import (
     RuinEstimate,
     SurplusParams,
-    SurplusPath,
     effective_claim_rate,
     ruin_probability_exact,
     ruin_probability_mc,
-    simulate_surplus_path,
 )
 from .sim import (
     RadioConfig,
@@ -53,11 +51,9 @@ __all__ = [
     "__version__",
     # ruin
     "SurplusParams",
-    "SurplusPath",
     "RuinEstimate",
     "effective_claim_rate",
     "ruin_probability_exact",
-    "simulate_surplus_path",
     "ruin_probability_mc",
     # duty
     "FrameConfig",

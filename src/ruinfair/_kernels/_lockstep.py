@@ -49,13 +49,18 @@ twice the live paths and most periods copy nothing.
 which differs from glibc's in the last bit on some inputs; libm's is taken
 element by element through ``math.log`` (:func:`_libm_log`), about 17x
 slower.  :func:`compound_poisson_totals` takes libm's logarithm of every
-duration it draws, so its totals are the scalar draws' bit for bit; the
-sweep's collision draws and ``chance_mc_count`` both count on them.  The
-sweep clips collision time at its WiFi window, never longer than the frame
-``T``, so it draws each total only up to ``T`` (exact, see
+duration whose bits can reach a total, so its totals are the scalar draws'
+bit for bit; the sweep's collision draws and ``chance_mc_count`` both count
+on them.  The sweep clips collision time at its WiFi window, never longer
+than the frame ``T``, so it draws each total only up to ``T`` (exact, see
 :func:`compound_poisson_totals`); on a congested channel (hundreds of
 collisions of about 2 ms against a 10 ms frame) that skips most of the
-logarithms.  The chance audit draws whole totals.
+logarithms.  A stream of at least ``2 * cap * mu`` durations expects at
+least twice the cap, so it sums with ``_fast_log`` instead, and its
+clipped total is the cap whenever the fast sum certifies it (see "The cap
+certificate"); only a stream whose fast sum does not is drawn again with
+libm's logarithm.  The chance audit draws whole totals (``cap = inf``), so
+no stream of it is fast.
 ``ruin_mc_count`` takes a logarithm every period of every path, and a
 count needs only the sign of each decision, so it decides with ``np.log``
 (read through the one name ``_fast_log``) and replays exactly only the few
@@ -109,6 +114,44 @@ A marked path's ``-inf`` would pass a ``-inf`` cut, so the kernel raises
 such a cut to the lowest finite double: every live path (claims at least
 ``0.0``) still passes it and no marked one does.
 
+**The cap certificate.**  Let ``F`` be a fast stream's total after ``j``
+durations taken with ``_fast_log``, and ``S`` the scalar recipe's partial
+sum of the same ``j`` durations, taken with libm's.  Term by term the two
+differ only in the logarithm of the same argument, so as in "The error
+bound" ``|F - S|`` is at most about ``(j + m) * eps * F + j * tiny``.
+The kernel keeps the fast total when
+
+    F - _K * n * (eps * F + tiny)  >=  cap
+
+holds in floating point, where ``n >= j`` is the stream's Poisson count
+(the test is made once the stream stops, so ``n`` stands in for the
+durations it summed and only widens the bound).  Then ``S >= cap``:
+
+* *Rounding of the slack.*  ``eps * F`` is exact (or within ``tiny`` when
+  it underflows), and the addition, the product and the subtraction each
+  round to nearest, so the computed slack is at least ``(_K - 1) * n *
+  (eps * F + tiny / 2)``, and a difference that rounds to ``cap`` or above is
+  at least ``cap - eps * F / 2`` (the slack is not negative, so ``cap <=
+  F``).  Hence ``S >= F - |F - S| >= cap + ((_K - 1) * n - j - m - 1/2) *
+  eps * F + ((_K - 1) * n / 2 - j) * tiny``, which is at least ``cap`` for
+  ``n >= j >= 1`` and any ``m <= _K - 2``; the gap test keeps ``m`` below
+  ``_K / 16``.
+* *Monotone partial sums.*  Every later duration is ``>= 0`` (or ``-0.0``)
+  and rounding is monotone, so each further addition leaves the scalar
+  sum at least ``S``: the scalar total is at least ``cap``, and its clipped
+  total is ``cap`` bit for bit.  So is ``min(F, cap)``, as ``F`` is at
+  least the rounded difference.
+* *Non-finite sums.*  A duration overflows to ``inf`` only for a subnormal
+  ``mu``; then ``F = inf``, the slack is ``inf`` and ``inf - inf`` is NaN,
+  and ``NaN >= cap`` is false, so the stream is not certified.  ``F`` is
+  never NaN otherwise (its terms are not negative), and ``cap = inf`` makes
+  ``2 * cap * mu`` infinite, so no stream is fast.
+
+A fast stream that is not certified (its count ran out below the cap, or
+its total stopped within the slack above it) is drawn again from its first
+duration with libm's logarithm, like every other stream, so every total is
+the scalar one clipped at the cap.
+
 **Reuse.**  A chance trial's collision total does not depend on
 ``alpha_total`` or the threshold, only on ``(seed, trial, lam, mu)``.
 :func:`_chance_draws` keeps the totals of the last chunk, keyed by
@@ -120,11 +163,11 @@ a call of more than ``_CHUNK`` trials draws each chunk afresh.
 The counts are bit-identical to the scalar, one-trial-at-a-time
 references of ``tests/oracles.py`` for every argument, and each total to
 the scalar collision draw's total clipped at ``cap``;
-``tests/test_kernels.py`` pins that, and the ruin count also with every
-path replayed (``_K`` huge) and with none (``_K = 0``).
+``tests/test_kernels.py`` pins that, the ruin count also with every path
+replayed (``_K`` huge) and with none (``_K = 0``), and the capped totals
+with every fast stream drawn again (``_K`` huge).
 :func:`surplus_path_values` is not on a hot path: it steps one path with
-``SplitMix64`` for ``ruin.simulate_surplus_path`` and for the exact
-fallback.
+``SplitMix64`` for the exact fallback.
 """
 
 from __future__ import annotations
@@ -437,8 +480,11 @@ def compound_poisson_totals(
     result equals the scalar draw's total clipped to ``cap`` bit for bit
     (``cap = math.inf`` leaves the totals whole).  A stream stops drawing
     durations once its running total reaches ``cap``, which leaves the
-    clipped total unchanged (the partial sums never decrease).  Draws are
-    made in blocks of at most ``max(_BLOCK, len(states))`` elements.
+    clipped total unchanged (the partial sums never decrease).  A stream of
+    at least ``2 * cap * mu`` durations takes ``_fast_log`` and is drawn
+    again with libm's only if its total does not certify the cap (see "The
+    cap certificate" in the module docstring).  Draws are made in blocks of
+    at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
         ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
@@ -456,6 +502,39 @@ def compound_poisson_totals(
         return np.minimum(totals, cap)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"exponential rate must be positive and finite, got {mu}")
+    # A count of k took k + 1 uniforms; the durations start after them.
+    after = states + (counts.astype(np.uint64) + 1) * _GAMMA
+    # A stream of at least 2*cap*mu durations expects at least twice the cap,
+    # so it sums with _fast_log and keeps its total only if that certifies
+    # the cap (see "The cap certificate"); none does when cap*mu is
+    # infinite.  The fast streams go first.
+    fast = counts[live] >= 2.0 * cap * mu
+    n_fast = int(np.count_nonzero(fast))
+    if 0 < n_fast < len(live):
+        live = np.concatenate([live[fast], live[~fast]])
+    _add_durations(totals, live, n_fast, after, counts, mu, cap)
+    if n_fast:
+        quick = live[:n_fast]
+        sums = totals[quick]
+        # An inf sum gives inf - inf = NaN, which certifies nothing.
+        with np.errstate(invalid="ignore"):
+            bound = sums - _K * counts[quick] * (_EPS * sums + _TINY)
+        redo = quick[~(bound >= cap)]
+        if len(redo):
+            totals[redo] = 0.0
+            _add_durations(totals, redo, 0, after, counts, mu, cap)
+    return np.minimum(totals, cap)
+
+
+def _add_durations(totals, live, n_fast: int, after, counts, mu: float, cap: float) -> None:
+    """Add the durations of the streams ``live`` to their ``totals``, which
+    start at ``0.0``: stream ``i`` draws ``counts[i]`` durations from the
+    state ``after[i]``, and stops early once its total reaches ``cap``.
+
+    The first ``n_fast`` streams of ``live`` take ``_fast_log``, the others
+    libm's logarithm.  Streams keep their order as they drop out, so the
+    fast ones stay first.
+    """
     # About cap*mu + 1 durations reach the cap, so the first block is that
     # wide and later ones one standard deviation.  cap*mu is inf for an
     # uncapped sum, or when a huge cap and rate overflow, so it is clamped
@@ -465,8 +544,6 @@ def compound_poisson_totals(
         typical, tail = math.ceil(reach) + 1, math.ceil(math.sqrt(reach)) + 1
     else:
         typical = tail = 1
-    # A count of k took k + 1 uniforms; the durations start after them.
-    after = states + (counts.astype(np.uint64) + 1) * _GAMMA
     drawn = 0
     # A subnormal mu overflows a duration to inf, as the scalar draw does.
     with np.errstate(over="ignore"):
@@ -479,13 +556,22 @@ def compound_poisson_totals(
             # Padding past a stream's last duration adds 0.0, which leaves the
             # total's bits unchanged (it starts at 0.0, so it is never -0.0).
             durations = np.zeros(one_minus_u.shape)
-            durations[wanted] = -_libm_log(one_minus_u[wanted]) / mu
+            x = one_minus_u[wanted]
+            if n_fast:
+                # The fast streams' draws come first (row-major order).
+                k = int(np.count_nonzero(wanted[:n_fast]))
+                logs = np.concatenate((_fast_log(x[:k]), _libm_log(x[k:])))
+            else:
+                logs = _libm_log(x)
+            durations[wanted] = -logs / mu
             durations[:, 0] += totals[live]
             reached = np.add.accumulate(durations, axis=1)[:, -1]
             totals[live] = reached
-            live = live[(left > width) & (reached < cap)]
+            going = (left > width) & (reached < cap)
+            if n_fast:
+                n_fast = int(np.count_nonzero(going[:n_fast]))
+            live = live[going]
             drawn += width
-    return np.minimum(totals, cap)
 
 
 @functools.lru_cache(maxsize=1)

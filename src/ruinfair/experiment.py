@@ -119,6 +119,9 @@ CSV_COLUMNS = tuple(
     + ["alpha_star", "psi"]
 )
 
+# One CSV row: the sweep variable, then every number with 9 significant digits.
+_CSV_ROW = ",".join(["{}"] + ["{:.9g}"] * (len(CSV_COLUMNS) - 1))
+
 
 def _ruin_duties(config: ScenarioConfig, sweep: Sweep) -> list[DutyCycleResult]:
     """The ruin-fair duty cycle at each sweep value.
@@ -286,10 +289,6 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     return rows
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
-
-
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all.
 
@@ -299,8 +298,8 @@ def _write_atomic(path: Path, text: str) -> None:
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(tmp, "wb") as handle:
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -314,16 +313,9 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> Path:
     path = Path(path)
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = [row.variable, _fmt(row.value)]
-        for scheme in SCHEMES:
-            cells += [
-                _fmt(row.wifi_mean[scheme]),
-                _fmt(row.wifi_std[scheme]),
-                _fmt(row.lte_mean[scheme]),
-                _fmt(row.lte_std[scheme]),
-            ]
-        cells += [_fmt(row.alpha_star), _fmt(row.psi)]
-        lines.append(",".join(cells))
+        stats = (row.wifi_mean, row.wifi_std, row.lte_mean, row.lte_std)
+        numbers = [stat[scheme] for scheme in SCHEMES for stat in stats]
+        lines.append(_CSV_ROW.format(row.variable, row.value, *numbers, row.alpha_star, row.psi))
     _write_atomic(path, "\n".join(lines) + "\n")
     return path
 

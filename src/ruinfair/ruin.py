@@ -27,18 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import _kernels
 from .errors import NumericalError
 
 __all__ = [
     "SurplusParams",
-    "SurplusPath",
     "RuinEstimate",
     "effective_claim_rate",
     "ruin_probability_exact",
-    "simulate_surplus_path",
     "ruin_probability_mc",
 ]
 
@@ -72,20 +69,6 @@ class SurplusParams:
             raise ValueError(f"claim_rate must be > 0, got {self.claim_rate}")
         if not (isinstance(self.horizon, int) and self.horizon >= 0):
             raise ValueError(f"horizon must be a nonnegative integer, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class SurplusPath:
-    """One simulated surplus trajectory.
-
-    ``values[s]`` is the surplus after period s (``values[0]`` is the initial
-    capital).  ``ruin_time`` is the first period with negative surplus, or
-    None; the path keeps evolving past ruin so the full trajectory is visible.
-    """
-
-    values: tuple[float, ...]
-    ruined: bool
-    ruin_time: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -161,32 +144,14 @@ def ruin_probability_exact(params: SurplusParams) -> float:
     return min(total, 1.0)
 
 
-def simulate_surplus_path(params: SurplusParams, seed: int) -> SurplusPath:
-    """Simulate one surplus trajectory, deterministically for a given seed.
-
-    Claims are drawn by inverse CDF from the SplitMix64 stream seeded with
-    ``seed`` (see :mod:`ruinfair.prng`), one per period.
-    """
-    values = _kernels.surplus_path_values(
-        params.initial_capital,
-        params.premium,
-        params.claim_rate,
-        params.horizon,
-        seed,
-    )
-    ruin_time = next((s for s, v in enumerate(values) if s > 0 and v < 0.0), None)
-    return SurplusPath(
-        values=tuple(values), ruined=ruin_time is not None, ruin_time=ruin_time
-    )
-
-
 def ruin_probability_mc(params: SurplusParams, trials: int, seed: int) -> RuinEstimate:
     """Monte Carlo ruin probability over ``trials`` independent paths.
 
     Trial t uses the substream seed derived from ``(seed, t)``, so the
-    estimate is reproducible and independent of evaluation order; trial t
-    ruins exactly when ``simulate_surplus_path(params, substream_seed(seed, t))``
-    does.
+    estimate is reproducible and independent of evaluation order.  Trial t
+    draws its claims by inverse CDF from the SplitMix64 stream of
+    ``substream_seed(seed, t)`` (see :mod:`ruinfair.prng`), one per period,
+    and ruins when its surplus goes negative by period n.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -258,22 +258,30 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
     """Rates 100 to 500 on 60 cells each, clipped at 10 ms with durations of
     mean 2.2 ms: the uniforms drawn stay within 1.2 times those the streams
     consume (each count of k takes k + 1, then the durations up to the cap),
-    and the logarithms within 1.6 times the durations up to the cap.  Blocks
-    of a full mean plus three standard deviations, drawn again whenever a
-    stream is still live, took 1.37 and 2.1 times."""
-    drawn = {"uniforms": 0, "logs": 0}
-    uniforms, libm_log = _lockstep._uniforms, _lockstep._libm_log
+    and the logarithms, libm's and the faster one together, within 1.6
+    times the durations up to the cap.  Blocks of a full mean plus three
+    standard deviations, drawn again whenever a stream is still live, took
+    1.37 and 2.1 times.  Every count here is at least twice the 4.5
+    durations of mean that reach the cap, so every stream is certified at
+    the cap with the faster logarithm and none takes libm's."""
+    drawn = {"uniforms": 0, "libm": 0, "fast": 0}
+    uniforms, libm_log, fast_log = _lockstep._uniforms, _lockstep._libm_log, _lockstep._fast_log
 
     def counted_uniforms(states, start, width):
         drawn["uniforms"] += len(states) * width
         return uniforms(states, start, width)
 
-    def counted_log(x):
-        drawn["logs"] += len(x)
+    def counted_libm_log(x):
+        drawn["libm"] += len(x)
         return libm_log(x)
 
+    def counted_fast_log(x):
+        drawn["fast"] += len(x)
+        return fast_log(x)
+
     monkeypatch.setattr(_lockstep, "_uniforms", counted_uniforms)
-    monkeypatch.setattr(_lockstep, "_libm_log", counted_log)
+    monkeypatch.setattr(_lockstep, "_libm_log", counted_libm_log)
+    monkeypatch.setattr(_lockstep, "_fast_log", counted_fast_log)
     rates, cells, mu, cap = [100.0, 200.0, 300.0, 400.0, 500.0], 60, 450.0, 0.01
     seeds = [substream_seed(2025, t) for t in range(cells)]
     states = np.tile(np.array(seeds, dtype=np.uint64), len(rates))
@@ -282,6 +290,7 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
     for lam in rates:
         for seed in seeds:
             draw = sample_collisions(lam, mu, seed)
+            assert draw.count >= 2 * cap * mu
             expected.append(min(draw.total, cap))
             total, used = 0.0, 0
             for duration in draw.durations:
@@ -293,7 +302,8 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
             durations_used += used
     assert totals.tolist() == expected
     assert uniforms_used <= drawn["uniforms"] <= 1.2 * uniforms_used
-    assert durations_used <= drawn["logs"] <= 1.6 * durations_used
+    assert durations_used <= drawn["libm"] + drawn["fast"] <= 1.6 * durations_used
+    assert drawn["libm"] == 0
 
 
 def _outcome(impl, args):
@@ -474,6 +484,100 @@ def test_chance_count_needs_no_filter(monkeypatch, k):
     _, chance = _flip_args(monkeypatch)
     monkeypatch.setattr(_lockstep, "_K", k)
     assert _lockstep.chance_mc_count(*chance) == oracles.chance_mc_count(*chance)
+
+
+def test_cap_certificate_catches_fast_log_flips(monkeypatch):
+    """A fast stream whose faster total reaches the cap while libm's stays
+    below it is drawn again, so its total is the oracle's; without the
+    certificate's slack (``_K = 0``) it would be the cap."""
+    rate, lam = 450.0, 2.0
+    states = _lockstep._substreams(5, 0, 4096)
+    exact = _lockstep.compound_poisson_totals(states, lam, rate, math.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(_lockstep, "_libm_log", _log_one_ulp_off)
+        fast = _lockstep.compound_poisson_totals(states, lam, rate, math.inf)
+    counts = _lockstep._poisson_counts(states, lam)
+    # Fast at a cap of its own fast total: at least 2 * cap * mu durations.
+    t = _first_flip(exact, np.where(counts >= 2.0 * fast * rate, fast, -math.inf))
+    cap, stream = float(fast[t]), states[t : t + 1]
+    expected = min(sample_collisions(lam, rate, int(states[t])).total, cap)
+    assert expected < cap
+    monkeypatch.setattr(_lockstep, "_fast_log", _log_one_ulp_off)
+    assert _lockstep.compound_poisson_totals(stream, lam, rate, cap).tolist() == [expected]
+    monkeypatch.setattr(_lockstep, "_K", 0)
+    assert _lockstep.compound_poisson_totals(stream, lam, rate, cap).tolist() == [cap]
+
+
+def _logged(monkeypatch):
+    """The arguments each logarithm of ``_lockstep`` takes from now on."""
+    taken = {"_libm_log": [], "_fast_log": []}
+
+    def logged(name):
+        log = getattr(_lockstep, name)
+
+        def logged_log(x):
+            taken[name] += x.tolist()
+            return log(x)
+
+        return logged_log
+
+    for name in taken:
+        monkeypatch.setattr(_lockstep, name, logged(name))
+    return taken
+
+
+def test_certificate_refused_everywhere_keeps_totals(monkeypatch):
+    """With ``_K`` huge no fast total is certified: every fast stream is
+    drawn again with libm's logarithm, and the totals keep their bits."""
+    rates, cap = [100.0, 300.0, 500.0], 0.01
+    states = np.tile(_lockstep._substreams(21, 0, 40), len(rates))
+    lam = np.repeat(rates, 40)
+    taken = _logged(monkeypatch)
+    shipped = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
+    assert not taken["_libm_log"] and taken["_fast_log"]
+    monkeypatch.setattr(_lockstep, "_K", 1e300)
+    refused = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
+    assert refused.tolist() == shipped.tolist()
+    assert len(taken["_libm_log"]) >= len(states)
+    assert shipped.tolist() == [
+        min(sample_collisions(r, 450.0, s).total, cap) for r, s in zip(lam, states.tolist())
+    ]
+
+
+@pytest.mark.parametrize("mu", [450.0, 5e-324], ids=["mu450", "subnormal"])
+@pytest.mark.parametrize("cap", [0.0, 0.01, math.inf])
+def test_mixed_rates_equal_clipped_scalar_draws(monkeypatch, mu, cap):
+    """Fast and exact streams side by side, interleaved in every block,
+    each total the scalar draw's clipped at the cap.  A stream's first
+    duration takes the faster logarithm exactly when its count is at least
+    ``2 * cap * mu``.  A subnormal ``mu`` makes every duration infinite,
+    which certifies nothing."""
+    rates = [2.0, 100.0, 500.0]
+    states = _lockstep._substreams(17, 0, 90)
+    lam = np.tile(rates, 30)
+    taken = _logged(monkeypatch)
+    totals = _lockstep.compound_poisson_totals(states, lam, mu, cap)
+    assert totals.tolist() == [
+        min(sample_collisions(r, mu, s).total, cap) for r, s in zip(lam, states.tolist())
+    ]
+    fast_args = set(taken["_fast_log"])
+    for r, s in zip(lam, states.tolist()):
+        rng = SplitMix64(s)
+        count = rng.poisson(r)
+        if count:
+            assert ((1.0 - rng.uniform()) in fast_args) == (count >= 2.0 * cap * mu)
+
+
+def test_uncapped_call_takes_no_fast_log(monkeypatch):
+    """An infinite cap, as in the chance audit, makes no stream fast."""
+
+    def refuse(x):
+        raise AssertionError("an uncapped draw took the faster logarithm")
+
+    monkeypatch.setattr(_lockstep, "_fast_log", refuse)
+    states = _lockstep._substreams(4, 0, 50)
+    totals = _lockstep.compound_poisson_totals(states, 500.0, 450.0, math.inf)
+    assert totals.tolist() == [sample_collisions(500.0, 450.0, s).total for s in states.tolist()]
 
 
 def test_chance_draws_once_per_key(monkeypatch):

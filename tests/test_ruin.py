@@ -1,5 +1,6 @@
 """Ruin probability: closed form vs independent oracles, invariants, errors."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,8 +14,8 @@ from ruinfair import (
     effective_claim_rate,
     ruin_probability_exact,
     ruin_probability_mc,
-    simulate_surplus_path,
 )
+from ruinfair._kernels import _lockstep
 
 from oracles import ruin_one_period, ruin_three_periods, ruin_two_periods
 
@@ -143,39 +144,53 @@ class TestSurplusParamsValidation:
             SurplusParams(**base)
 
 
+def surplus_path(params, seed):
+    """Surplus after each period of the path drawn from ``SplitMix64(seed)``."""
+    return _lockstep.surplus_path_values(
+        params.initial_capital, params.premium, params.claim_rate, params.horizon, seed
+    )
+
+
+def path_ruins(params, seed):
+    """Whether that path goes negative by the horizon (the exact fallback)."""
+    return _lockstep._path_ruins(
+        params.initial_capital, params.premium, params.claim_rate, params.horizon, seed
+    )
+
+
 class TestSimulatePath:
     def test_negligible_claims_never_ruin(self):
         params = SurplusParams(10.0, 1.0, 1e6, 5)
         for seed in range(50):
-            path = simulate_surplus_path(params, seed)
-            assert not path.ruined
-            assert path.ruin_time is None
+            assert min(surplus_path(params, seed)) >= 10.0
+            assert not path_ruins(params, seed)
 
     def test_one_period_ruin_is_claim_exceeding_income(self):
         params = SurplusParams(0.0, 1.0, 1.0, 1)
         for seed in range(200):
-            path = simulate_surplus_path(params, seed)
-            assert path.ruined == (path.values[1] < 0.0)
+            assert path_ruins(params, seed) == (surplus_path(params, seed)[1] < 0.0)
 
     def test_path_shape_and_start(self):
         params = SurplusParams(2.0, 0.5, 1.0, 7)
-        path = simulate_surplus_path(params, 123)
-        assert len(path.values) == 8
-        assert path.values[0] == 2.0
+        path = surplus_path(params, 123)
+        assert len(path) == 8
+        assert path[0] == 2.0
 
     def test_ruin_time_is_first_negative(self):
+        """A path keeps evolving past ruin: it ruins by every horizon from its
+        first negative period on, and by none before."""
         params = SurplusParams(0.0, 0.2, 0.9, 30)
         for seed in range(100):
-            path = simulate_surplus_path(params, seed)
-            negatives = [s for s, v in enumerate(path.values) if s > 0 and v < 0.0]
-            if negatives:
-                assert path.ruined and path.ruin_time == negatives[0]
-            else:
-                assert not path.ruined and path.ruin_time is None
+            path = surplus_path(params, seed)
+            negatives = [s for s, v in enumerate(path) if s > 0 and v < 0.0]
+            for horizon in range(1, params.horizon + 1):
+                shorter = dataclasses.replace(params, horizon=horizon)
+                assert surplus_path(shorter, seed) == path[: horizon + 1]
+                assert path_ruins(shorter, seed) == bool(negatives and negatives[0] <= horizon)
 
     def test_deterministic_for_fixed_seed(self):
         params = SurplusParams(1.0, 1.0, 1.0, 10)
-        assert simulate_surplus_path(params, 5) == simulate_surplus_path(params, 5)
+        assert surplus_path(params, 5) == surplus_path(params, 5)
 
 
 class TestMonteCarlo:
@@ -198,10 +213,7 @@ class TestMonteCarlo:
 
         params = SurplusParams(0.5, 0.8, 1.1, 6)
         trials, seed = 500, 9
-        ruined = sum(
-            simulate_surplus_path(params, substream_seed(seed, t)).ruined
-            for t in range(trials)
-        )
+        ruined = sum(path_ruins(params, substream_seed(seed, t)) for t in range(trials))
         est = ruin_probability_mc(params, trials, seed)
         assert est.estimate == ruined / trials
 

@@ -210,15 +210,19 @@ class TestCollisionTotals:
 
     def test_draws_stop_at_the_frame_length(self, monkeypatch):
         """At 500 collisions of mean 2.2 ms, a 10 ms frame takes under 1/20 of
-        the logarithms of the whole sum."""
+        the logarithms of the whole sum, libm's and the faster one together
+        (the capped draw takes only the faster one)."""
         logs = [0]
-        libm_log = _lockstep._libm_log
 
-        def counted(x):
-            logs[0] += len(x)
-            return libm_log(x)
+        def counted(log):
+            def counted_log(x):
+                logs[0] += len(x)
+                return log(x)
 
-        monkeypatch.setattr(_lockstep, "_libm_log", counted)
+            return counted_log
+
+        for name in ("_libm_log", "_fast_log"):
+            monkeypatch.setattr(_lockstep, name, counted(getattr(_lockstep, name)))
         whole = collision_totals([500.0], 450.0, 3, 20, 1, math.inf)[0]
         uncapped, logs[0] = logs[0], 0
         clipped = collision_totals([500.0], 450.0, 3, 20, 1, 0.01)[0]

@@ -282,10 +282,11 @@ def _collision_draws(scalar, lockstep):
     from ruinfair.prng import substream_seed
 
     def pure(rates, mu, cap, trials, seed):
-        return [
-            min(scalar.sample_collisions(rates[t % len(rates)], mu, substream_seed(seed, t)).total, cap)
+        draws = (
+            scalar.sample_collisions(rates[t % len(rates)], mu, substream_seed(seed, t))
             for t in range(trials)
-        ]
+        )
+        return [min(draw.total, cap) for draw in draws]
 
     def lockstep_totals(rates, mu, cap, trials, seed):
         states = lockstep._substreams(seed, 0, trials)

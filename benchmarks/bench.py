@@ -68,7 +68,8 @@ KERNEL_REPEAT = 3
 # the lockstep kernel carry its products and totals over many blocks.  The
 # collision-draw cases clip each total at a 10 ms frame, as the sweeps do:
 # at rates 100-500 every stream is certified at the cap with the faster
-# logarithm, and at rate 2 few are (see ``_collision_draws``).
+# logarithm, at rate 2 few are, and the mixed case runs both the faster
+# and the libm pass in one call (see ``_collision_draws``).
 KERNEL_CASES = [
     (
         "ruin_mc_count (u=0.01, c=0.001, rate=450, n=10)",
@@ -106,6 +107,12 @@ KERNEL_CASES = [
         "compound_poisson_totals",
         ((2.0,), 450.0, 0.01),
         1 / 10,
+    ),
+    (
+        "compound_poisson_totals (lam=2,100,300,500, mu=450, cap=10ms)",
+        "compound_poisson_totals",
+        ((2.0, 100.0, 300.0, 500.0), 450.0, 0.01),
+        1 / 100,
     ),
 ]
 

@@ -14,7 +14,6 @@ from ._kernels import BACKEND
 from .allocation import (
     AllocationResult,
     snr_utility,
-    sum_rate,
     water_fill,
 )
 from .duty import (
@@ -69,7 +68,6 @@ __all__ = [
     "AllocationResult",
     "snr_utility",
     "water_fill",
-    "sum_rate",
     # sim
     "Scheme",
     "TopologyConfig",

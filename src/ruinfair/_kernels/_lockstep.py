@@ -56,11 +56,12 @@ than the frame ``T``, so it draws each total only up to ``T`` (exact, see
 :func:`compound_poisson_totals`); on a congested channel (hundreds of
 collisions of about 2 ms against a 10 ms frame) that skips most of the
 logarithms.  A stream of at least ``2 * cap * mu`` durations expects at
-least twice the cap, so it sums with ``_fast_log`` instead, and its
-clipped total is the cap whenever the fast sum certifies it (see "The cap
-certificate"); only a stream whose fast sum does not is drawn again with
-libm's logarithm.  The chance audit draws whole totals (``cap = inf``), so
-no stream of it is fast.
+least twice the cap, so it is summed in a first pass with ``_fast_log``,
+and its clipped total is the cap whenever the fast sum certifies it (see
+"The cap certificate").  A second pass sums every other stream, and each
+fast one whose sum does not certify, with libm's logarithm.  A call with
+no fast stream runs the libm pass alone; so does the chance audit, which
+draws whole totals (``cap = inf``).
 ``ruin_mc_count`` takes a logarithm every period of every path, and a
 count needs only the sign of each decision, so it decides with ``np.log``
 (read through the one name ``_fast_log``) and replays exactly only the few
@@ -148,9 +149,11 @@ durations it summed and only widens the bound).  Then ``S >= cap``:
   ``2 * cap * mu`` infinite, so no stream is fast.
 
 A fast stream that is not certified (its count ran out below the cap, or
-its total stopped within the slack above it) is drawn again from its first
-duration with libm's logarithm, like every other stream, so every total is
-the scalar one clipped at the cap.
+its total stopped within the slack above it) is reset to ``0.0`` and drawn
+again from its first duration in the libm pass, like every other stream,
+so every total is the scalar one clipped at the cap.  A total is carried
+from block to block by its own stream alone, so which streams share a
+pass or a block moves no bit.
 
 **Reuse.**  A chance trial's collision total does not depend on
 ``alpha_total`` or the threshold, only on ``(seed, trial, lam, mu)``.
@@ -498,43 +501,34 @@ def compound_poisson_totals(
         return totals
     counts = _poisson_counts(states, lam)
     live = np.flatnonzero(counts)
-    if not len(live):
-        return np.minimum(totals, cap)
-    if not (math.isfinite(mu) and mu > 0.0):
+    if len(live) and not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"exponential rate must be positive and finite, got {mu}")
     # A count of k took k + 1 uniforms; the durations start after them.
     after = states + (counts.astype(np.uint64) + 1) * _GAMMA
     # A stream of at least 2*cap*mu durations expects at least twice the cap,
     # so it sums with _fast_log and keeps its total only if that certifies
     # the cap (see "The cap certificate"); none does when cap*mu is
-    # infinite.  The fast streams go first.
+    # infinite.  The rest, and the fast streams that fail, take libm's.
     fast = counts[live] >= 2.0 * cap * mu
-    n_fast = int(np.count_nonzero(fast))
-    if 0 < n_fast < len(live):
-        live = np.concatenate([live[fast], live[~fast]])
-    _add_durations(totals, live, n_fast, after, counts, mu, cap)
-    if n_fast:
-        quick = live[:n_fast]
+    if fast.any():
+        quick = live[fast]
+        _add_durations(totals, quick, _fast_log, after, counts, mu, cap)
         sums = totals[quick]
         # An inf sum gives inf - inf = NaN, which certifies nothing.
         with np.errstate(invalid="ignore"):
             bound = sums - _K * counts[quick] * (_EPS * sums + _TINY)
         redo = quick[~(bound >= cap)]
-        if len(redo):
-            totals[redo] = 0.0
-            _add_durations(totals, redo, 0, after, counts, mu, cap)
+        totals[redo] = 0.0
+        live = np.concatenate((live[~fast], redo))
+    _add_durations(totals, live, _libm_log, after, counts, mu, cap)
     return np.minimum(totals, cap)
 
 
-def _add_durations(totals, live, n_fast: int, after, counts, mu: float, cap: float) -> None:
+def _add_durations(totals, live, log, after, counts, mu: float, cap: float) -> None:
     """Add the durations of the streams ``live`` to their ``totals``, which
-    start at ``0.0``: stream ``i`` draws ``counts[i]`` durations from the
-    state ``after[i]``, and stops early once its total reaches ``cap``.
-
-    The first ``n_fast`` streams of ``live`` take ``_fast_log``, the others
-    libm's logarithm.  Streams keep their order as they drop out, so the
-    fast ones stay first.
-    """
+    start at ``0.0``, taking each logarithm with ``log``: stream ``i`` draws
+    ``counts[i]`` durations from the state ``after[i]``, and stops early once
+    its total reaches ``cap``."""
     # About cap*mu + 1 durations reach the cap, so the first block is that
     # wide and later ones one standard deviation.  cap*mu is inf for an
     # uncapped sum, or when a huge cap and rate overflow, so it is clamped
@@ -556,21 +550,11 @@ def _add_durations(totals, live, n_fast: int, after, counts, mu: float, cap: flo
             # Padding past a stream's last duration adds 0.0, which leaves the
             # total's bits unchanged (it starts at 0.0, so it is never -0.0).
             durations = np.zeros(one_minus_u.shape)
-            x = one_minus_u[wanted]
-            if n_fast:
-                # The fast streams' draws come first (row-major order).
-                k = int(np.count_nonzero(wanted[:n_fast]))
-                logs = np.concatenate((_fast_log(x[:k]), _libm_log(x[k:])))
-            else:
-                logs = _libm_log(x)
-            durations[wanted] = -logs / mu
+            durations[wanted] = -log(one_minus_u[wanted]) / mu
             durations[:, 0] += totals[live]
             reached = np.add.accumulate(durations, axis=1)[:, -1]
             totals[live] = reached
-            going = (left > width) & (reached < cap)
-            if n_fast:
-                n_fast = int(np.count_nonzero(going[:n_fast]))
-            live = live[going]
+            live = live[(left > width) & (reached < cap)]
             drawn += width
 
 

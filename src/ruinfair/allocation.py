@@ -36,7 +36,6 @@ __all__ = [
     "snr_utility",
     "water_fill",
     "water_fill_batch",
-    "sum_rate",
 ]
 
 
@@ -67,21 +66,6 @@ class AllocationResult:
     water_level: float
     sum_rate: float
     budget: float
-
-
-def sum_rate(alpha_star: float, y, gammas) -> float:
-    """Objective value ``alpha* * sum_i ln(1 + y_i * gamma_i)``."""
-    y = np.asarray(y, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    if y.shape != gammas.shape:
-        raise ValueError(f"y and gammas must match, got {y.shape} vs {gammas.shape}")
-    if not (math.isfinite(alpha_star) and alpha_star >= 0.0):
-        raise ValueError(f"alpha_star must be >= 0, got {alpha_star}")
-    if np.any(y < 0.0) or np.any(gammas < 0.0):
-        raise ValueError("y and gammas must be nonnegative")
-    if alpha_star == 0.0:
-        return 0.0
-    return alpha_star * float(np.sum(np.log1p(y * gammas)))
 
 
 class AllocationBatch(NamedTuple):

@@ -198,7 +198,7 @@ def verify_chance_constraint(
     construction.  They are also reused: the kernel keeps the totals of its
     last call, keyed by ``(seed, trial range, lambda_k, mu)``, so auditing
     several allocations at one seed and collision model draws once (up to
-    65,536 trials; a larger audit draws each chunk again).  The count is the
+    ``_lockstep._CHUNK`` trials; a larger audit draws each chunk again).  The count is the
     same as from fresh draws.
     """
     t_total = frame.total_duration

@@ -12,7 +12,6 @@ from ruinfair import (
     link_budget,
     sim,
     snr_utility,
-    sum_rate,
     water_fill,
 )
 from ruinfair._kernels import _lockstep
@@ -42,29 +41,6 @@ class TestSnrUtility:
             snr_utility(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             snr_utility(1.0, -0.5, 1.0)
-
-
-class TestSumRate:
-    def test_zero_duty_cycle_is_zero(self):
-        assert sum_rate(0.0, [1.0, 2.0], [5.0, 7.0]) == 0.0
-
-    def test_matches_single_user_water_fill(self):
-        assert sum_rate(1.0, [2.0], [1.0]) == pytest.approx(math.log(3.0), abs=1e-15)
-
-    def test_zero_allocation_is_zero(self):
-        assert sum_rate(0.5, [0.0, 0.0], [5.0, 7.0]) == 0.0
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            sum_rate(-1.0, [1.0], [1.0])
-        with pytest.raises(ValueError):
-            sum_rate(1.0, [-1.0], [1.0])
-        with pytest.raises(ValueError):
-            sum_rate(1.0, [1.0], [-1.0])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_rate(1.0, [1.0, 2.0], [1.0])
 
 
 class TestWaterFillClosedForms:

@@ -528,17 +528,22 @@ def _logged(monkeypatch):
 
 def test_certificate_refused_everywhere_keeps_totals(monkeypatch):
     """With ``_K`` huge no fast total is certified: every fast stream is
-    drawn again with libm's logarithm, and the totals keep their bits."""
-    rates, cap = [100.0, 300.0, 500.0], 0.01
+    drawn again with libm's logarithm, in the same pass as the streams that
+    were never fast (rate 2), and the totals keep their bits."""
+    rates, cap = [2.0, 100.0, 300.0, 500.0], 0.01
     states = np.tile(_lockstep._substreams(21, 0, 40), len(rates))
     lam = np.repeat(rates, 40)
     taken = _logged(monkeypatch)
+    _lockstep.compound_poisson_totals(states[:40], lam[:40], 450.0, cap)
+    exact = len(taken["_libm_log"])
     shipped = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
-    assert not taken["_libm_log"] and taken["_fast_log"]
+    # Only the rate-2 streams take libm's logarithm.
+    assert exact and len(taken["_libm_log"]) == 2 * exact and taken["_fast_log"]
     monkeypatch.setattr(_lockstep, "_K", 1e300)
     refused = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
     assert refused.tolist() == shipped.tolist()
-    assert len(taken["_libm_log"]) >= len(states)
+    # Each of the 120 fast streams takes at least one more.
+    assert len(taken["_libm_log"]) >= 3 * exact + 120
     assert shipped.tolist() == [
         min(sample_collisions(r, 450.0, s).total, cap) for r, s in zip(lam, states.tolist())
     ]

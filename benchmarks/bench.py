@@ -64,12 +64,14 @@ KERNEL_REPEAT = 3
 
 # (name, kernel, arguments before trials and seed, share of KERNEL_TRIALS).
 # Cases with many draws per trial run a fraction of the trials, so the
-# scalar reference stays quick; the chance cases at lam = 100 and 500 make
-# the lockstep kernel carry its products and totals over many blocks.  The
-# collision-draw cases clip each total at a 10 ms frame, as the sweeps do:
-# at rates 100-500 every stream is certified at the cap with the faster
-# logarithm, at rate 2 few are, and the mixed case runs both the faster
-# and the libm pass in one call (see ``_collision_draws``).
+# scalar reference stays quick.  The full-size ruin cases step 65,536-path
+# chunks, one period per block; the 2,000-trial case is mc-crosscheck's call
+# size, where a block holds several periods.  The chance cases at lam = 100
+# and 500 make the lockstep kernel carry its products and totals over many
+# blocks.  The collision-draw cases clip each total at a 10 ms frame, as the
+# sweeps do: at rates 100-500 every stream is certified at the cap with the
+# faster logarithm, at rate 2 few are, and the mixed case runs both the
+# faster and the libm pass in one call (see ``_collision_draws``).
 KERNEL_CASES = [
     (
         "ruin_mc_count (u=0.01, c=0.001, rate=450, n=10)",
@@ -78,6 +80,12 @@ KERNEL_CASES = [
         1,
     ),
     ("ruin_mc_count (u=5, c=2, rate=0.5, n=20)", "ruin_mc_count", (5.0, 2.0, 0.5, 20), 1),
+    (
+        "ruin_mc_count (u=5, c=2, rate=0.5, n=20, 2000 trials)",
+        "ruin_mc_count",
+        (5.0, 2.0, 0.5, 20),
+        0.02,
+    ),
     (
         "chance_mc_count (alpha=4ms, thr=9ms, lam=1, mu=450)",
         "chance_mc_count",

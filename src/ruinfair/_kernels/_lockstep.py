@@ -20,30 +20,39 @@ double operations, in the same order:
   along a block of draws, each element one multiply or add of the previous
   one, with the running product or total carried from block to block.
 
-**Per-stream rates and block widths.**  :func:`compound_poisson_totals`
-takes the Poisson mean as one float or as one mean per stream, so the sweep
-draws the cells of all its collision keys in one run; the duration rate and
-the cap are shared.  Each distinct mean is checked once, and its limit is
-``math.exp(-lam)``, the scalar recipe's bits (``np.exp`` may differ in the
-last bit).  A block is ``n_live x width`` draws, ``width`` at most
-``max(1, _BLOCK // n_live)``.  The carried product or total sets the bits,
-block boundaries do not, so each block is sized to what the live streams
-still need: the Poisson blocks add up to the largest mean plus three
-standard deviations (``typical - drawn``), then go one standard deviation
-at a time, and the duration blocks add up to ``cap*mu + 1`` (about the
-durations a capped total takes to reach its cap), then go ``sqrt(cap*mu)
-+ 1`` at a time.  A stream never draws a whole ``typical`` again once it
-has drawn that many, so draws past a stream's count or cap are few, and
-few of them take a logarithm.
+**Blocks.**  All three loops draw through :func:`_uniforms`: a block is
+``width`` draws of each of the ``n_live`` streams still live, one row per
+draw and one column per stream, with ``width`` at most ``max(1, _BLOCK //
+n_live)``.  Each row is one whole-array operation, and the carried claims,
+product or total set the bits, block boundaries do not, so each loop sizes
+its blocks to what its live streams still need:
 
-Streams that finish (completed Poisson counts and duration sums, and
-capped duration sums that reach their cap) are dropped from the working
-arrays as they go, so the cost of a step is proportional to the streams
-still live.  ``ruin_mc_count`` steps its paths one period at a time in
-work arrays allocated once per chunk; a path that leaves (ruined or
-unsure) is marked with ``claims = -inf``, and the arrays drop the marked
-rows only once at least half of them are marked, so a step costs at most
-twice the live paths and most periods copy nothing.
+* ``ruin_mc_count`` draws up to the horizon, takes ``np.log`` of a whole
+  block in one call, then steps its rows one period at a time.  A path
+  that leaves (ruined or unsure) is marked with ``claims = -inf``, and the
+  arrays drop the marked rows between blocks, once at least half of them
+  are marked, so a period costs at most twice the live paths and most
+  blocks copy nothing.
+* The Poisson blocks add up to the largest mean plus three standard
+  deviations (``typical - drawn``), then go one standard deviation at a
+  time.
+* The duration blocks add up to ``cap*mu + 1`` (about the durations a
+  capped total takes to reach its cap), then go ``sqrt(cap*mu) + 1`` at a
+  time.
+
+A stream never draws a whole ``typical`` again once it has drawn that
+many, so draws past a stream's count or cap are few, and few of them take
+a logarithm.  Streams that finish (completed Poisson counts and duration
+sums, and capped duration sums that reach their cap) are dropped after
+each block, so the cost of a block is proportional to the streams still
+live.
+
+**Per-stream rates.**  :func:`compound_poisson_totals` takes the Poisson
+mean as one float or as one mean per stream, so the sweep draws the cells
+of all its collision keys in one run; the duration rate and the cap are
+shared.  Each distinct mean is checked once, and its limit is
+``math.exp(-lam)``, the scalar recipe's bits (``np.exp`` may differ in the
+last bit).
 
 **Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
 which differs from glibc's in the last bit on some inputs; libm's is taken
@@ -199,8 +208,8 @@ __all__ = [
 # working memory of one call.
 _CHUNK = 1 << 16
 
-# Draws per block of compound_poisson_totals: a block is n_live x width with
-# width at most max(1, _BLOCK // n_live).  Wider blocks cost peak memory: a
+# Draws per block of every loop: a block is width x n_live draws with width
+# at most max(1, _BLOCK // n_live).  Wider blocks cost peak memory: a
 # 10,000-trial chance audit at lam = 2 adds about 3.6 MB with 2**16 and
 # 1.7 MB with 2**14.
 _BLOCK = 1 << 14
@@ -218,30 +227,22 @@ _MIX2 = np.uint64(prng._MIX2)
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _mix64(z: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """``prng._mix64`` on a uint64 array (multiplication wraps mod 2**64).
-
-    The result is written into ``out`` (``z`` itself may be passed), with
-    ``scratch`` as the one work array of ``z``'s shape; each is a new array
-    when not given.
-    """
-    scratch = np.right_shift(z, _S30, out=scratch)
-    out = np.bitwise_xor(z, scratch, out=out)
-    out *= _MIX1
-    np.right_shift(out, _S27, out=scratch)
-    out ^= scratch
-    out *= _MIX2
-    np.right_shift(out, _S31, out=scratch)
-    out ^= scratch
-    return out
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """``prng._mix64`` on a uint64 array, in place (multiplication wraps mod
+    2**64); returns ``z``."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 def substream_pairs(seeds, index) -> np.ndarray:
     """``prng.substream_seed(seed, i)`` element by element of the uint64
     ``seeds`` (each already taken mod 2**64) and the indices ``index``,
     which broadcast together."""
-    z = seeds + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA
-    return _mix64(z, out=z)
+    return _mix64(seeds + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA)
 
 
 def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
@@ -251,26 +252,18 @@ def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
     )
 
 
-def _to_uniform(z: np.ndarray, out=None, bits=None, scratch=None) -> np.ndarray:
-    """``SplitMix64.uniform`` from the advanced states ``z``, written into the
-    float64 ``out`` with the uint64 work arrays ``bits`` (``z`` itself may be
-    passed) and ``scratch``; each is a new array when not given."""
-    bits = _mix64(z, bits, scratch)
+def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
+    """``SplitMix64.uniform`` draws ``start+1 .. start+width`` of each stream
+    as one ``width x len(states)`` block: one row per draw, one column per
+    stream (see "Blocks" in the module docstring)."""
+    steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
+    bits = _mix64(steps[:, None] + states)
     bits >>= _S11
-    if out is None:
-        out = np.empty(bits.shape)
     # Below 2**53, so the int64 view converts exactly, and NumPy converts
     # int64 to float64 faster than uint64.
-    out[...] = bits.view(np.int64)
-    out *= prng._INV_2_53
-    return out
-
-
-def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Uniforms ``start+1 .. start+width`` of each stream, one row per stream."""
-    steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
-    z = states[:, None] + steps
-    return _to_uniform(z, bits=z)
+    block = bits.view(np.int64).astype(np.float64)
+    block *= prng._INV_2_53
+    return block
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -315,69 +308,59 @@ def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
     """Ruined paths among trials ``start .. stop-1``.
 
-    Steps every path with ``np.log``; a path leaves at its ruin or at the
-    first period where it is unsure, and the unsure ones are replayed from
-    their start states by the scalar :func:`_path_ruins`.  Only the paths
-    whose claims reach the period's cut take the exact test.  Each period
-    is computed in work arrays allocated once per chunk.  A path that
-    leaves is marked with ``claims = -inf``, which no later draw lifts; the
-    arrays drop the marked rows once at least half of them are marked.
+    Draws the claims of the live paths a block of periods at a time, up to
+    ``max(1, _BLOCK // live)`` periods, with ``np.log`` taken once per
+    block, then steps the block's periods one row at a time.  A path leaves
+    at its ruin or at the first period where it is unsure; only the paths
+    whose claims reach the period's cut take the exact test.  A path that
+    leaves is marked with ``claims = -inf``, which no later draw lifts, and
+    the arrays drop the marked rows between blocks once at least half of
+    them are marked.  The unsure paths are replayed from their start states
+    by the scalar :func:`_path_ruins`.
     """
-    state = _substreams(seed, start, stop)
-    claims = np.zeros(len(state))
-    bits = np.empty_like(state)
-    scratch = np.empty_like(state)
-    draw = np.empty_like(claims)
-    near = np.empty(len(state), dtype=bool)
-    marked = 0
+    states = _substreams(seed, start, stop)
+    claims = np.zeros(len(states))
+    marked = drawn = ruined = 0
     unsure = []
-    ruined = 0
     # A subnormal rate overflows a claim to inf, as the scalar draw does; a
     # marked row then reads -inf - -inf = NaN, which is never live either.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, n + 1):
-            state += _GAMMA
-            _to_uniform(state, out=draw, bits=bits, scratch=scratch)
-            np.subtract(1.0, draw, out=draw)
+        while drawn < n and len(states):
+            width = max(1, min(_BLOCK // len(states), n - drawn))
+            block = _uniforms(states, drawn, width)
+            np.subtract(1.0, block, out=block)
             # Subtracting log/rate gives the bits of adding -log/rate.
-            step = _fast_log(draw)
-            step /= mu_prime
-            claims -= step
-            level = u + s * c
-            a = _K * s * _EPS
-            b = _K * s * (abs(level) * _EPS + _TINY)
-            # Live claims are at least 0.0, marked ones -inf or NaN; a -inf
-            # cut is raised to the lowest double so marked rows stay out.
-            np.greater_equal(claims, max(_cut(level, a, b), _LOWEST), out=near)
-            tested = near.nonzero()[0]
-            if not len(tested):
-                continue
-            margin = claims[tested]
-            bound = margin * a
-            bound += b
-            np.subtract(level, margin, out=margin)
-            # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
-            leave = margin <= bound
-            gone = tested[leave]
-            if not len(gone):
-                continue
-            close = np.abs(margin[leave]) <= bound[leave]
-            ruined += len(close) - int(np.count_nonzero(close))
-            # The start state of a path is its state s steps back.
-            unsure.append(state[gone[close]] - np.uint64(s * prng._GOLDEN & prng._MASK64))
-            claims[gone] = -math.inf
-            marked += len(gone)
+            steps = _fast_log(block.ravel()).reshape(block.shape)
+            steps /= mu_prime
+            for s, step in enumerate(steps, drawn + 1):
+                claims -= step
+                level = u + s * c
+                a = _K * s * _EPS
+                b = _K * s * (abs(level) * _EPS + _TINY)
+                # Live claims are at least 0.0, marked ones -inf or NaN; a
+                # -inf cut is raised to the lowest double so marked rows
+                # stay out.
+                tested = np.flatnonzero(claims >= max(_cut(level, a, b), _LOWEST))
+                if not len(tested):
+                    continue
+                margin = claims[tested]
+                bound = margin * a
+                bound += b
+                np.subtract(level, margin, out=margin)
+                # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
+                leave = margin <= bound
+                gone = tested[leave]
+                if not len(gone):
+                    continue
+                close = np.abs(margin[leave]) <= bound[leave]
+                ruined += len(close) - int(np.count_nonzero(close))
+                unsure.append(states[gone[close]])
+                claims[gone] = -math.inf
+                marked += len(gone)
+            drawn += width
             if 2 * marked >= len(claims):
                 keep = np.flatnonzero(claims > -math.inf)
-                if not len(keep):
-                    break
-                state = state[keep]
-                claims = claims[keep]
-                live = len(keep)
-                bits, scratch, draw, near = (
-                    bits[:live], scratch[:live], draw[:live], near[:live]
-                )
-                marked = 0
+                states, claims, marked = states[keep], claims[keep], 0
     if unsure:
         for start_state in np.concatenate(unsure).tolist():
             ruined += _path_ruins(u, c, mu_prime, n, start_state)
@@ -460,11 +443,11 @@ def _poisson_counts(states: np.ndarray, lam) -> np.ndarray:
     while len(live):
         width = max(1, min(_BLOCK // len(live), max(tail, typical - drawn)))
         block = _uniforms(states[live], drawn, width)
-        block[:, 0] *= product[live]
-        block = np.multiply.accumulate(block, axis=1)
-        above = np.count_nonzero(block > limit[live, None], axis=1)
+        block[0] *= product[live]
+        np.multiply.accumulate(block, axis=0, out=block)
+        above = np.count_nonzero(block > limit[live], axis=0)
         counts[live] += above
-        product[live] = block[:, -1]
+        product[live] = block[-1]
         live = live[above == width]
         drawn += width
     return counts
@@ -546,13 +529,14 @@ def _add_durations(totals, live, log, after, counts, mu: float, cap: float) -> N
             need = max(tail, typical - drawn)
             width = max(1, min(_BLOCK // len(live), int(left.max()), need))
             one_minus_u = 1.0 - _uniforms(after[live], drawn, width)
-            wanted = np.arange(width) < left[:, None]
+            wanted = np.arange(width)[:, None] < left
             # Padding past a stream's last duration adds 0.0, which leaves the
             # total's bits unchanged (it starts at 0.0, so it is never -0.0).
             durations = np.zeros(one_minus_u.shape)
             durations[wanted] = -log(one_minus_u[wanted]) / mu
-            durations[:, 0] += totals[live]
-            reached = np.add.accumulate(durations, axis=1)[:, -1]
+            durations[0] += totals[live]
+            np.add.accumulate(durations, axis=0, out=durations)
+            reached = durations[-1]
             totals[live] = reached
             live = live[(left > width) & (reached < cap)]
             drawn += width

@@ -127,16 +127,22 @@ def test_lockstep_draws_match_scalar_streams():
     states = _lockstep._substreams(seed, 0, trials)
     rngs = [SplitMix64(substream_seed(seed, t)) for t in range(trials)]
     for j in range(periods):
-        one_minus_u = 1.0 - _lockstep._uniforms(states, j, 1)[:, 0]
+        one_minus_u = 1.0 - _lockstep._uniforms(states, j, 1)[0]
         drawn = (-_lockstep._libm_log(one_minus_u) / rate).tolist()
         assert drawn == [rng.exponential(rate) for rng in rngs]
 
 
 def test_lockstep_chunks_match_scalar(monkeypatch):
-    """Trials split across several working chunks count as one batch."""
+    """Trials split across several working chunks count as one batch, with
+    the 7-path chunks' periods drawn 1, 2 or all at a time.  Claims carry
+    from block to block, and with a wide filter (``_K = 1e14``) paths turn
+    unsure in later blocks and are replayed from their start states."""
     monkeypatch.setattr(_lockstep, "_CHUNK", 7)
-    args = (0.4, 0.9, 1.3, 8, 100, 77)
-    assert _lockstep.ruin_mc_count(*args) == oracles.ruin_mc_count(*args)
+    for block, k in itertools.product([7, 14, 1 << 14], [_lockstep._K, 1e14]):
+        monkeypatch.setattr(_lockstep, "_BLOCK", block)
+        monkeypatch.setattr(_lockstep, "_K", k)
+        for args in [(0.4, 0.9, 1.3, 8, 100, 77), (5.0, 2.0, 0.5, 20, 100, 42)]:
+            assert _lockstep.ruin_mc_count(*args) == oracles.ruin_mc_count(*args), (block, k)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
@@ -418,7 +424,7 @@ def test_np_log_stays_within_the_filter_premise():
     The filter's error bound assumes a few ulps; ``_K = 64`` leaves the
     margin.  Checked on the arguments the kernels take, ``1 - u``.
     """
-    one_minus_u = 1.0 - _lockstep._to_uniform(_lockstep._substreams(3, 0, 1_000_000))
+    one_minus_u = 1.0 - _lockstep._uniforms(_lockstep._substreams(3, 0, 1_000_000), 0, 1)[0]
     exact = _lockstep._libm_log(one_minus_u)
     gap = np.abs(_lockstep._fast_log(one_minus_u) - exact) / np.spacing(np.abs(exact))
     assert float(np.max(gap)) * 16 <= _lockstep._K
@@ -450,7 +456,7 @@ def _flip_args(monkeypatch):
     """
     rate, seed = 450.0, 5
     states = _lockstep._substreams(seed, 0, 4096)
-    one_minus_u = 1.0 - _lockstep._to_uniform(states + _lockstep._GAMMA)
+    one_minus_u = 1.0 - _lockstep._uniforms(states, 0, 1)[0]
     fast = -_log_one_ulp_off(one_minus_u) / rate
     exact = -_lockstep._libm_log(one_minus_u) / rate
     t = _first_flip(exact, fast)

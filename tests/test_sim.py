@@ -123,8 +123,8 @@ class TestSampleCollisions:
         # duration the uniform at index k + 1.
         states = np.arange(100_000, dtype=np.uint64)
         counts = _lockstep._poisson_counts(states, 1.0)
-        after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 2) * _lockstep._GAMMA
-        durations = -_lockstep._libm_log(1.0 - _lockstep._to_uniform(after)) / 4.0
+        after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 1) * _lockstep._GAMMA
+        durations = -_lockstep._libm_log(1.0 - _lockstep._uniforms(after, 0, 1)[0]) / 4.0
         count = len(durations)
         mean = math.fsum(durations) / count
         assert abs(mean - 0.25) <= 3.0 * (0.25 / math.sqrt(count))

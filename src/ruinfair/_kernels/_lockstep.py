@@ -27,8 +27,8 @@ n_live)``.  Each row is one whole-array operation, and the carried claims,
 product or total set the bits, block boundaries do not, so each loop sizes
 its blocks to what its live streams still need:
 
-* ``ruin_mc_count`` draws up to the horizon, takes ``np.log`` of a whole
-  block in one call, then steps its rows one period at a time.  A path
+* ``ruin_mc_count`` draws periods up to the horizon, takes ``_fast_log``
+  of a whole block in one call, then steps its rows one period at a time.  A path
   that leaves (ruined or unsure) is marked with ``claims = -inf``, and the
   arrays drop the marked rows between blocks, once at least half of them
   are marked, so a period costs at most twice the live paths and most
@@ -309,7 +309,7 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
     """Ruined paths among trials ``start .. stop-1``.
 
     Draws the claims of the live paths a block of periods at a time, up to
-    ``max(1, _BLOCK // live)`` periods, with ``np.log`` taken once per
+    ``max(1, _BLOCK // live)`` periods, with ``_fast_log`` taken once per
     block, then steps the block's periods one row at a time.  A path leaves
     at its ruin or at the first period where it is unsure; only the paths
     whose claims reach the period's cut take the exact test.  A path that
@@ -327,12 +327,10 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
     with np.errstate(over="ignore", invalid="ignore"):
         while drawn < n and len(states):
             width = max(1, min(_BLOCK // len(states), n - drawn))
-            block = _uniforms(states, drawn, width)
-            np.subtract(1.0, block, out=block)
             # Subtracting log/rate gives the bits of adding -log/rate.
-            steps = _fast_log(block.ravel()).reshape(block.shape)
+            steps = _fast_log(1.0 - _uniforms(states, drawn, width).ravel())
             steps /= mu_prime
-            for s, step in enumerate(steps, drawn + 1):
+            for s, step in enumerate(steps.reshape(width, -1), drawn + 1):
                 claims -= step
                 level = u + s * c
                 a = _K * s * _EPS
@@ -340,7 +338,7 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
                 # Live claims are at least 0.0, marked ones -inf or NaN; a
                 # -inf cut is raised to the lowest double so marked rows
                 # stay out.
-                tested = np.flatnonzero(claims >= max(_cut(level, a, b), _LOWEST))
+                tested = (claims >= max(_cut(level, a, b), _LOWEST)).nonzero()[0]
                 if not len(tested):
                     continue
                 margin = claims[tested]
@@ -357,8 +355,12 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
                 unsure.append(states[gone[close]])
                 claims[gone] = -math.inf
                 marked += len(gone)
+            # Dropped before the next block is drawn, so that one block's
+            # arrays are live at a time; with two, glibc trimmed its heap
+            # and faulted it in again on most calls of a varied grid.
+            del steps
             drawn += width
-            if 2 * marked >= len(claims):
+            if drawn < n and 2 * marked >= len(claims):
                 keep = np.flatnonzero(claims > -math.inf)
                 states, claims, marked = states[keep], claims[keep], 0
     if unsure:

@@ -388,10 +388,11 @@ def test_minus_inf_cut_keeps_counts(monkeypatch, every):
 
 
 def test_lazy_compaction_across_chunks(monkeypatch):
-    """Chunks of 8 paths: the arrays are compacted once half the rows have
-    left, which happens in some chunks and not in others, and the count is
-    the oracle's either way."""
+    """Chunks of 8 paths, drawn one period per block: the arrays are
+    compacted once half the rows have left, which happens in some chunks
+    and not in others, and the count is the oracle's either way."""
     monkeypatch.setattr(_lockstep, "_CHUNK", 8)
+    monkeypatch.setattr(_lockstep, "_BLOCK", 8)
     replayed = _count_replays(monkeypatch)
     args, trials, seed = (0.3, 0.8, 1.5, 12), 64, 42
     assert _lockstep.ruin_mc_count(*args, trials, seed) == oracles.ruin_mc_count(

@@ -28,11 +28,11 @@ product or total set the bits, block boundaries do not, so each loop sizes
 its blocks to what its live streams still need:
 
 * ``ruin_mc_count`` draws periods up to the horizon, takes ``_fast_log``
-  of a whole block in one call, then steps its rows one period at a time.  A path
-  that leaves (ruined or unsure) is marked with ``claims = -inf``, and the
-  arrays drop the marked rows between blocks, once at least half of them
-  are marked, so a period costs at most twice the live paths and most
-  blocks copy nothing.
+  of a whole block in one call, then steps its rows one period at a
+  time.  A path that leaves (ruined or unsure) is marked with ``claims =
+  -inf``, and the arrays drop the marked rows between blocks, once at
+  least half of them are marked, so a block starts with at most twice the
+  live paths and most blocks copy nothing.
 * The Poisson blocks add up to the largest mean plus three standard
   deviations (``typical - drawn``), then go one standard deviation at a
   time.

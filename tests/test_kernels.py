@@ -111,8 +111,10 @@ def test_lockstep_edges_match_scalar(args, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lockstep_all_paths_ruin_in_period_one(seed):
-    """The working arrays empty long before the horizon."""
+def test_lockstep_all_paths_ruin_in_period_one(monkeypatch, seed):
+    """Drawn one period per block, the working arrays empty long before the
+    horizon."""
+    monkeypatch.setattr(_lockstep, "_BLOCK", 200)
     args = (0.0, 1e-300, 1.0, 5, 200)
     assert _lockstep.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed) == 200
 

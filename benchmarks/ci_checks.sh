@@ -1,0 +1,85 @@
+#!/usr/bin/env bash
+# The checks CI makes after Tier-1, runnable on any checkout with NumPy:
+#
+#   bash benchmarks/ci_checks.sh
+#
+# from anywhere; it works from the root of the checkout it sits in and
+# stops at the first failing check.  In order:
+#
+# 1. Every installed interpreter that pyproject.toml's requires-python
+#    admits (python3.N on PATH, and each pyenv version when pyenv is
+#    installed) compiles src/, tests/, perfbench/ and benchmarks/.
+# 2. Same seed, same bytes at every SIMD level, end to end: the default
+#    scenario's CSVs (whose water-filling takes log1p over 2-D arrays) and
+#    a congested lambda_base sweep's (whose collision draws run every
+#    value's cells, at rates 100 to 500, in one kernel run) are written
+#    again with NumPy's dispatch held to its baseline, and compared with
+#    cmp.  The CLI is imported from src/, as Tier-1 does.
+# 3. The benchmark's self-test, perfbench/selftest.py.
+# 4. perfbench/run.py on every workload at seed 0 and seed 1 untraced, and
+#    at seed 0 traced: nine runs, each of whose last line must read
+#    "correct": true.  Seed 0 is checked against the recorded digests; seed
+#    1 has none, but the model invariants (alpha* follows the policy,
+#    monotone in LTE-U airtime, counts in range) are checked at every seed.
+#    The traced run (--trace 1) wraps every layer the library still has and
+#    lists the ones it lacks in its info line.
+
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== compileall with every admitted interpreter"
+minimum=$(sed -n 's/^requires-python = ">=\([0-9.]*\)"$/\1/p' pyproject.toml)
+test -n "$minimum"
+candidates=()
+for minor in $(seq "${minimum#3.}" 30); do
+    candidates+=("python3.$minor")
+done
+if command -v pyenv > /dev/null; then
+    candidates+=("$(pyenv root)"/versions/*/bin/python3)
+fi
+seen=" "
+for py in "${candidates[@]}"; do
+    # A pyenv shim of a version that is not selected is on PATH but fails.
+    exe=$("$py" -c 'import os, sys; print(os.path.realpath(sys.executable))' 2> /dev/null) || continue
+    admitted=$("$py" -c "import sys; print(sys.version_info[:2] >= tuple(map(int, '$minimum'.split('.'))))")
+    if [[ $admitted != True || $seen == *" $exe "* ]]; then
+        continue
+    fi
+    seen+="$exe "
+    echo "$("$py" -c 'import platform; print(platform.python_version())') ($exe)"
+    PYTHONPYCACHEPREFIX="$tmp/pycache" "$py" -m compileall -q src tests perfbench benchmarks
+done
+test "$seen" != " "
+
+echo "== same CSVs at NumPy's baseline SIMD dispatch"
+echo '{}' > "$tmp/scenario.json"
+echo '{"policy":{"kind":"thresholded_linear"},"sweeps":{"lambda":{"variable":"lambda_base","values":[10,20,30,40,50]}}}' > "$tmp/lambda.json"
+ruinfair() {
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m ruinfair.cli "$@"
+}
+for scenario in scenario lambda; do
+    ruinfair run --config "$tmp/$scenario.json" --out "$tmp/out"
+    NPY_ENABLE_CPU_FEATURES=NONE ruinfair run --config "$tmp/$scenario.json" --out "$tmp/baseline"
+done
+for name in sweep_psi.csv sweep_wst.csv sweep_lambda.csv; do
+    cmp "$tmp/out/$name" "$tmp/baseline/$name"
+    echo "$name: same bytes"
+done
+
+echo "== benchmark self-test"
+python3 perfbench/selftest.py
+
+echo "== benchmark output checks"
+# run.py exits 0 on wrong output, so the verdict is read from its last line.
+for args in "--seed 0 --trace 0" "--seed 1 --trace 0" "--seed 0 --trace 1"; do
+    for workload in sweep-default sweep-congested mc-crosscheck; do
+        out=$(python3 perfbench/run.py --workload "$workload" $args --seconds 1)
+        printf '%s\n' "$out"
+        printf '%s\n' "$out" | tail -n 1 | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+    done
+done
+
+echo "== all checks passed"

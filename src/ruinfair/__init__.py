@@ -31,7 +31,6 @@ from .errors import ConfigError, NumericalError
 from .ruin import (
     RuinEstimate,
     SurplusParams,
-    effective_claim_rate,
     ruin_probability_exact,
     ruin_probability_mc,
 )
@@ -51,7 +50,6 @@ __all__ = [
     # ruin
     "SurplusParams",
     "RuinEstimate",
-    "effective_claim_rate",
     "ruin_probability_exact",
     "ruin_probability_mc",
     # duty

@@ -7,6 +7,6 @@ collision draws (``sim.collision_totals``) and ``chance_mc_count`` both
 draw their totals with ``_lockstep.compound_poisson_totals``.
 """
 
-from ._lockstep import BACKEND, chance_mc_count, ruin_mc_count, surplus_path_values
+from ._lockstep import BACKEND, chance_mc_count, ruin_mc_count
 
-__all__ = ["BACKEND", "ruin_mc_count", "surplus_path_values", "chance_mc_count"]
+__all__ = ["BACKEND", "ruin_mc_count", "chance_mc_count"]

@@ -76,9 +76,8 @@ count needs only the sign of each decision, so it decides with ``np.log``
 (read through the one name ``_fast_log``) and replays exactly only the few
 paths whose decision the faster logarithm could have flipped: a
 floating-point filter with an exact fallback (Shewchuk, "Adaptive
-predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path is replayed one draw at a time by
-:func:`_path_ruins`, through :func:`surplus_path_values` and
-``SplitMix64``.
+predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path
+is replayed one draw at a time by :func:`_path_ruins`, with ``SplitMix64``.
 
 **The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
 taken with ``np.log`` is off from the libm term by at most a few ulps,
@@ -178,7 +177,7 @@ the scalar collision draw's total clipped at ``cap``;
 ``tests/test_kernels.py`` pins that, the ruin count also with every path
 replayed (``_K`` huge) and with none (``_K = 0``), and the capped totals
 with every fast stream drawn again (``_K`` huge).
-:func:`surplus_path_values` is not on a hot path: it steps one path with
+:func:`_path_ruins` is not on a hot path: it steps one path with
 ``SplitMix64`` for the exact fallback.
 """
 
@@ -198,7 +197,6 @@ BACKEND = "lockstep"
 __all__ = [
     "BACKEND",
     "ruin_mc_count",
-    "surplus_path_values",
     "chance_mc_count",
     "compound_poisson_totals",
     "substream_pairs",
@@ -283,26 +281,16 @@ def _cut(level: float, a: float, b: float) -> float:
     return cut if level - below > below * a + b else -math.inf
 
 
-def surplus_path_values(
-    u: float, c: float, mu_prime: float, n: int, seed: int
-) -> list[float]:
-    """Surplus after each period: ``[u, u + c - Z1, u + 2c - Z1 - Z2, ...]``.
-
-    The path keeps accruing premiums and claims past a ruin event; callers
-    detect ruin as the first negative entry.
-    """
+def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
+    """Whether the surplus path of ``SplitMix64(seed)`` goes negative by
+    period n, drawn and tested one period at a time by the scalar recipe."""
     rng = prng.SplitMix64(seed)
-    values = [u]
     claims = 0.0
     for s in range(1, n + 1):
         claims += rng.exponential(mu_prime)
-        values.append(u + s * c - claims)
-    return values
-
-
-def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
-    """Whether the surplus path of ``SplitMix64(seed)`` goes negative by period n."""
-    return any(v < 0.0 for v in surplus_path_values(u, c, mu_prime, n, seed)[1:])
+        if u + s * c - claims < 0.0:
+            return True
+    return False
 
 
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
@@ -397,8 +385,8 @@ def _rate_table(lam, n: int):
     Each distinct mean is checked in first-seen order.
 
     Raises:
-        ValueError: As ``SplitMix64.poisson`` does, for the first mean not in
-            ``[0, prng._POISSON_LAM_MAX]``.
+        ValueError: For the first mean not in ``[0, prng._POISSON_LAM_MAX]``,
+            the range of the Poisson recipe in :mod:`ruinfair.prng`.
     """
     if np.ndim(lam) == 0:
         rates = [lam]
@@ -419,8 +407,9 @@ def _rate_table(lam, n: int):
 
 
 def _poisson_counts(states: np.ndarray, lam) -> np.ndarray:
-    """``SplitMix64(s).poisson(lam)`` for every state ``s``, with ``lam`` a
-    float or one mean per stream.
+    """The Poisson count of :mod:`ruinfair.prng`'s recipe, drawn from
+    ``SplitMix64(s)`` for every state ``s``, with ``lam`` a float or one
+    mean per stream.
 
     The running products only shrink (each uniform is below 1), so a
     stream's count is the number of products above its ``exp(-lam)``; it is
@@ -475,8 +464,7 @@ def compound_poisson_totals(
     at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
-        ValueError: As ``SplitMix64.poisson`` does, if there is a stream and
-            a mean is not in ``[0, prng._POISSON_LAM_MAX]``; as
+        ValueError: As :func:`_rate_table` does, if there is a stream; as
             ``SplitMix64.exponential`` does, if some count is positive and
             ``mu`` is not a positive finite rate.  Each distinct rate is
             checked once per call.

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import _kernels
 from .prng import _POISSON_LAM_MAX
-from .ruin import SurplusParams, effective_claim_rate, ruin_probability_exact
+from .ruin import SurplusParams, ruin_probability_exact
 
 __all__ = [
     "FrameConfig",
@@ -167,7 +167,7 @@ def duty_cycle_from_surplus(
     params = SurplusParams(
         initial_capital=frame.total_duration,
         premium=frame.r_reserved * frame.delta,
-        claim_rate=effective_claim_rate(mu, 0.0),
+        claim_rate=mu,
         horizon=frame.n_short,
     )
     psi = ruin_probability_exact(params)

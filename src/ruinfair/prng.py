@@ -13,7 +13,9 @@ consuming the same uniform stream produce identical samples:
 
 * uniform in [0, 1): the top 53 bits of the next output, ``(z >> 11) * 2**-53``
 * exponential(rate): inverse CDF, ``-log(1 - u) / rate``
-* Poisson(lam): Knuth's product-of-uniforms method (exact, O(lam) draws)
+* Poisson(lam): Knuth's product-of-uniforms method (exact, O(lam) draws):
+  the count of running products ``u1, u1*u2, ...`` above ``exp(-lam)``, so
+  a count of k takes k + 1 uniforms; ``lam`` in ``[0, _POISSON_LAM_MAX]``
 
 Substreams for parallel / per-trial work are derived in O(1): the seed of
 substream ``i`` is the ``(i+1)``-th raw output of a SplitMix64 stream seeded
@@ -76,17 +78,3 @@ class SplitMix64:
         if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(f"exponential rate must be positive and finite, got {rate}")
         return -math.log(1.0 - self.uniform()) / rate
-
-    def poisson(self, lam: float) -> int:
-        """Poisson count with mean ``lam`` (Knuth's method)."""
-        if not 0.0 <= lam <= _POISSON_LAM_MAX:
-            raise ValueError(
-                f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {lam}"
-            )
-        limit = math.exp(-lam)
-        k = 0
-        p = self.uniform()
-        while p > limit:
-            k += 1
-            p *= self.uniform()
-        return k

@@ -13,14 +13,6 @@ probability that ruin happens within ``n`` periods:
   evaluated in log space so large horizons do not overflow the factorial.
 * :func:`ruin_probability_mc`: seeded Monte Carlo over simulated paths; kept
   deliberately independent of the closed form so each validates the other.
-
-A modeling quirk, kept on purpose: the combined claim rate is formed by
-*adding the LTE-U duty-cycle duration to the collision rate* (see
-:func:`effective_claim_rate`).  The sum mixes a 1/seconds quantity with a
-seconds quantity, and a duration-shifted exponential is not exponential;
-but this additive rate is the convention this model is defined with, so it
-is implemented literally rather than "fixed".  Note the consequence: a
-larger rate means *smaller* claims, hence a *lower* ruin probability.
 """
 
 from __future__ import annotations
@@ -34,7 +26,6 @@ from .errors import NumericalError
 __all__ = [
     "SurplusParams",
     "RuinEstimate",
-    "effective_claim_rate",
     "ruin_probability_exact",
     "ruin_probability_mc",
 ]
@@ -78,20 +69,6 @@ class RuinEstimate:
     estimate: float
     std_error: float
     trials: int
-
-
-def effective_claim_rate(mu: float, alpha_k: float) -> float:
-    """Combined claim rate ``mu + alpha_k``.
-
-    ``mu`` is the collision-duration rate (1/s); ``alpha_k`` is the LTE-U
-    duty-cycle duration (s).  See the module docstring for why these are
-    added despite the unit mismatch.
-    """
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be a positive finite rate, got {mu}")
-    if not (math.isfinite(alpha_k) and alpha_k >= 0.0):
-        raise ValueError(f"alpha_k must be >= 0, got {alpha_k}")
-    return mu + alpha_k
 
 
 def ruin_probability_exact(params: SurplusParams) -> float:

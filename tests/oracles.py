@@ -5,14 +5,14 @@ integration, exhaustive grid search, or scalar loops that take one trial
 and one draw at a time.  None of it shares code with the algorithm it
 checks, so agreement is evidence, not tautology.
 
-The scalar specifications (the Monte Carlo counts, the collision draw and
-the long frame) draw from the package's ``SplitMix64`` with the recipes
-documented in :mod:`ruinfair.prng`, one stream at a time, where the package
-draws all streams in lockstep.  :func:`water_fill` solves one duty cycle at
-a time, where the package solves a vector of them at once.  The long frame
-takes this water-filling, and the package's duty cycle and link budget as
-they are: it pins how the sweep runner reuses them, not the parts
-themselves.
+The scalar specifications (the Poisson count, the Monte Carlo counts, the
+collision draw and the long frame) draw from the package's ``SplitMix64``
+with the recipes documented in :mod:`ruinfair.prng`, one stream at a time,
+where the package draws all streams in lockstep.  :func:`water_fill`
+solves one duty cycle at a time, where the package solves a vector of them
+at once.  The long frame takes this water-filling, and the package's duty
+cycle and link budget as they are: it pins how the sweep runner reuses
+them, not the parts themselves.
 """
 
 from __future__ import annotations
@@ -40,8 +40,22 @@ from ruinfair import (
     lte_duty_cycle,
 )
 from ruinfair.experiment import SweepRow
-from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.prng import _POISSON_LAM_MAX, SplitMix64, substream_seed
 from ruinfair.sim import scheme_lte_time
+
+
+def poisson(rng: SplitMix64, lam: float) -> int:
+    """Poisson count with mean ``lam`` drawn from ``rng`` by Knuth's method:
+    the running products of its uniforms above ``exp(-lam)``."""
+    if not 0.0 <= lam <= _POISSON_LAM_MAX:
+        raise ValueError(f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {lam}")
+    limit = math.exp(-lam)
+    k = 0
+    p = rng.uniform()
+    while p > limit:
+        k += 1
+        p *= rng.uniform()
+    return k
 
 
 def ruin_one_period(u: float, c: float, rate: float) -> float:
@@ -121,7 +135,7 @@ def chance_mc_count(
     for t in range(trials):
         rng = SplitMix64(substream_seed(seed, t))
         total = 0.0
-        for _ in range(rng.poisson(lam)):
+        for _ in range(poisson(rng, lam)):
             total += rng.exponential(mu)
         if total + alpha_total <= threshold:
             ok += 1
@@ -149,7 +163,7 @@ def sample_collisions(lambda_k: float, mu: float, seed: int) -> CollisionDraw:
     """Draw one long frame's collisions: Poisson(lambda_k) count, exp(mu) durations."""
     CollisionModel(lambda_k, mu)  # checks both rates
     rng = SplitMix64(seed)
-    count = rng.poisson(lambda_k)
+    count = poisson(rng, lambda_k)
     durations = tuple(rng.exponential(mu) for _ in range(count))
     return CollisionDraw(count=count, durations=durations)
 

@@ -51,17 +51,16 @@ def test_chance_count_bit_identical(seed, impl):
 def test_selected_backend_exposes_kernel_surface():
     assert _kernels.BACKEND == "lockstep"
     assert callable(_kernels.ruin_mc_count)
-    assert callable(_kernels.surplus_path_values)
     assert callable(_kernels.chance_mc_count)
 
 
 @pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
 def test_ruin_count_matches_per_trial_paths(impl):
     """The batched count is exactly the sum over per-trial path simulations."""
-    u, c, rate, n, trials, seed = 0.4, 0.9, 1.3, 8, 400, 77
+    u, c, rate, n, trials, seed = 0.4, 0.9, 1.3, 8, 2000, 77
     expected = 0
     for t in range(trials):
-        values = impl.surplus_path_values(u, c, rate, n, substream_seed(seed, t))
+        values = oracles.surplus_path_values(u, c, rate, n, substream_seed(seed, t))
         expected += any(v < 0.0 for v in values[1:])
     assert impl.ruin_mc_count(u, c, rate, n, trials, seed) == expected
 
@@ -74,7 +73,7 @@ def test_chance_count_matches_manual_loop(impl):
     for t in range(trials):
         rng = SplitMix64(substream_seed(seed, t))
         total = 0.0  # left to right: sum() compensates on Python >= 3.12
-        for _ in range(rng.poisson(lam)):
+        for _ in range(oracles.poisson(rng, lam)):
             total += rng.exponential(mu)
         expected += total + alpha <= threshold
     assert impl.chance_mc_count(alpha, threshold, lam, mu, trials, seed) == expected
@@ -82,15 +81,24 @@ def test_chance_count_matches_manual_loop(impl):
 
 @pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
 def test_path_values_follow_premium_and_claims(impl):
-    """values[s] = u + s*c - (sum of the first s exponential draws)."""
-    u, c, rate, n, seed = 2.0, 0.5, 0.8, 10, 31
-    values = impl.surplus_path_values(u, c, rate, n, seed)
-    rng = SplitMix64(seed)
-    claims = 0.0
-    assert values[0] == u
-    for s in range(1, n + 1):
-        claims += rng.exponential(rate)
-        assert values[s] == u + s * c - claims
+    """values[s] = u + s*c - (sum of the first s exponential draws), and the
+    kernel's exact replay ruins by period h exactly when one of values[1..h]
+    is negative, on 2,000 substreams."""
+    u, c, rate, n = 2.0, 0.5, 0.8, 10
+    for t in range(2000):
+        seed = substream_seed(31, t)
+        values = oracles.surplus_path_values(u, c, rate, n, seed)
+        if impl is _lockstep:
+            for h in range(n + 1):
+                ruined = any(v < 0.0 for v in values[1 : h + 1])
+                assert _lockstep._path_ruins(u, c, rate, h, seed) == ruined
+            continue
+        rng = SplitMix64(seed)
+        claims = 0.0
+        assert values[0] == u
+        for s in range(1, n + 1):
+            claims += rng.exponential(rate)
+            assert values[s] == u + s * c - claims
 
 
 @pytest.mark.parametrize(
@@ -254,7 +262,7 @@ def test_mixed_rates_equal_one_call_per_rate(monkeypatch, block, cap):
 @pytest.mark.parametrize("where", [0, 3, -1, slice(None)], ids=["first", "middle", "last", "all"])
 def test_mixed_rates_reject_what_the_scalar_draw_rejects(bad, where):
     with pytest.raises(ValueError) as scalar:
-        SplitMix64(0).poisson(bad)
+        oracles.poisson(SplitMix64(0), bad)
     lam = np.array(MIXED_RATES * 2)
     lam[where] = bad
     with pytest.raises(ValueError) as mixed:
@@ -577,7 +585,7 @@ def test_mixed_rates_equal_clipped_scalar_draws(monkeypatch, mu, cap):
     fast_args = set(taken["_fast_log"])
     for r, s in zip(lam, states.tolist()):
         rng = SplitMix64(s)
-        count = rng.poisson(r)
+        count = oracles.poisson(rng, r)
         if count:
             assert ((1.0 - rng.uniform()) in fast_args) == (count >= 2.0 * cap * mu)
 

@@ -9,6 +9,8 @@ import math
 
 import pytest
 
+import oracles
+from ruinfair._kernels import _lockstep
 from ruinfair.prng import SplitMix64, substream_seed
 
 GOLDEN_U64 = {
@@ -84,16 +86,19 @@ def test_exponential_rejects_bad_rate():
             rng.exponential(rate)
 
 
+# The Poisson sampler that ships is the lockstep kernel's _poisson_counts;
+# oracles.poisson is the scalar recipe it follows.
+
+
 def test_poisson_zero_mean_is_always_zero():
-    rng = SplitMix64(3)
-    assert all(rng.poisson(0.0) == 0 for _ in range(100))
+    counts = _lockstep._poisson_counts(_lockstep._substreams(3, 0, 100), 0.0)
+    assert counts.tolist() == [0] * 100
 
 
 def test_poisson_mean_and_variance():
-    rng = SplitMix64(11)
     n = 100_000
     lam = 2.0
-    draws = [rng.poisson(lam) for _ in range(n)]
+    draws = _lockstep._poisson_counts(_lockstep._substreams(11, 0, n), lam).tolist()
     mean = sum(draws) / n
     assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
     var = sum((d - mean) ** 2 for d in draws) / (n - 1)
@@ -101,10 +106,13 @@ def test_poisson_mean_and_variance():
 
 
 def test_poisson_rejects_out_of_range_mean():
-    rng = SplitMix64(0)
+    states = _lockstep._substreams(0, 0, 10)
     for lam in (-0.5, 501.0, math.nan):
-        with pytest.raises(ValueError):
-            rng.poisson(lam)
+        with pytest.raises(ValueError) as scalar:
+            oracles.poisson(SplitMix64(0), lam)
+        with pytest.raises(ValueError) as shipped:
+            _lockstep._poisson_counts(states, lam)
+        assert str(shipped.value) == str(scalar.value)
 
 
 def test_substream_seed_equals_stream_outputs():

@@ -11,13 +11,18 @@ from ruinfair import (
     NumericalError,
     RuinEstimate,
     SurplusParams,
-    effective_claim_rate,
     ruin_probability_exact,
     ruin_probability_mc,
 )
 from ruinfair._kernels import _lockstep
+from ruinfair.prng import substream_seed
 
-from oracles import ruin_one_period, ruin_three_periods, ruin_two_periods
+from oracles import (
+    ruin_one_period,
+    ruin_three_periods,
+    ruin_two_periods,
+    surplus_path_values,
+)
 
 params_strategy = st.builds(
     SurplusParams,
@@ -26,24 +31,6 @@ params_strategy = st.builds(
     claim_rate=st.floats(0.1, 3.0),
     horizon=st.integers(0, 50),
 )
-
-
-class TestEffectiveClaimRate:
-    def test_identity_at_zero_duty_cycle(self):
-        assert effective_claim_rate(1.0, 0.0) == 1.0
-
-    def test_direct_sums(self):
-        assert effective_claim_rate(1.0, 0.5) == 1.5
-        assert effective_claim_rate(0.2, 0.3) == 0.5
-
-    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_degenerate_mu(self, mu):
-        with pytest.raises(ValueError):
-            effective_claim_rate(mu, 0.1)
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            effective_claim_rate(1.0, -0.01)
 
 
 class TestExactFormula:
@@ -146,7 +133,7 @@ class TestSurplusParamsValidation:
 
 def surplus_path(params, seed):
     """Surplus after each period of the path drawn from ``SplitMix64(seed)``."""
-    return _lockstep.surplus_path_values(
+    return surplus_path_values(
         params.initial_capital, params.premium, params.claim_rate, params.horizon, seed
     )
 
@@ -167,7 +154,7 @@ class TestSimulatePath:
 
     def test_one_period_ruin_is_claim_exceeding_income(self):
         params = SurplusParams(0.0, 1.0, 1.0, 1)
-        for seed in range(200):
+        for seed in [*range(200), *(substream_seed(3, t) for t in range(2000))]:
             assert path_ruins(params, seed) == (surplus_path(params, seed)[1] < 0.0)
 
     def test_path_shape_and_start(self):
@@ -209,8 +196,6 @@ class TestMonteCarlo:
         assert est == RuinEstimate(estimate=0.0, std_error=0.0, trials=1000)
 
     def test_estimate_counts_ruined_paths(self):
-        from ruinfair.prng import substream_seed
-
         params = SurplusParams(0.5, 0.8, 1.1, 6)
         trials, seed = 500, 9
         ruined = sum(path_ruins(params, substream_seed(seed, t)) for t in range(trials))

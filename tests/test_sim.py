@@ -110,8 +110,8 @@ class TestSampleCollisions:
             assert all(d >= 0.0 for d in draw.durations)
 
     def test_poisson_mean_self_check(self):
-        # The shipped sampler: SplitMix64(seed).poisson(2.0) for every seed,
-        # the count of sample_collisions(2.0, 500.0, seed).
+        # The shipped sampler at mean 2.0 for every seed: the count of
+        # sample_collisions(2.0, 500.0, seed).
         n = 100_000
         counts = _lockstep._poisson_counts(np.arange(n, dtype=np.uint64), 2.0)
         mean = int(counts.sum()) / n

@@ -311,12 +311,19 @@ def _collision_draws(scalar, lockstep):
 
 
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
-    """Lockstep against the scalar reference, best of ``repeat`` each."""
+    """Lockstep against the scalar reference, best of ``repeat`` each.
+
+    The kernels are the checkout's ``ruinfair._kernels``: one module, or in
+    older checkouts a package whose ``_lockstep`` submodule holds them, so
+    that ``--against`` can still measure a parent of either layout.
+    """
     # Another checkout's ruinfair may have been loaded before: load this one.
     for name in [m for m in sys.modules if m.partition(".")[0] == "ruinfair"]:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
-    from ruinfair._kernels import _lockstep
+    import ruinfair._kernels
+
+    kernels = getattr(ruinfair._kernels, "_lockstep", ruinfair._kernels)
 
     # The checkout's scalar Monte Carlo counts, and the reference work that
     # perfbench scales the kernels' workload by.
@@ -326,14 +333,14 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     # The lockstep chance kernel keeps its last chunk's draws for the next
     # call; clearing them before each timed call times the draws, not a
     # cache hit.
-    clear = _lockstep._chance_draws.cache_clear
+    clear = kernels._chance_draws.cache_clear
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
         call_args = (*kernel_args, max(1, round(trials * share)), 42)
         if kernel == "compound_poisson_totals":
-            pure_fn, lockstep_fn = _collision_draws(scalar, _lockstep)
+            pure_fn, lockstep_fn = _collision_draws(scalar, kernels)
         else:
-            pure_fn, lockstep_fn = getattr(scalar, kernel), getattr(_lockstep, kernel)
+            pure_fn, lockstep_fn = getattr(scalar, kernel), getattr(kernels, kernel)
         ref_s, _ = _best_of(host_reference, (), repeat)
         pure_s, expected = _best_of(pure_fn, call_args, repeat)
         lockstep_s, result = _best_of(lockstep_fn, call_args, repeat, clear)

@@ -6,17 +6,20 @@
 # from anywhere; it works from the root of the checkout it sits in and
 # stops at the first failing check.  In order:
 #
-# 1. Every installed interpreter that pyproject.toml's requires-python
+# 1. The shipped layout, without building: setuptools finds the one
+#    package ruinfair under src/ (as pyproject.toml's packages.find does),
+#    and the kernels are the single module src/ruinfair/_kernels.py.
+# 2. Every installed interpreter that pyproject.toml's requires-python
 #    admits (python3.N on PATH, and each pyenv version when pyenv is
 #    installed) compiles src/, tests/, perfbench/ and benchmarks/.
-# 2. Same seed, same bytes at every SIMD level, end to end: the default
+# 3. Same seed, same bytes at every SIMD level, end to end: the default
 #    scenario's CSVs (whose water-filling takes log1p over 2-D arrays) and
 #    a congested lambda_base sweep's (whose collision draws run every
 #    value's cells, at rates 100 to 500, in one kernel run) are written
 #    again with NumPy's dispatch held to its baseline, and compared with
 #    cmp.  The CLI is imported from src/, as Tier-1 does.
-# 3. The benchmark's self-test, perfbench/selftest.py.
-# 4. perfbench/run.py on every workload at seed 0 and seed 1 untraced, and
+# 4. The benchmark's self-test, perfbench/selftest.py.
+# 5. perfbench/run.py on every workload at seed 0 and seed 1 untraced, and
 #    at seed 0 traced: nine runs, each of whose last line must read
 #    "correct": true.  Seed 0 is checked against the recorded digests; seed
 #    1 has none, but the model invariants (alpha* follows the policy,
@@ -29,6 +32,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== shipped layout"
+python3 -c 'import setuptools, sys; found = setuptools.find_packages("src"); print(found); sys.exit(found != ["ruinfair"])'
+test -f src/ruinfair/_kernels.py
 
 echo "== compileall with every admitted interpreter"
 minimum=$(sed -n 's/^requires-python = ">=\([0-9.]*\)"$/\1/p' pyproject.toml)

@@ -1,4 +1,4 @@
-"""NumPy lockstep Monte Carlo kernels: the one backend of :mod:`ruinfair._kernels`.
+"""The Monte Carlo kernels, in NumPy lockstep, and the work-block rule.
 
 The kernels advance the SplitMix64 streams of all trials at once instead of
 one trial at a time.  Substreams are counter-based (the seed of trial ``t``
@@ -20,7 +20,10 @@ double operations, in the same order:
   along a block of draws, each element one multiply or add of the previous
   one, with the running product or total carried from block to block.
 
-**Blocks.**  All three loops draw through :func:`_uniforms`: a block is
+**Work blocks.**  Both kernels take their trials, and the sweep's loops in
+``sim`` and ``experiment`` their items, one :func:`blocks` slice at a time.
+
+**Draw blocks.**  All three loops draw through :func:`_uniforms`: a block is
 ``width`` draws of each of the ``n_live`` streams still live, one row per
 draw and one column per stream, with ``width`` at most ``max(1, _BLOCK //
 n_live)``.  Each row is one whole-array operation, and the carried claims,
@@ -190,7 +193,7 @@ import sys
 
 import numpy as np
 
-from .. import prng
+from . import prng
 
 BACKEND = "lockstep"
 
@@ -200,10 +203,11 @@ __all__ = [
     "chance_mc_count",
     "compound_poisson_totals",
     "substream_pairs",
+    "blocks",
 ]
 
-# Trials (or the sweep's collision cells) advanced together; bounds the
-# working memory of one call.
+# Items of a work block (see blocks): trials, or the sweep's collision cells,
+# advanced together; bounds the working memory of one call.
 _CHUNK = 1 << 16
 
 # Draws per block of every loop: a block is width x n_live draws with width
@@ -223,6 +227,14 @@ _GAMMA = np.uint64(prng._GOLDEN)
 _MIX1 = np.uint64(prng._MIX1)
 _MIX2 = np.uint64(prng._MIX2)
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+
+def blocks(n: int, per: int = 1):
+    """``range(n)`` as in-order slices of ``max(1, _CHUNK // per)`` items
+    (the last one may be shorter), for items of ``per`` cells each: the
+    work blocks of every loop that holds about ``_CHUNK`` cells at a time."""
+    step = max(1, _CHUNK // per)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -253,7 +265,7 @@ def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
 def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
     """``SplitMix64.uniform`` draws ``start+1 .. start+width`` of each stream
     as one ``width x len(states)`` block: one row per draw, one column per
-    stream (see "Blocks" in the module docstring)."""
+    stream (see "Draw blocks" in the module docstring)."""
     steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
     bits = _mix64(steps[:, None] + states)
     bits >>= _S11
@@ -373,8 +385,8 @@ def ruin_mc_count(
         raise ValueError(f"exponential rate must be positive and finite, got {mu_prime}")
     seed = operator.index(seed)
     return sum(
-        _chunk_ruins(u, c, mu_prime, n, seed, start, min(start + _CHUNK, trials))
-        for start in range(0, trials, _CHUNK)
+        _chunk_ruins(u, c, mu_prime, n, seed, block.start, block.stop)
+        for block in blocks(trials)
     )
 
 
@@ -563,8 +575,8 @@ def chance_mc_count(
     """
     seed = operator.index(seed)
     ok = 0
-    for start in range(0, trials, _CHUNK):
-        totals = _chance_draws(seed, start, min(start + _CHUNK, trials), lam, mu)
+    for block in blocks(trials):
+        totals = _chance_draws(seed, block.start, block.stop, lam, mu)
         # An infinite total and alpha_total of opposite signs sum to NaN,
         # which does not fit, as in the scalar recipe.
         with np.errstate(invalid="ignore"):

@@ -13,6 +13,7 @@ Exit codes: 0 on success, 2 on configuration errors, 1 on runtime errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -67,13 +68,18 @@ def _cmd_validate(config_path: str) -> int:
 
 
 def _cmd_run(config_path: str, sweep_name: Optional[str], out_dir: str) -> int:
+    # An --out that mkdir cannot make a directory of is refused before any
+    # work: the path, or else its nearest existing ancestor, must be one.
+    out = Path(out_dir)
+    existing = next(path for path in (out, *out.parents) if os.path.lexists(path))
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
     config = load_scenario(config_path)
     names = [sweep_name] if sweep_name is not None else list(config.sweeps)
 
     # Every sweep runs before anything is written, so a failing one leaves
     # no output directory and no files behind.
     results = {name: run_sweep(config, name) for name in names}
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in results.items():
         csv_path = emit_csv(rows, out / f"sweep_{name}.csv")

@@ -198,8 +198,8 @@ def verify_chance_constraint(
     construction.  They are also reused: the kernel keeps the totals of its
     last call, keyed by ``(seed, trial range, lambda_k, mu)``, so auditing
     several allocations at one seed and collision model draws once (up to
-    ``_lockstep._CHUNK`` trials; a larger audit draws each chunk again).  The count is the
-    same as from fresh draws.
+    one work block of ``_kernels.blocks``; a larger audit draws each block
+    again).  The count is the same as from fresh draws.
     """
     t_total = frame.total_duration
     if not (math.isfinite(alpha_total) and 0.0 <= alpha_total <= t_total):

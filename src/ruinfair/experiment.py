@@ -22,12 +22,12 @@ probability (``config.scenario_at``), so:
   gives ``min(total, window)`` bit for bit.  A ``psi`` sweep has one key,
   a ``wst_count`` or ``lambda_base`` sweep one per value (sweep values are
   strictly increasing, so a key never comes back).  Consecutive keys are
-  drawn in groups of ``max(1, _lockstep._CHUNK // (replications x
-  channels))``, each group in one ``sim.collision_totals`` call (one run of
-  the lockstep compound-Poisson kernel over a sequence of rates, which
-  derives each replication's stream from ``seeds.traffic`` itself), and
-  only the current group's array is held: at most about ``_CHUNK`` cells,
-  or one key's array when a key has more;
+  drawn a work block (``_kernels.blocks``, a key being ``replications x
+  channels`` cells) at a time, each block in one ``sim.collision_totals``
+  call (one run of the lockstep compound-Poisson kernel over a sequence of
+  rates, which derives each replication's stream from ``seeds.traffic``
+  itself), and only the current block's array is held: at most about a
+  block of cells, or one key's array when a key has more;
 * once per sweep: the water-filled sum rate of every distinct positive
   LTE-U airtime (``sim.lte_sum_rate``, whose rates serve every channel and
   none of which depends on the replication seed), in one water-filling
@@ -43,11 +43,11 @@ probability (``config.scenario_at``), so:
   and a ``wst_count`` or ``lambda_base`` sweep one duty cycle, so its keys
   share their airtimes.  The LTE-U sums of all the sweep's airtimes are
   taken the same way in one call, after the last collision array is
-  freed.  A batch holds about ``_lockstep._CHUNK // replications`` pairs
-  (at least one) and a block about ``_CHUNK`` cells, a row of more
-  channels than that being split into column blocks with the running
-  total carried left to right, so memory stays at the collision array
-  plus a replication-length row or two and a few blocks.
+  freed.  Batches of pairs and blocks of cells are the work blocks of
+  ``_kernels.blocks`` (a pair being ``replications`` totals), a row of
+  more channels than a block being split into column blocks with the
+  running total carried left to right, so memory stays at the collision
+  array plus a replication-length row or two and a few blocks.
 
 The result equals the scalar specification of ``tests/oracles.py``, one
 long frame per (value, replication, scheme) with one collision draw at a
@@ -67,8 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from ._kernels import BACKEND, _lockstep
+from . import __version__, _kernels
 from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
 from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
@@ -144,19 +143,15 @@ def _row_sums(cells, count: int, reps: int, channels: int) -> np.ndarray:
     airtimes on a block of replications and channels, in an array this
     function may overwrite.  Returns the ``count x reps`` totals.
 
-    The work is done in blocks of about ``_lockstep._CHUNK`` cells: blocks
-    of rows, and of columns when one row of the batch is more than a block,
+    The work is done in the work blocks of ``_kernels.blocks``: blocks of
+    rows, and of columns when one row of the batch is more than a block,
     with the running total carried from one column block to the next.
     """
-    chunk = _lockstep._CHUNK
     totals = np.empty((count, reps))
-    row_step = max(1, chunk // (count * channels))
-    col_step = max(1, chunk // count)
-    for start in range(0, reps, row_step):
-        rows = slice(start, min(start + row_step, reps))
-        for first in range(0, channels, col_step):
-            work = cells(rows, slice(first, min(first + col_step, channels)))
-            if first:
+    for rows in _kernels.blocks(reps, count * channels):
+        for cols in _kernels.blocks(channels, count):
+            work = cells(rows, cols)
+            if cols.start:
                 # The first column starts the total itself, so a -0.0 keeps
                 # its sign.
                 work[:, :, 0] += totals[:, rows]
@@ -169,13 +164,12 @@ def _row_sums(cells, count: int, reps: int, channels: int) -> np.ndarray:
 def _stats(totals_of, count: int, reps: int) -> list[tuple[float, float]]:
     """Mean and sample standard deviation (0 for a single replication) of
     each row of ``totals_of(batch)``, the ``len(batch) x reps`` totals of a
-    slice of ``count`` airtimes.  Airtimes are taken about
-    ``_lockstep._CHUNK // reps`` at a time, so at most one row is held when
-    ``reps`` is above ``_CHUNK``."""
-    step = max(1, _lockstep._CHUNK // reps)
+    slice of ``count`` airtimes.  Airtimes are taken a work block of
+    ``_kernels.blocks`` at a time (an airtime being ``reps`` totals), so at
+    most one row is held when a row is more than a block."""
     stats = []
-    for start in range(0, count, step):
-        totals = totals_of(slice(start, min(start + step, count)))
+    for batch in _kernels.blocks(count, reps):
+        totals = totals_of(batch)
         means = np.mean(totals, axis=1).tolist()
         stds = np.std(totals, axis=1, ddof=1).tolist() if reps > 1 else [0.0] * len(means)
         stats += zip(means, stds)
@@ -252,12 +246,11 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     distinct_keys = list(dict.fromkeys(keys))
     # WiFi gets the window left by LTE-U.
     windows = np.array([t_total - a for a in distinct])
-    # A group of keys of about _CHUNK cells is drawn in one kernel run and
-    # accounted in one pass; a key of more cells is drawn on its own.
-    group = max(1, _lockstep._CHUNK // (reps * channels))
+    # A work block of keys is drawn in one kernel run and accounted in one
+    # pass; a key of more cells than a block is drawn on its own.
     wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
-    for start in range(0, len(distinct_keys), group):
-        batch = distinct_keys[start : start + group]
+    for group in _kernels.blocks(len(distinct_keys), reps * channels):
+        batch = distinct_keys[group]
         rates = [traffic.lambda_base * topology.wst_per_wap for topology, traffic in batch]
         collisions = None  # free the last group's totals before drawing
         collisions = collision_totals(
@@ -331,7 +324,7 @@ def emit_manifest(config: ScenarioConfig, sweep_name: str, path: str | Path) -> 
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "sweep": sweep_name,
         "csv_columns": list(CSV_COLUMNS),
-        "versions": {"ruinfair": __version__, "backend": BACKEND},
+        "versions": {"ruinfair": __version__, "backend": _kernels.BACKEND},
         "scenario": scenario_to_dict(config),
     }
     path = Path(path)

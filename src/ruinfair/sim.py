@@ -64,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import _lockstep
+from . import _kernels
 from .allocation import snr_utility, water_fill_batch
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
@@ -247,17 +247,16 @@ def lte_sum_rate(lte_times, bandwidth: float, gammas: np.ndarray) -> np.ndarray:
 
     ``gammas`` is :func:`link_budget`'s utility per UE, the same on every
     channel, so every channel gets these rates.  The positive airtimes are
-    water-filled together, ``_lockstep._CHUNK // len(gammas)`` of them (at
-    least one) to a call, so that about ``_CHUNK`` shares are held at a
-    time.
+    water-filled together, one work block of ``_kernels.blocks`` (an
+    airtime being ``len(gammas)`` shares) to a call, which bounds the shares
+    held at a time.
     """
     lte_times = np.asarray(lte_times, dtype=float)
     rates = np.zeros(lte_times.shape)
     positive = np.flatnonzero(lte_times > 0.0)
-    step = max(1, _lockstep._CHUNK // len(gammas))
-    for start in range(0, len(positive), step):
-        block = positive[start : start + step]
-        rates[block] = water_fill_batch(lte_times[block], bandwidth, gammas).sum_rate
+    for block in _kernels.blocks(len(positive), len(gammas)):
+        index = positive[block]
+        rates[index] = water_fill_batch(lte_times[index], bandwidth, gammas).sum_rate
     return rates
 
 
@@ -279,23 +278,22 @@ def collision_totals(
     bits of the unclipped total clipped at the window, and a draw stops at
     the frame: the durations beyond it are never drawn.  The cells of all
     rates are drawn as one run of streams in row-major order, each with its
-    own rate, ``_lockstep._CHUNK`` to a kernel call.  Each call derives its
-    cells' substream states from their flat indices (cell ``i`` is rate
-    ``i // (reps*channels)``, then replication and channel of the
-    remainder), so no more than one chunk of states is held at a time.
+    own rate, one work block of ``_kernels.blocks`` to a kernel call.  Each
+    call derives its cells' substream states from their flat indices (cell
+    ``i`` is rate ``i // (reps*channels)``, then replication and channel of
+    the remainder), so no more than one block of states is held at a time.
     """
     lams = np.array([CollisionModel(rate, mu).lambda_k for rate in rates], dtype=float)
     master = np.uint64(seed & _MASK64)
     per_rate = reps * channels
     cells = len(lams) * per_rate
     totals = np.empty(cells)
-    chunk = _lockstep._CHUNK
-    for start in range(0, cells, chunk):
-        cell = np.arange(start, min(start + chunk, cells))
+    for block in _kernels.blocks(cells):
+        cell = np.arange(block.start, block.stop)
         local = cell % per_rate
-        rows = _lockstep.substream_pairs(master, local // channels)
-        states = _lockstep.substream_pairs(rows, local % channels)
-        totals[start : start + chunk] = _lockstep.compound_poisson_totals(
+        rows = _kernels.substream_pairs(master, local // channels)
+        states = _kernels.substream_pairs(rows, local % channels)
+        totals[block] = _kernels.compound_poisson_totals(
             states, lams[cell // per_rate], mu, t_total
         )
     return totals.reshape(len(lams), reps, channels)

@@ -8,13 +8,13 @@ import pytest
 from ruinfair import (
     RadioConfig,
     TopologyConfig,
+    _kernels,
     generate_topology,
     link_budget,
     sim,
     snr_utility,
     water_fill,
 )
-from ruinfair._kernels import _lockstep
 from ruinfair.allocation import water_fill_batch
 
 import oracles
@@ -297,11 +297,11 @@ class TestWaterFillBatch:
                     assert type(getattr(result, field)) is float
                     assert _bits(getattr(result, field)) == _bits(getattr(expected, field))
 
-    @pytest.mark.parametrize("chunk", [_lockstep._CHUNK, 1, 40, 81, 200])
+    @pytest.mark.parametrize("chunk", [_kernels._CHUNK, 1, 40, 81, 200])
     def test_lte_sum_rate_blocks_equal_oracle(self, monkeypatch, chunk):
         """40 UEs: one airtime to a call at chunks 1 and 40, 2 at 81 and 5
         at 200, so the blocks split the positive airtimes unevenly."""
-        monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         rng = np.random.default_rng(6)
         gammas = 10.0 ** rng.uniform(-2.0, 1.0, size=40)
         times = [0.0, 0.004, 0.01, 0.0, 0.007, 0.001, 0.002, 0.003, 0.0095, 0.008, 0.006]

@@ -135,11 +135,32 @@ def test_run_twice_is_byte_identical(config_file, tmp_path):
 
 
 def test_run_output_collision_exits_1(config_file, tmp_path, capsys):
-    blocker = tmp_path / "blocked"
-    blocker.write_text("a file, not a directory")
-    code = main(["run", "--config", str(config_file), "--out", str(blocker)])
+    """A directory where an output file goes is found only on writing."""
+    out = tmp_path / "out"
+    (out / "sweep_psi.csv").mkdir(parents=True)
+    code = main(["run", "--config", str(config_file), "--sweep", "psi", "--out", str(out)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    assert sorted(path.name for path in out.iterdir()) == ["sweep_psi.csv"]
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_run_out_not_a_directory_exits_2_before_any_sweep(
+    config_file, tmp_path, monkeypatch, capsys, below
+):
+    """An --out that is a file, or lies under one, is refused before any
+    sweep runs, and nothing is written."""
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, name: calls.append(name))
+    out = blocker / below if below else blocker
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --out" in err and "is not a directory" in err
+    assert calls == []
+    assert blocker.read_text() == "a file, not a directory"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocked", "scenario.json"]
 
 
 def test_failed_sweep_leaves_no_output(config_file, tmp_path, monkeypatch, capsys):

@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 from oracles import sweep_rows_per_frame
 
-from ruinfair import ConfigError, PolicyKind, Scheme, experiment, sim
-from ruinfair._kernels import _lockstep
+from ruinfair import ConfigError, PolicyKind, Scheme, _kernels, experiment, sim
 from ruinfair.config import parse_scenario
 from ruinfair.experiment import CSV_COLUMNS, emit_csv, emit_manifest, run_sweep
 
@@ -156,8 +155,8 @@ class TestWorkReuse:
         columns."""
         config = parse_scenario(scenario)
         expected = sweep_rows_per_frame(config, name)
-        for chunk in (_lockstep._CHUNK, 160, 50, 12, 7, 2):
-            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        for chunk in (_kernels._CHUNK, 160, 50, 12, 7, 2):
+            monkeypatch.setattr(_kernels, "_CHUNK", chunk)
             assert run_sweep(config, name) == expected
 
     def test_per_level_call_counts(self, monkeypatch):
@@ -183,14 +182,14 @@ class TestWorkReuse:
 
         for name in ("water_fill_batch", "collision_totals", "link_budget", "generate_topology"):
             count(sim, name)
-        count(_lockstep, "compound_poisson_totals")
+        count(_kernels, "compound_poisson_totals")
         # run_sweep calls these through its own import of the names.
         for name in ("link_budget", "collision_totals", "generate_topology"):
             monkeypatch.setattr(experiment, name, getattr(sim, name))
 
         ues = SMALL["topology"]["ue_count"]
-        for chunk in (_lockstep._CHUNK, 4, 12):
-            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        for chunk in (_kernels._CHUNK, 4, 12):
+            monkeypatch.setattr(_kernels, "_CHUNK", chunk)
             for sweep_name in ("wst", "psi", "lam"):
                 values = len(SMALL["sweeps"][sweep_name]["values"])
                 for reps, waps in ((1, 3), (6, 3), (6, 1)):
@@ -247,8 +246,8 @@ class TestWorkReuse:
         keys of 1,000 cells here).  The kernel's blocks are made as small,
         so that the draw's own work arrays do not hide the accounting's."""
         chunk = 4096
-        monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
-        monkeypatch.setattr(_lockstep, "_BLOCK", chunk)
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        monkeypatch.setattr(_kernels, "_BLOCK", chunk)
         config = parse_scenario(
             {
                 "topology": {"wap_count": waps, "ue_count": 5},
@@ -273,8 +272,8 @@ class TestWorkReuse:
         ``(x, y)`` pairs, 14 words a UE) and a few UE-length rows, never a
         row per airtime (about 500 words a UE here)."""
         ues = 4096
-        monkeypatch.setattr(_lockstep, "_CHUNK", 64)
-        monkeypatch.setattr(_lockstep, "_BLOCK", 64)
+        monkeypatch.setattr(_kernels, "_CHUNK", 64)
+        monkeypatch.setattr(_kernels, "_BLOCK", 64)
         config = parse_scenario(
             {
                 "topology": {"wap_count": 1, "ue_count": ues},

@@ -15,13 +15,14 @@ import pytest
 import oracles
 from oracles import sample_collisions
 from ruinfair import _kernels
-from ruinfair._kernels import _lockstep
 from ruinfair.prng import SplitMix64, substream_seed
 
-LOCKSTEP = pytest.param(_lockstep, id="lockstep")
+KERNELS = pytest.param(_kernels, id=_kernels.BACKEND)
 PURE = pytest.param(oracles, id="pure")
 
 SEEDS = [0, 1, 42, 2**63 + 5, -17, 987654321]
+# Seed ids that name the backend too, as the manifest's versions.backend does.
+BACKEND_IDS = [f"{seed}-{_kernels.BACKEND}" for seed in SEEDS]
 
 
 @pytest.fixture(autouse=True)
@@ -29,23 +30,34 @@ def fresh_chance_draws():
     """Each test draws its chance trials afresh, so one that patches
     ``_BLOCK``, ``_CHUNK`` or ``_libm_log`` reads no draws another test
     left in the memo."""
-    _lockstep._chance_draws.cache_clear()
+    _kernels._chance_draws.cache_clear()
     yield
-    _lockstep._chance_draws.cache_clear()
+    _kernels._chance_draws.cache_clear()
 
 
-@pytest.mark.parametrize("impl", [LOCKSTEP])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_ruin_count_bit_identical(seed, impl):
+@pytest.mark.parametrize("seed", SEEDS, ids=BACKEND_IDS)
+def test_ruin_count_bit_identical(seed):
     args = (0.3, 0.8, 1.5, 12, 3000)
-    assert oracles.ruin_mc_count(*args, seed) == impl.ruin_mc_count(*args, seed)
+    assert oracles.ruin_mc_count(*args, seed) == _kernels.ruin_mc_count(*args, seed)
 
 
-@pytest.mark.parametrize("impl", [LOCKSTEP])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_chance_count_bit_identical(seed, impl):
+@pytest.mark.parametrize("seed", SEEDS, ids=BACKEND_IDS)
+def test_chance_count_bit_identical(seed):
     args = (0.004, 0.009, 1.5, 400.0, 3000)
-    assert oracles.chance_mc_count(*args, seed) == impl.chance_mc_count(*args, seed)
+    assert oracles.chance_mc_count(*args, seed) == _kernels.chance_mc_count(*args, seed)
+
+
+@pytest.mark.parametrize("per", [1, 3, _kernels._CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, _kernels._CHUNK, _kernels._CHUNK + 1])
+def test_blocks_partition_range_in_order(n, per):
+    """The work blocks cover range(n) once and in order, each of
+    max(1, _CHUNK // per) items but the last, which may be shorter."""
+    parts = list(_kernels.blocks(n, per))
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    size = max(1, _kernels._CHUNK // per)
+    lengths = [len(range(n)[part]) for part in parts]
+    assert all(length == size for length in lengths[:-1])
+    assert all(0 < length <= size for length in lengths)
 
 
 def test_selected_backend_exposes_kernel_surface():
@@ -54,7 +66,7 @@ def test_selected_backend_exposes_kernel_surface():
     assert callable(_kernels.chance_mc_count)
 
 
-@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
+@pytest.mark.parametrize("impl", [PURE, KERNELS])
 def test_ruin_count_matches_per_trial_paths(impl):
     """The batched count is exactly the sum over per-trial path simulations."""
     u, c, rate, n, trials, seed = 0.4, 0.9, 1.3, 8, 2000, 77
@@ -65,7 +77,7 @@ def test_ruin_count_matches_per_trial_paths(impl):
     assert impl.ruin_mc_count(u, c, rate, n, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
+@pytest.mark.parametrize("impl", [PURE, KERNELS])
 def test_chance_count_matches_manual_loop(impl):
     """The kernel replays the documented draw recipe: Poisson count, then durations."""
     alpha, threshold, lam, mu, trials, seed = 0.003, 0.009, 1.2, 350.0, 500, 5
@@ -79,26 +91,31 @@ def test_chance_count_matches_manual_loop(impl):
     assert impl.chance_mc_count(alpha, threshold, lam, mu, trials, seed) == expected
 
 
-@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
-def test_path_values_follow_premium_and_claims(impl):
-    """values[s] = u + s*c - (sum of the first s exponential draws), and the
-    kernel's exact replay ruins by period h exactly when one of values[1..h]
-    is negative, on 2,000 substreams."""
+def test_path_values_follow_premium_and_claims():
+    """The oracle's values[s] = u + s*c - (sum of the first s exponential
+    draws), on 2,000 substreams."""
     u, c, rate, n = 2.0, 0.5, 0.8, 10
     for t in range(2000):
         seed = substream_seed(31, t)
         values = oracles.surplus_path_values(u, c, rate, n, seed)
-        if impl is _lockstep:
-            for h in range(n + 1):
-                ruined = any(v < 0.0 for v in values[1 : h + 1])
-                assert _lockstep._path_ruins(u, c, rate, h, seed) == ruined
-            continue
         rng = SplitMix64(seed)
         claims = 0.0
         assert values[0] == u
         for s in range(1, n + 1):
             claims += rng.exponential(rate)
             assert values[s] == u + s * c - claims
+
+
+def test_path_ruins_follow_path_values():
+    """The kernel's exact replay ruins by period h exactly when one of the
+    oracle's values[1..h] is negative, on 2,000 substreams."""
+    u, c, rate, n = 2.0, 0.5, 0.8, 10
+    for t in range(2000):
+        seed = substream_seed(31, t)
+        values = oracles.surplus_path_values(u, c, rate, n, seed)
+        for h in range(n + 1):
+            ruined = any(v < 0.0 for v in values[1 : h + 1])
+            assert _kernels._path_ruins(u, c, rate, h, seed) == ruined
 
 
 @pytest.mark.parametrize(
@@ -115,16 +132,16 @@ def test_path_values_follow_premium_and_claims(impl):
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_edges_match_scalar(args, seed):
-    assert _lockstep.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed)
+    assert _kernels.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_all_paths_ruin_in_period_one(monkeypatch, seed):
     """Drawn one period per block, the working arrays empty long before the
     horizon."""
-    monkeypatch.setattr(_lockstep, "_BLOCK", 200)
+    monkeypatch.setattr(_kernels, "_BLOCK", 200)
     args = (0.0, 1e-300, 1.0, 5, 200)
-    assert _lockstep.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed) == 200
+    assert _kernels.ruin_mc_count(*args, seed) == oracles.ruin_mc_count(*args, seed) == 200
 
 
 def test_lockstep_draws_match_scalar_streams():
@@ -134,11 +151,11 @@ def test_lockstep_draws_match_scalar_streams():
     seldom flips a ruin count, but it shows up here.
     """
     trials, periods, rate, seed = 4096, 5, 1.5, 42
-    states = _lockstep._substreams(seed, 0, trials)
+    states = _kernels._substreams(seed, 0, trials)
     rngs = [SplitMix64(substream_seed(seed, t)) for t in range(trials)]
     for j in range(periods):
-        one_minus_u = 1.0 - _lockstep._uniforms(states, j, 1)[0]
-        drawn = (-_lockstep._libm_log(one_minus_u) / rate).tolist()
+        one_minus_u = 1.0 - _kernels._uniforms(states, j, 1)[0]
+        drawn = (-_kernels._libm_log(one_minus_u) / rate).tolist()
         assert drawn == [rng.exponential(rate) for rng in rngs]
 
 
@@ -147,16 +164,16 @@ def test_lockstep_chunks_match_scalar(monkeypatch):
     the 7-path chunks' periods drawn 1, 2 or all at a time.  Claims carry
     from block to block, and with a wide filter (``_K = 1e14``) paths turn
     unsure in later blocks and are replayed from their start states."""
-    monkeypatch.setattr(_lockstep, "_CHUNK", 7)
-    for block, k in itertools.product([7, 14, 1 << 14], [_lockstep._K, 1e14]):
-        monkeypatch.setattr(_lockstep, "_BLOCK", block)
-        monkeypatch.setattr(_lockstep, "_K", k)
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    for block, k in itertools.product([7, 14, 1 << 14], [_kernels._K, 1e14]):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        monkeypatch.setattr(_kernels, "_K", k)
         for args in [(0.4, 0.9, 1.3, 8, 100, 77), (5.0, 2.0, 0.5, 20, 100, 42)]:
-            assert _lockstep.ruin_mc_count(*args) == oracles.ruin_mc_count(*args), (block, k)
+            assert _kernels.ruin_mc_count(*args) == oracles.ruin_mc_count(*args), (block, k)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("impl", [PURE, LOCKSTEP])
+@pytest.mark.parametrize("impl", [PURE, KERNELS])
 def test_ruin_count_rejects_bad_rate(impl, rate):
     with pytest.raises(ValueError, match="exponential rate"):
         impl.ruin_mc_count(0.3, 0.8, rate, 1, 10, 42)
@@ -174,27 +191,27 @@ def test_ruin_count_rejects_bad_rate(impl, rate):
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_chance_edges_match_scalar(args, seed):
-    assert _lockstep.chance_mc_count(*args, seed) == oracles.chance_mc_count(*args, seed)
+    assert _kernels.chance_mc_count(*args, seed) == oracles.chance_mc_count(*args, seed)
 
 
 def test_lockstep_chance_chunks_match_scalar(monkeypatch):
     """Trials split across several chunks, the last one short, count as one batch."""
-    monkeypatch.setattr(_lockstep, "_CHUNK", 7)
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
     args = (0.002, 0.009, 3.0, 450.0, 100, 77)
-    assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
+    assert _kernels.chance_mc_count(*args) == oracles.chance_mc_count(*args)
 
 
 @pytest.mark.parametrize("block", [1, 64])
 @pytest.mark.parametrize("lam", [0.7, 40.0, 500.0])
 def test_compound_blocks_carry_over(monkeypatch, block, lam):
     """Products and totals carried across many narrow blocks keep every bit."""
-    monkeypatch.setattr(_lockstep, "_BLOCK", block)
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
     seeds = [substream_seed(11, t) for t in range(24)]
     states = np.array(seeds, dtype=np.uint64)
-    totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
+    totals = _kernels.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
     args = (0.0, 0.5, lam, 450.0, 24, 11)
-    assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
+    assert _kernels.chance_mc_count(*args) == oracles.chance_mc_count(*args)
 
 
 @pytest.mark.parametrize("lam,streams", [(1e-9, 100), (1.0, 4096), (150.0, 100), (500.0, 100)])
@@ -206,9 +223,9 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     totals that are common at ``lam = 1``.
     """
     seeds = [substream_seed(2024, t) for t in range(streams)]
-    states = _lockstep._substreams(2024, 0, streams)
+    states = _kernels._substreams(2024, 0, streams)
     assert states.tolist() == seeds
-    totals = _lockstep.compound_poisson_totals(states, lam, 450.0, math.inf)
+    totals = _kernels.compound_poisson_totals(states, lam, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
 
 
@@ -221,17 +238,17 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     ],
 )
 def test_capped_totals_are_clipped_uncapped_ones(lam, mu, cap):
-    states = _lockstep._substreams(8, 0, 64)
-    uncapped = _lockstep.compound_poisson_totals(states, lam, mu, math.inf)
-    capped = _lockstep.compound_poisson_totals(states, lam, mu, cap)
+    states = _kernels._substreams(8, 0, 64)
+    uncapped = _kernels.compound_poisson_totals(states, lam, mu, math.inf)
+    capped = _kernels.compound_poisson_totals(states, lam, mu, cap)
     assert capped.tolist() == np.minimum(uncapped, cap).tolist()
 
 
 def test_compound_totals_of_no_streams():
     """No stream draws anything, so even a bad rate goes unchecked."""
     no_streams = np.array([], dtype=np.uint64)
-    assert _lockstep.compound_poisson_totals(no_streams, 2.0, 450.0, 0.01).shape == (0,)
-    assert _lockstep.compound_poisson_totals(no_streams, math.nan, 0.0, 0.01).shape == (0,)
+    assert _kernels.compound_poisson_totals(no_streams, 2.0, 450.0, 0.01).shape == (0,)
+    assert _kernels.compound_poisson_totals(no_streams, math.nan, 0.0, 0.01).shape == (0,)
 
 
 MIXED_RATES = [0.0, 1e-9, 2.0, 100.0, 500.0]
@@ -242,17 +259,17 @@ MIXED_RATES = [0.0, 1e-9, 2.0, 100.0, 500.0]
 def test_mixed_rates_equal_one_call_per_rate(monkeypatch, block, cap):
     """One call with a rate per stream gives each stream the bits of the
     call at its rate alone, whatever the neighbouring streams need."""
-    monkeypatch.setattr(_lockstep, "_BLOCK", block)
-    states = _lockstep._substreams(13, 0, 12)
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    states = _kernels._substreams(13, 0, 12)
     expected = [
-        _lockstep.compound_poisson_totals(states, lam, 450.0, cap) for lam in MIXED_RATES
+        _kernels.compound_poisson_totals(states, lam, 450.0, cap) for lam in MIXED_RATES
     ]
-    mixed = _lockstep.compound_poisson_totals(
+    mixed = _kernels.compound_poisson_totals(
         np.tile(states, len(MIXED_RATES)), np.repeat(MIXED_RATES, len(states)), 450.0, cap
     )
     assert mixed.tolist() == np.concatenate(expected).tolist()
     # Interleaved, so that every block holds streams of every rate.
-    interleaved = _lockstep.compound_poisson_totals(
+    interleaved = _kernels.compound_poisson_totals(
         np.repeat(states, len(MIXED_RATES)), np.tile(MIXED_RATES, len(states)), 450.0, cap
     )
     assert interleaved.tolist() == np.stack(expected, axis=1).ravel().tolist()
@@ -266,7 +283,7 @@ def test_mixed_rates_reject_what_the_scalar_draw_rejects(bad, where):
     lam = np.array(MIXED_RATES * 2)
     lam[where] = bad
     with pytest.raises(ValueError) as mixed:
-        _lockstep.compound_poisson_totals(_lockstep._substreams(1, 0, len(lam)), lam, 450.0, 0.01)
+        _kernels.compound_poisson_totals(_kernels._substreams(1, 0, len(lam)), lam, 450.0, 0.01)
     assert str(mixed.value) == str(scalar.value)
 
 
@@ -281,7 +298,7 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
     durations of mean that reach the cap, so every stream is certified at
     the cap with the faster logarithm and none takes libm's."""
     drawn = {"uniforms": 0, "libm": 0, "fast": 0}
-    uniforms, libm_log, fast_log = _lockstep._uniforms, _lockstep._libm_log, _lockstep._fast_log
+    uniforms, libm_log, fast_log = _kernels._uniforms, _kernels._libm_log, _kernels._fast_log
 
     def counted_uniforms(states, start, width):
         drawn["uniforms"] += len(states) * width
@@ -295,13 +312,13 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
         drawn["fast"] += len(x)
         return fast_log(x)
 
-    monkeypatch.setattr(_lockstep, "_uniforms", counted_uniforms)
-    monkeypatch.setattr(_lockstep, "_libm_log", counted_libm_log)
-    monkeypatch.setattr(_lockstep, "_fast_log", counted_fast_log)
+    monkeypatch.setattr(_kernels, "_uniforms", counted_uniforms)
+    monkeypatch.setattr(_kernels, "_libm_log", counted_libm_log)
+    monkeypatch.setattr(_kernels, "_fast_log", counted_fast_log)
     rates, cells, mu, cap = [100.0, 200.0, 300.0, 400.0, 500.0], 60, 450.0, 0.01
     seeds = [substream_seed(2025, t) for t in range(cells)]
     states = np.tile(np.array(seeds, dtype=np.uint64), len(rates))
-    totals = _lockstep.compound_poisson_totals(states, np.repeat(rates, cells), mu, cap)
+    totals = _kernels.compound_poisson_totals(states, np.repeat(rates, cells), mu, cap)
     expected, uniforms_used, durations_used = [], 0, 0
     for lam in rates:
         for seed in seeds:
@@ -343,7 +360,7 @@ def _outcome(impl, args):
 def test_lockstep_chance_errors_match_scalar(lam, mu, trials):
     """The same ValueError as the scalar draws, or the same count."""
     args = (0.001, 0.009, lam, mu, trials, 42)
-    assert _outcome(_lockstep, args) == _outcome(oracles, args)
+    assert _outcome(_kernels, args) == _outcome(oracles, args)
 
 
 RUIN_ARGS = [
@@ -355,25 +372,25 @@ RUIN_ARGS = [
 
 def _count_replays(monkeypatch):
     """Count the surplus paths that the filter replays exactly with the
-    scalar ``_lockstep._path_ruins`` fallback."""
+    scalar ``_kernels._path_ruins`` fallback."""
     replayed = []
-    path_ruins = _lockstep._path_ruins
+    path_ruins = _kernels._path_ruins
 
     def counted_path_ruins(*args):
         replayed.append(args)
         return path_ruins(*args)
 
-    monkeypatch.setattr(_lockstep, "_path_ruins", counted_path_ruins)
+    monkeypatch.setattr(_kernels, "_path_ruins", counted_path_ruins)
     return replayed
 
 
 @pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
 def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
     """Counts equal the oracle's whether every path is replayed exactly or none is."""
-    monkeypatch.setattr(_lockstep, "_K", k)
+    monkeypatch.setattr(_kernels, "_K", k)
     replayed = _count_replays(monkeypatch)
     for args in RUIN_ARGS:
-        assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
+        assert _kernels.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
     expected = sum(args[-1] for args in RUIN_ARGS) if replay_all else 0
     assert len(replayed) == expected
 
@@ -386,26 +403,26 @@ def test_minus_inf_cut_keeps_counts(monkeypatch, every):
     compacted, and must not be tested or counted again; in the second
     argument set every path ruins in period 1 and compaction empties the
     arrays."""
-    cut = _lockstep._cut
+    cut = _kernels._cut
     periods = itertools.count()
 
     def minus_inf_cut(*args):
         return -math.inf if next(periods) % every == 0 else cut(*args)
 
-    monkeypatch.setattr(_lockstep, "_cut", minus_inf_cut)
+    monkeypatch.setattr(_kernels, "_cut", minus_inf_cut)
     for args in [*RUIN_ARGS, (1e308, 1.0, 1e-308, 3, 50)]:
-        assert _lockstep.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
+        assert _kernels.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
 
 
 def test_lazy_compaction_across_chunks(monkeypatch):
     """Chunks of 8 paths, drawn one period per block: the arrays are
     compacted once half the rows have left, which happens in some chunks
     and not in others, and the count is the oracle's either way."""
-    monkeypatch.setattr(_lockstep, "_CHUNK", 8)
-    monkeypatch.setattr(_lockstep, "_BLOCK", 8)
+    monkeypatch.setattr(_kernels, "_CHUNK", 8)
+    monkeypatch.setattr(_kernels, "_BLOCK", 8)
     replayed = _count_replays(monkeypatch)
     args, trials, seed = (0.3, 0.8, 1.5, 12), 64, 42
-    assert _lockstep.ruin_mc_count(*args, trials, seed) == oracles.ruin_mc_count(
+    assert _kernels.ruin_mc_count(*args, trials, seed) == oracles.ruin_mc_count(
         *args, trials, seed
     )
     # With nothing replayed, the paths that leave a chunk are its ruined ones.
@@ -420,13 +437,13 @@ NONFINITE = [math.inf, -math.inf, math.nan]
 @pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
 def test_ruin_count_nonfinite_arguments(x):
     for args in ((x, 0.8, 1.5, 6, 50), (0.3, x, 1.5, 6, 50), (x, -x, 1.5, 6, 50)):
-        assert _lockstep.ruin_mc_count(*args, 9) == oracles.ruin_mc_count(*args, 9)
+        assert _kernels.ruin_mc_count(*args, 9) == oracles.ruin_mc_count(*args, 9)
 
 
 @pytest.mark.parametrize("x", NONFINITE, ids=["inf", "-inf", "nan"])
 def test_chance_count_nonfinite_arguments(x):
     for args in ((0.001, x, 2.0, 450.0, 50), (x, 0.009, 2.0, 450.0, 50), (x, x, 2.0, 450.0, 50)):
-        assert _lockstep.chance_mc_count(*args, 9) == oracles.chance_mc_count(*args, 9)
+        assert _kernels.chance_mc_count(*args, 9) == oracles.chance_mc_count(*args, 9)
 
 
 def test_np_log_stays_within_the_filter_premise():
@@ -435,10 +452,10 @@ def test_np_log_stays_within_the_filter_premise():
     The filter's error bound assumes a few ulps; ``_K = 64`` leaves the
     margin.  Checked on the arguments the kernels take, ``1 - u``.
     """
-    one_minus_u = 1.0 - _lockstep._uniforms(_lockstep._substreams(3, 0, 1_000_000), 0, 1)[0]
-    exact = _lockstep._libm_log(one_minus_u)
-    gap = np.abs(_lockstep._fast_log(one_minus_u) - exact) / np.spacing(np.abs(exact))
-    assert float(np.max(gap)) * 16 <= _lockstep._K
+    one_minus_u = 1.0 - _kernels._uniforms(_kernels._substreams(3, 0, 1_000_000), 0, 1)[0]
+    exact = _kernels._libm_log(one_minus_u)
+    gap = np.abs(_kernels._fast_log(one_minus_u) - exact) / np.spacing(np.abs(exact))
+    assert float(np.max(gap)) * 16 <= _kernels._K
 
 
 def _first_flip(exact, fast):
@@ -448,7 +465,7 @@ def _first_flip(exact, fast):
     return int(above[0])
 
 
-def _log_one_ulp_off(x, libm_log=_lockstep._libm_log):
+def _log_one_ulp_off(x, libm_log=_kernels._libm_log):
     """libm's logarithm moved one ulp away from zero (``1 - u <= 1``, so the
     claim ``-log(1 - u) / rate`` can only grow): a stand-in for a faster
     logarithm that differs from libm's on some inputs, on every host."""
@@ -466,18 +483,18 @@ def _flip_args(monkeypatch):
     patched with it for the rest of the test.
     """
     rate, seed = 450.0, 5
-    states = _lockstep._substreams(seed, 0, 4096)
-    one_minus_u = 1.0 - _lockstep._uniforms(states, 0, 1)[0]
+    states = _kernels._substreams(seed, 0, 4096)
+    one_minus_u = 1.0 - _kernels._uniforms(states, 0, 1)[0]
     fast = -_log_one_ulp_off(one_minus_u) / rate
-    exact = -_lockstep._libm_log(one_minus_u) / rate
+    exact = -_kernels._libm_log(one_minus_u) / rate
     t = _first_flip(exact, fast)
     ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
-    monkeypatch.setattr(_lockstep, "_fast_log", _log_one_ulp_off)
+    monkeypatch.setattr(_kernels, "_fast_log", _log_one_ulp_off)
 
-    exact = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
+    exact = _kernels.compound_poisson_totals(states, 2.0, rate, math.inf)
     with monkeypatch.context() as patch:
-        patch.setattr(_lockstep, "_libm_log", _log_one_ulp_off)
-        fast = _lockstep.compound_poisson_totals(states, 2.0, rate, math.inf)
+        patch.setattr(_kernels, "_libm_log", _log_one_ulp_off)
+        fast = _kernels.compound_poisson_totals(states, 2.0, rate, math.inf)
     t = _first_flip(exact, fast)
     chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
     return ruin, chance
@@ -488,9 +505,9 @@ def test_filter_catches_np_log_flips(monkeypatch):
     filter it is wrong."""
     ruin, _ = _flip_args(monkeypatch)
     expected = oracles.ruin_mc_count(*ruin)
-    assert _lockstep.ruin_mc_count(*ruin) == expected
-    monkeypatch.setattr(_lockstep, "_K", 0)
-    assert _lockstep.ruin_mc_count(*ruin) != expected
+    assert _kernels.ruin_mc_count(*ruin) == expected
+    monkeypatch.setattr(_kernels, "_K", 0)
+    assert _kernels.ruin_mc_count(*ruin) != expected
 
 
 @pytest.mark.parametrize("k", [0, 1e300], ids=["none", "all"])
@@ -499,8 +516,8 @@ def test_chance_count_needs_no_filter(monkeypatch, k):
     the oracle counts it, whatever ``_K`` is: the totals take libm's
     logarithm."""
     _, chance = _flip_args(monkeypatch)
-    monkeypatch.setattr(_lockstep, "_K", k)
-    assert _lockstep.chance_mc_count(*chance) == oracles.chance_mc_count(*chance)
+    monkeypatch.setattr(_kernels, "_K", k)
+    assert _kernels.chance_mc_count(*chance) == oracles.chance_mc_count(*chance)
 
 
 def test_cap_certificate_catches_fast_log_flips(monkeypatch):
@@ -508,29 +525,29 @@ def test_cap_certificate_catches_fast_log_flips(monkeypatch):
     below it is drawn again, so its total is the oracle's; without the
     certificate's slack (``_K = 0``) it would be the cap."""
     rate, lam = 450.0, 2.0
-    states = _lockstep._substreams(5, 0, 4096)
-    exact = _lockstep.compound_poisson_totals(states, lam, rate, math.inf)
+    states = _kernels._substreams(5, 0, 4096)
+    exact = _kernels.compound_poisson_totals(states, lam, rate, math.inf)
     with monkeypatch.context() as patch:
-        patch.setattr(_lockstep, "_libm_log", _log_one_ulp_off)
-        fast = _lockstep.compound_poisson_totals(states, lam, rate, math.inf)
-    counts = _lockstep._poisson_counts(states, lam)
+        patch.setattr(_kernels, "_libm_log", _log_one_ulp_off)
+        fast = _kernels.compound_poisson_totals(states, lam, rate, math.inf)
+    counts = _kernels._poisson_counts(states, lam)
     # Fast at a cap of its own fast total: at least 2 * cap * mu durations.
     t = _first_flip(exact, np.where(counts >= 2.0 * fast * rate, fast, -math.inf))
     cap, stream = float(fast[t]), states[t : t + 1]
     expected = min(sample_collisions(lam, rate, int(states[t])).total, cap)
     assert expected < cap
-    monkeypatch.setattr(_lockstep, "_fast_log", _log_one_ulp_off)
-    assert _lockstep.compound_poisson_totals(stream, lam, rate, cap).tolist() == [expected]
-    monkeypatch.setattr(_lockstep, "_K", 0)
-    assert _lockstep.compound_poisson_totals(stream, lam, rate, cap).tolist() == [cap]
+    monkeypatch.setattr(_kernels, "_fast_log", _log_one_ulp_off)
+    assert _kernels.compound_poisson_totals(stream, lam, rate, cap).tolist() == [expected]
+    monkeypatch.setattr(_kernels, "_K", 0)
+    assert _kernels.compound_poisson_totals(stream, lam, rate, cap).tolist() == [cap]
 
 
 def _logged(monkeypatch):
-    """The arguments each logarithm of ``_lockstep`` takes from now on."""
+    """The arguments each logarithm of ``_kernels`` takes from now on."""
     taken = {"_libm_log": [], "_fast_log": []}
 
     def logged(name):
-        log = getattr(_lockstep, name)
+        log = getattr(_kernels, name)
 
         def logged_log(x):
             taken[name] += x.tolist()
@@ -539,7 +556,7 @@ def _logged(monkeypatch):
         return logged_log
 
     for name in taken:
-        monkeypatch.setattr(_lockstep, name, logged(name))
+        monkeypatch.setattr(_kernels, name, logged(name))
     return taken
 
 
@@ -548,16 +565,16 @@ def test_certificate_refused_everywhere_keeps_totals(monkeypatch):
     drawn again with libm's logarithm, in the same pass as the streams that
     were never fast (rate 2), and the totals keep their bits."""
     rates, cap = [2.0, 100.0, 300.0, 500.0], 0.01
-    states = np.tile(_lockstep._substreams(21, 0, 40), len(rates))
+    states = np.tile(_kernels._substreams(21, 0, 40), len(rates))
     lam = np.repeat(rates, 40)
     taken = _logged(monkeypatch)
-    _lockstep.compound_poisson_totals(states[:40], lam[:40], 450.0, cap)
+    _kernels.compound_poisson_totals(states[:40], lam[:40], 450.0, cap)
     exact = len(taken["_libm_log"])
-    shipped = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
+    shipped = _kernels.compound_poisson_totals(states, lam, 450.0, cap)
     # Only the rate-2 streams take libm's logarithm.
     assert exact and len(taken["_libm_log"]) == 2 * exact and taken["_fast_log"]
-    monkeypatch.setattr(_lockstep, "_K", 1e300)
-    refused = _lockstep.compound_poisson_totals(states, lam, 450.0, cap)
+    monkeypatch.setattr(_kernels, "_K", 1e300)
+    refused = _kernels.compound_poisson_totals(states, lam, 450.0, cap)
     assert refused.tolist() == shipped.tolist()
     # Each of the 120 fast streams takes at least one more.
     assert len(taken["_libm_log"]) >= 3 * exact + 120
@@ -575,10 +592,10 @@ def test_mixed_rates_equal_clipped_scalar_draws(monkeypatch, mu, cap):
     ``2 * cap * mu``.  A subnormal ``mu`` makes every duration infinite,
     which certifies nothing."""
     rates = [2.0, 100.0, 500.0]
-    states = _lockstep._substreams(17, 0, 90)
+    states = _kernels._substreams(17, 0, 90)
     lam = np.tile(rates, 30)
     taken = _logged(monkeypatch)
-    totals = _lockstep.compound_poisson_totals(states, lam, mu, cap)
+    totals = _kernels.compound_poisson_totals(states, lam, mu, cap)
     assert totals.tolist() == [
         min(sample_collisions(r, mu, s).total, cap) for r, s in zip(lam, states.tolist())
     ]
@@ -596,9 +613,9 @@ def test_uncapped_call_takes_no_fast_log(monkeypatch):
     def refuse(x):
         raise AssertionError("an uncapped draw took the faster logarithm")
 
-    monkeypatch.setattr(_lockstep, "_fast_log", refuse)
-    states = _lockstep._substreams(4, 0, 50)
-    totals = _lockstep.compound_poisson_totals(states, 500.0, 450.0, math.inf)
+    monkeypatch.setattr(_kernels, "_fast_log", refuse)
+    states = _kernels._substreams(4, 0, 50)
+    totals = _kernels.compound_poisson_totals(states, 500.0, 450.0, math.inf)
     assert totals.tolist() == [sample_collisions(500.0, 450.0, s).total for s in states.tolist()]
 
 
@@ -606,24 +623,24 @@ def test_chance_draws_once_per_key(monkeypatch):
     """Eleven airtimes at one seed, then at a second seed, draw each seed's
     collision times once, and every count is the oracle's."""
     drawn = []
-    poisson_counts = _lockstep._poisson_counts
+    poisson_counts = _kernels._poisson_counts
 
     def counted(states, lam):
         drawn.append(len(states))
         return poisson_counts(states, lam)
 
-    monkeypatch.setattr(_lockstep, "_poisson_counts", counted)
+    monkeypatch.setattr(_kernels, "_poisson_counts", counted)
     threshold, lam, mu, trials = 0.009, 2.0, 450.0, 400
     for seed in (1337, 1338):
         for alpha in [0.0009 * i for i in range(11)]:
             args = (alpha, threshold, lam, mu, trials, seed)
-            assert _lockstep.chance_mc_count(*args) == oracles.chance_mc_count(*args)
+            assert _kernels.chance_mc_count(*args) == oracles.chance_mc_count(*args)
     assert drawn == [trials, trials]
 
 
 def test_chance_draws_are_read_only():
-    _lockstep.chance_mc_count(0.004, 0.009, 2.0, 450.0, 100, 3)
-    totals = _lockstep._chance_draws(3, 0, 100, 2.0, 450.0)
+    _kernels.chance_mc_count(0.004, 0.009, 2.0, 450.0, 100, 3)
+    totals = _kernels._chance_draws(3, 0, 100, 2.0, 450.0)
     assert not totals.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         totals[0] = 0

@@ -10,7 +10,7 @@ import math
 import pytest
 
 import oracles
-from ruinfair._kernels import _lockstep
+from ruinfair import _kernels
 from ruinfair.prng import SplitMix64, substream_seed
 
 GOLDEN_U64 = {
@@ -91,14 +91,14 @@ def test_exponential_rejects_bad_rate():
 
 
 def test_poisson_zero_mean_is_always_zero():
-    counts = _lockstep._poisson_counts(_lockstep._substreams(3, 0, 100), 0.0)
+    counts = _kernels._poisson_counts(_kernels._substreams(3, 0, 100), 0.0)
     assert counts.tolist() == [0] * 100
 
 
 def test_poisson_mean_and_variance():
     n = 100_000
     lam = 2.0
-    draws = _lockstep._poisson_counts(_lockstep._substreams(11, 0, n), lam).tolist()
+    draws = _kernels._poisson_counts(_kernels._substreams(11, 0, n), lam).tolist()
     mean = sum(draws) / n
     assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
     var = sum((d - mean) ** 2 for d in draws) / (n - 1)
@@ -106,12 +106,12 @@ def test_poisson_mean_and_variance():
 
 
 def test_poisson_rejects_out_of_range_mean():
-    states = _lockstep._substreams(0, 0, 10)
+    states = _kernels._substreams(0, 0, 10)
     for lam in (-0.5, 501.0, math.nan):
         with pytest.raises(ValueError) as scalar:
             oracles.poisson(SplitMix64(0), lam)
         with pytest.raises(ValueError) as shipped:
-            _lockstep._poisson_counts(states, lam)
+            _kernels._poisson_counts(states, lam)
         assert str(shipped.value) == str(scalar.value)
 
 

@@ -11,10 +11,10 @@ from ruinfair import (
     NumericalError,
     RuinEstimate,
     SurplusParams,
+    _kernels,
     ruin_probability_exact,
     ruin_probability_mc,
 )
-from ruinfair._kernels import _lockstep
 from ruinfair.prng import substream_seed
 
 from oracles import (
@@ -140,7 +140,7 @@ def surplus_path(params, seed):
 
 def path_ruins(params, seed):
     """Whether that path goes negative by the horizon (the exact fallback)."""
-    return _lockstep._path_ruins(
+    return _kernels._path_ruins(
         params.initial_capital, params.premium, params.claim_rate, params.horizon, seed
     )
 

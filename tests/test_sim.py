@@ -15,13 +15,13 @@ from ruinfair import (
     Scheme,
     TopologyConfig,
     TrafficConfig,
+    _kernels,
     duty_cycle_from_surplus,
     generate_topology,
     link_budget,
     path_gain,
     snr_utility,
 )
-from ruinfair._kernels import _lockstep
 from ruinfair.prng import SplitMix64, substream_seed
 from ruinfair.sim import collision_totals
 
@@ -113,7 +113,7 @@ class TestSampleCollisions:
         # The shipped sampler at mean 2.0 for every seed: the count of
         # sample_collisions(2.0, 500.0, seed).
         n = 100_000
-        counts = _lockstep._poisson_counts(np.arange(n, dtype=np.uint64), 2.0)
+        counts = _kernels._poisson_counts(np.arange(n, dtype=np.uint64), 2.0)
         mean = int(counts.sum()) / n
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n)
 
@@ -122,9 +122,9 @@ class TestSampleCollisions:
         # seed with a collision: a count of k takes uniforms 0 .. k, and the
         # duration the uniform at index k + 1.
         states = np.arange(100_000, dtype=np.uint64)
-        counts = _lockstep._poisson_counts(states, 1.0)
-        after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 1) * _lockstep._GAMMA
-        durations = -_lockstep._libm_log(1.0 - _lockstep._uniforms(after, 0, 1)[0]) / 4.0
+        counts = _kernels._poisson_counts(states, 1.0)
+        after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 1) * _kernels._GAMMA
+        durations = -_kernels._libm_log(1.0 - _kernels._uniforms(after, 0, 1)[0]) / 4.0
         count = len(durations)
         mean = math.fsum(durations) / count
         assert abs(mean - 0.25) <= 3.0 * (0.25 / math.sqrt(count))
@@ -159,8 +159,8 @@ class TestCollisionTotals:
         row, and for master seeds that the mask reduces."""
         for master in (99, -3, 2**64 - 1):
             expected = scalar_totals(7.5, master, 5, 6)
-            for chunk in (_lockstep._CHUNK, 5):
-                monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+            for chunk in (_kernels._CHUNK, 5):
+                monkeypatch.setattr(_kernels, "_CHUNK", chunk)
                 totals = collision_totals([7.5], 450.0, master, 5, 6, math.inf)[0]
                 assert totals.shape == (5, 6)
                 assert totals.tolist() == expected
@@ -184,8 +184,8 @@ class TestCollisionTotals:
         also when a kernel call's chunk of cells spans two rates."""
         rates = [0.5, 7.5, 120.0]
         expected = [scalar_totals(lam, 99, 5, 6) for lam in rates]
-        for chunk in (_lockstep._CHUNK, 7):
-            monkeypatch.setattr(_lockstep, "_CHUNK", chunk)
+        for chunk in (_kernels._CHUNK, 7):
+            monkeypatch.setattr(_kernels, "_CHUNK", chunk)
             totals = collision_totals(rates, 450.0, 99, 5, 6, math.inf)
             assert totals.shape == (3, 5, 6)
             assert totals.tolist() == expected
@@ -202,7 +202,7 @@ class TestCollisionTotals:
         test ``test_capped_totals_are_clipped_uncapped_ones`` covers it.
         """
         if block is not None:
-            monkeypatch.setattr(_lockstep, "_BLOCK", block)
+            monkeypatch.setattr(_kernels, "_BLOCK", block)
         scalar = scalar_totals(lam, 5, 12, 2)
         for horizon in self.HORIZONS:
             totals = collision_totals([lam], 450.0, 5, 12, 2, horizon)[0]
@@ -222,7 +222,7 @@ class TestCollisionTotals:
             return counted_log
 
         for name in ("_libm_log", "_fast_log"):
-            monkeypatch.setattr(_lockstep, name, counted(getattr(_lockstep, name)))
+            monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
         whole = collision_totals([500.0], 450.0, 3, 20, 1, math.inf)[0]
         uncapped, logs[0] = logs[0], 0
         clipped = collision_totals([500.0], 450.0, 3, 20, 1, 0.01)[0]

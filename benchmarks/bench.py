@@ -31,12 +31,14 @@ measures both checkouts and writes ``BENCH_<label>-parent.json`` for
 runs are taken in pairs, the parent and the change at the same seed, and
 the side that runs first alternates from pair to pair; give at least ten
 seeds that were not used while the change was written (default 1-10).
-Both files carry a ``pairs`` section: every pair, each side's median and
-quartiles, and per metric the change's wins, losses and ties, the median
-gap (change minus parent) and the parent's IQR.  ``claim`` is true when the
-change won at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's IQR.  Such a run takes about fifteen
-minutes on two CPUs.
+The ``ruinfair run`` timings alternate between the two checkouts run by
+run, and the two Tier-1 runs follow each other.  Both files carry a
+``pairs`` section: every pair, each side's median and quartiles, and per
+metric the change's wins, losses and ties, the median gap (change minus
+parent) and the parent's IQR; and each side's ``ruinfair run`` median.
+``claim`` is true when the change won at least nine tenths of the pairs
+and its median beats the parent's by more than the parent's IQR.  Such a
+run takes about fifteen minutes on two CPUs.
 """
 
 from __future__ import annotations
@@ -239,21 +241,24 @@ def compare(parent: dict, change: dict, better: dict) -> dict:
     return pairs
 
 
-def measure_cli(root: Path, repeat: int) -> dict:
-    """Wall time of ``ruinfair run`` on ``{}``, interpreter start included."""
-    times = []
+def measure_cli(roots: list[Path], repeat: int) -> list[dict]:
+    """Wall time of ``ruinfair run`` on ``{}`` in each root, interpreter
+    start included.  The roots take turns run by run, and the root that runs
+    first rotates from run to run, as the untraced perfbench runs do."""
+    times = [[] for _ in roots]
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "default.json"
         config.write_text("{}")
         for i in range(repeat):
-            started = time.perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "ruinfair.cli", "run", "--config", str(config),
-                 "--out", str(Path(tmp) / f"out{i}")],
-                cwd=root, env=_src_env(root), check=True, capture_output=True,
-            )
-            times.append(time.perf_counter() - started)
-    return {"runs_s": times, "median_s": statistics.median(times), "best_s": min(times)}
+            for k in [(i + j) % len(roots) for j in range(len(roots))]:
+                started = time.perf_counter()
+                subprocess.run(
+                    [sys.executable, "-m", "ruinfair.cli", "run", "--config", str(config),
+                     "--out", str(Path(tmp) / f"out{k}-{i}")],
+                    cwd=roots[k], env=_src_env(roots[k]), check=True, capture_output=True,
+                )
+                times[k].append(time.perf_counter() - started)
+    return [{"runs_s": t, "median_s": statistics.median(t), "best_s": min(t)} for t in times]
 
 
 def measure_tier1(root: Path) -> dict:
@@ -313,17 +318,13 @@ def _collision_draws(scalar, lockstep):
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     """Lockstep against the scalar reference, best of ``repeat`` each.
 
-    The kernels are the checkout's ``ruinfair._kernels``: one module, or in
-    older checkouts a package whose ``_lockstep`` submodule holds them, so
-    that ``--against`` can still measure a parent of either layout.
+    The kernels are the checkout's ``ruinfair._kernels``.
     """
     # Another checkout's ruinfair may have been loaded before: load this one.
     for name in [m for m in sys.modules if m.partition(".")[0] == "ruinfair"]:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
-    import ruinfair._kernels
-
-    kernels = getattr(ruinfair._kernels, "_lockstep", ruinfair._kernels)
+    import ruinfair._kernels as kernels
 
     # The checkout's scalar Monte Carlo counts, and the reference work that
     # perfbench scales the kernels' workload by.
@@ -360,14 +361,15 @@ def _tree(root: Path) -> str | None:
     return done.stdout.strip() or None
 
 
-def _report(root: Path, env: dict, workloads: dict, settings: dict) -> dict:
+def _report(root: Path, env: dict, workloads: dict, settings: dict, cli: dict,
+            tier1: dict) -> dict:
     return {
         "tree": _tree(root),
         "env": env,
         "settings": settings,
         "workloads": workloads,
-        "cli_run_default": measure_cli(root, CLI_REPEAT),
-        "tier1": measure_tier1(root),
+        "cli_run_default": cli,
+        "tier1": tier1,
         "kernels": measure_kernels(root, KERNEL_TRIALS, KERNEL_REPEAT),
     }
 
@@ -392,15 +394,22 @@ def main() -> int:
     settings = {"seeds": seeds, "seconds": SECONDS, "cli_repeat": CLI_REPEAT,
                 "kernel_trials": KERNEL_TRIALS, "kernel_repeat": KERNEL_REPEAT}
     measured = measure_workloads(roots, seeds, SECONDS)
-    reports = [_report(root, env, workloads, settings)
-               for root, (env, workloads) in zip(roots, measured)]
+    # The two end-to-end clocks of both roots run next to each other, so
+    # that the host's drift over the workloads' minutes does not split them.
+    clis = measure_cli(roots, CLI_REPEAT)
+    tier1s = [measure_tier1(root) for root in roots]
+    reports = [_report(root, env, workloads, settings, cli, tier1)
+               for root, (env, workloads), cli, tier1 in zip(roots, measured, clis, tier1s)]
     if args.against:
         parent, change = reports
         spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         pairs = compare(parent["workloads"], change["workloads"], better)
+        cli_medians = {"parent_median_s": clis[0]["median_s"],
+                       "change_median_s": clis[1]["median_s"]}
         parent["pairs"] = change["pairs"] = {"parent": parent["tree"],
-                                             "change": change["tree"], "workloads": pairs}
+                                             "change": change["tree"], "workloads": pairs,
+                                             "cli_run_default": cli_medians}
         _write(f"{args.label}-parent", parent)
     _write(args.label, reports[-1])
     return 0

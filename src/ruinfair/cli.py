@@ -76,14 +76,22 @@ def _cmd_run(config_path: str, sweep_name: Optional[str], out_dir: str) -> int:
         raise ConfigError(f"--out {out_dir}: {existing} is not a directory")
     config = load_scenario(config_path)
     names = [sweep_name] if sweep_name is not None else list(config.sweeps)
+    paths = {name: (out / f"sweep_{name}.csv", out / f"manifest_{name}.json") for name in names}
+    # A directory where an output file goes would fail its write after the
+    # earlier sweeps' files are written, so it too is refused before any
+    # work.  A symlink is replaced, whatever it points to.
+    for path in (path for pair in paths.values() for path in pair):
+        if path.is_dir() and not path.is_symlink():
+            raise ConfigError(f"--out {out_dir}: {path} is a directory")
 
     # Every sweep runs before anything is written, so a failing one leaves
     # no output directory and no files behind.
     results = {name: run_sweep(config, name) for name in names}
     out.mkdir(parents=True, exist_ok=True)
     for name, rows in results.items():
-        csv_path = emit_csv(rows, out / f"sweep_{name}.csv")
-        manifest_path = emit_manifest(config, name, out / f"manifest_{name}.json")
+        csv_path, manifest_path = paths[name]
+        emit_csv(rows, csv_path)
+        emit_manifest(config, name, manifest_path)
         print(f"wrote {csv_path} and {manifest_path}")
     return EXIT_OK
 

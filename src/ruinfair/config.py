@@ -42,7 +42,7 @@ there the horizon ``frame.n_short`` may be at most 10**7 (about 8 s).
 Sweep variables: ``psi`` forces the ruin probability directly (the policy is
 applied to each value, no surplus computation); ``wst_count`` and
 ``lambda_base`` override the corresponding scalar and let the pipeline do
-the rest (:func:`scenario_at`).
+the rest (:func:`collision_factors` gives each value's pair of them).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -64,7 +64,7 @@ from .sim import RadioConfig, TopologyConfig, TrafficConfig
 
 __all__ = [
     "Sweep", "SeedConfig", "ScenarioConfig",
-    "load_scenario", "parse_scenario", "scenario_at", "scenario_to_dict",
+    "collision_factors", "load_scenario", "parse_scenario", "scenario_to_dict",
 ]
 
 _SWEEP_VARIABLES = ("psi", "wst_count", "lambda_base")
@@ -211,13 +211,16 @@ def _coerce(value: Any, kind: Any, path: str):
     return value
 
 
-def scenario_at(config: ScenarioConfig, sweep: Sweep, value) -> ScenarioConfig:
-    """The scenario simulated at one value of ``sweep``."""
+def collision_factors(config: ScenarioConfig, sweep: Sweep) -> list[tuple[float, int]]:
+    """``(lambda_base, wst_per_wap)`` at each value of ``sweep``: the value
+    itself for the variable it overrides, the scenario's field otherwise
+    (a ``psi`` sweep forces its value downstream and keeps both)."""
+    lambda_base, wst = config.traffic.lambda_base, config.topology.wst_per_wap
     if sweep.variable == "wst_count":
-        return replace(config, topology=replace(config.topology, wst_per_wap=int(value)))
+        return [(lambda_base, int(value)) for value in sweep.values]
     if sweep.variable == "lambda_base":
-        return replace(config, traffic=replace(config.traffic, lambda_base=float(value)))
-    return config  # psi: forced downstream, scenario itself unchanged
+        return [(float(value), wst) for value in sweep.values]
+    return [(lambda_base, wst)] * len(sweep.values)
 
 
 def _as_float(count: int) -> float:
@@ -235,10 +238,7 @@ def _check_sweeps_runnable(config: ScenarioConfig) -> None:
     positive premium (``r_reserved >= 1``) and a horizon within the budget.
     """
     for name, sweep in config.sweeps.items():
-        for value in sweep.values:
-            scenario = scenario_at(config, sweep, value)
-            lambda_base = scenario.traffic.lambda_base
-            wst = scenario.topology.wst_per_wap
+        for lambda_base, wst in collision_factors(config, sweep):
             rate = lambda_base * _as_float(wst)
             if not rate <= _POISSON_LAM_MAX:
                 raise ConfigError(

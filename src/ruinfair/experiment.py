@@ -9,45 +9,44 @@ so monotone per-seed effects survive aggregation untouched.
 Each quantity is computed once per distinct input, and kept only while a
 later sweep value of the same ``run_sweep`` call can reuse it.  A sweep
 value changes only ``wst_per_wap``, ``lambda_base`` or the forced ruin
-probability (``config.scenario_at``), so:
+probability, and the first two are read as plain numbers
+(``config.collision_factors``), never as a copy of the scenario, so:
 
 * once per sweep: the topology and its link budget (station counts consume
   no randomness, so positions do not move with ``wst_per_wap``), and the
   ruin-fair duty cycle of a ``wst_count`` or ``lambda_base`` sweep;
 * once per value of a ``psi`` sweep: the forced ruin-fair duty cycle;
-* once per distinct ``(topology, traffic)``: the collision total of each
-  (replication, channel), shared by all four schemes.  Each is clipped at
-  the frame length ``T``, so its draw stops there; every scheme's WiFi
-  window is ``T - lte_time <= T``, so clipping it again at the window
-  gives ``min(total, window)`` bit for bit.  A ``psi`` sweep has one key,
-  a ``wst_count`` or ``lambda_base`` sweep one per value (sweep values are
-  strictly increasing, so a key never comes back).  Consecutive keys are
-  drawn a work block (``_kernels.blocks``, a key being ``replications x
-  channels`` cells) at a time, each block in one ``sim.collision_totals``
-  call (one run of the lockstep compound-Poisson kernel over a sequence of
-  rates, which derives each replication's stream from ``seeds.traffic``
-  itself), and only the current block's array is held: at most about a
-  block of cells, or one key's array when a key has more;
+* once per distinct collision rate ``lambda_base x wst_per_wap`` (a key,
+  the one number a collision draw depends on): the collision total of
+  each (replication, channel), shared by all four schemes.  Each is
+  clipped at the frame length ``T``, so its draw stops there; every
+  scheme's WiFi window is ``T - lte_time <= T``, so clipping it again at
+  the window gives ``min(total, window)`` bit for bit.  A ``psi`` sweep
+  has one key, a ``wst_count`` or ``lambda_base`` sweep at most one per
+  value.  Consecutive keys are drawn a work block (``_kernels.blocks``, a
+  key being ``replications x channels`` cells) at a time, each block in
+  one ``sim.collision_totals`` call (one run of the lockstep
+  compound-Poisson kernel over a sequence of rates, which derives each
+  replication's stream from ``seeds.traffic`` itself), and only the
+  current block's array is held: at most about a block of cells, or one
+  key's array when a key has more;
 * once per sweep: the water-filled sum rate of every distinct positive
   LTE-U airtime (``sim.lte_sum_rate``, whose rates serve every channel and
   none of which depends on the replication seed), in one water-filling
   call that sorts the UEs once, or in blocks of airtimes when the UEs are
   many;
-* once per group of collision keys: the WiFi frame accounting of every
-  (key, LTE-U airtime) pair of the group, as array operations on a batch
-  of pairs times a block of the keys x replications x channels collision
-  array, summed over channels left to right in channel order into one
-  total per (pair, replication), then each pair's mean and std as
-  row-wise reductions.  Every key is accounted at every distinct airtime
-  of the sweep, which costs nothing extra: a ``psi`` sweep has one key,
-  and a ``wst_count`` or ``lambda_base`` sweep one duty cycle, so its keys
-  share their airtimes.  The LTE-U sums of all the sweep's airtimes are
-  taken the same way in one call, after the last collision array is
-  freed.  Batches of pairs and blocks of cells are the work blocks of
-  ``_kernels.blocks`` (a pair being ``replications`` totals), a row of
-  more channels than a block being split into column blocks with the
-  running total carried left to right, so memory stays at the collision
-  array plus a replication-length row or two and a few blocks.
+* once per group of keys: the WiFi throughput of every (key, LTE-U
+  airtime) pair of the group, at every distinct airtime of the sweep,
+  which costs nothing extra: a ``psi`` sweep has one key, and a
+  ``wst_count`` or ``lambda_base`` sweep one duty cycle, so its keys share
+  their airtimes; then, after the last collision array is freed, the LTE-U
+  sum rate of every airtime, the same rate in every replication.
+
+Both take one accounting path, ``_stats``: one total per (key and
+airtime, or airtime) and replication, summed over channels left to right,
+then each total's mean and std over the replications, in the work blocks
+of ``_kernels.blocks``, so memory stays at the collision array plus a
+replication-length row or two and a few blocks.
 
 The result equals the scalar specification of ``tests/oracles.py``, one
 long frame per (value, replication, scheme) with one collision draw at a
@@ -68,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .config import ScenarioConfig, Sweep, scenario_at, scenario_to_dict
+from .config import ScenarioConfig, Sweep, collision_factors, scenario_to_dict
 from .duty import DutyCycleResult, duty_cycle_from_surplus, lte_duty_cycle
 from .errors import ConfigError
 from .sim import (
@@ -137,39 +136,33 @@ def _ruin_duties(config: ScenarioConfig, sweep: Sweep) -> list[DutyCycleResult]:
     return [duty] * len(sweep.values)
 
 
-def _row_sums(cells, count: int, reps: int, channels: int) -> np.ndarray:
-    """Sum over channels, left to right in channel order, of
-    ``cells(rows, cols)``: the ``count x rows x cols`` values of ``count``
-    airtimes on a block of replications and channels, in an array this
-    function may overwrite.  Returns the ``count x reps`` totals.
+def _stats(cells, count: int, reps: int, channels: int) -> list[tuple[float, float]]:
+    """Mean and sample standard deviation (0 for a single replication) over
+    ``reps`` replications of each of ``count`` totals: the sums over
+    channels, left to right in channel order, of ``cells(batch, rows,
+    cols)``, the ``batch x rows x cols`` values of a slice of the totals on
+    a block of replications and channels, in an array this function may
+    overwrite.
 
-    The work is done in the work blocks of ``_kernels.blocks``: blocks of
-    rows, and of columns when one row of the batch is more than a block,
-    with the running total carried from one column block to the next.
+    The work is done in the work blocks of ``_kernels.blocks``: batches of
+    totals (a total being ``reps`` replications), so at most one row is
+    held when a row is more than a block; then blocks of rows, and of
+    columns when one row of the batch is more than a block, with the
+    running total carried from one column block to the next.
     """
-    totals = np.empty((count, reps))
-    for rows in _kernels.blocks(reps, count * channels):
-        for cols in _kernels.blocks(channels, count):
-            work = cells(rows, cols)
-            if cols.start:
-                # The first column starts the total itself, so a -0.0 keeps
-                # its sign.
-                work[:, :, 0] += totals[:, rows]
-            # Left to right, as np.sum (pairwise) and sum() (compensated on
-            # Python >= 3.12) are not.
-            totals[:, rows] = np.add.accumulate(work, axis=2, out=work)[:, :, -1]
-    return totals
-
-
-def _stats(totals_of, count: int, reps: int) -> list[tuple[float, float]]:
-    """Mean and sample standard deviation (0 for a single replication) of
-    each row of ``totals_of(batch)``, the ``len(batch) x reps`` totals of a
-    slice of ``count`` airtimes.  Airtimes are taken a work block of
-    ``_kernels.blocks`` at a time (an airtime being ``reps`` totals), so at
-    most one row is held when a row is more than a block."""
     stats = []
     for batch in _kernels.blocks(count, reps):
-        totals = totals_of(batch)
+        totals = np.empty((batch.stop - batch.start, reps))
+        for rows in _kernels.blocks(reps, len(totals) * channels):
+            for cols in _kernels.blocks(channels, len(totals)):
+                work = cells(batch, rows, cols)
+                if cols.start:
+                    # The first column starts the total itself, so a -0.0
+                    # keeps its sign.
+                    work[:, :, 0] += totals[:, rows]
+                # Left to right, as np.sum (pairwise) and sum() (compensated
+                # on Python >= 3.12) are not.
+                totals[:, rows] = np.add.accumulate(work, axis=2, out=work)[:, :, -1]
         means = np.mean(totals, axis=1).tolist()
         stds = np.std(totals, axis=1, ddof=1).tolist() if reps > 1 else [0.0] * len(means)
         stats += zip(means, stds)
@@ -186,37 +179,31 @@ def _wifi_stats(
     keys, reps, channels = collisions.shape
     count = len(windows)
 
-    def throughput(batch):
-        # The batch's (key, window) pairs.
+    def cells(batch, rows, cols):
+        # The batch's (key, window) pairs.  Collision time beyond the window
+        # is clipped: LTE-U holds the channel.  phy_rate * (window -
+        # min(collisions, window)) >= +0.0.
         pairs = np.arange(batch.start, batch.stop)
-        key = pairs // count
         window = windows[pairs % count, None, None]
+        work = collisions[pairs // count, rows, cols]
+        np.minimum(work, window, out=work)
+        np.subtract(window, work, out=work)
+        work *= phy_rate
+        return work
 
-        def cells(rows, cols):
-            # Collision time beyond the window is clipped: LTE-U holds the
-            # channel.  phy_rate * (window - min(collisions, window)) >= +0.0.
-            work = collisions[key, rows, cols]
-            np.minimum(work, window, out=work)
-            np.subtract(window, work, out=work)
-            work *= phy_rate
-            return work
-
-        return _row_sums(cells, len(pairs), reps, channels)
-
-    return _stats(throughput, keys * count, reps)
+    return _stats(cells, keys * count, reps, channels)
 
 
 def _lte_stats(rates: np.ndarray, channels: int, reps: int) -> list[tuple[float, float]]:
     """Mean and std over ``reps`` replications of each LTE-U sum rate of
     ``rates`` summed over ``channels`` channels (the same in each and in
     every replication)."""
-    count = len(rates)
 
-    def cells(rows, cols):
-        return np.repeat(rates[:, None, None], cols.stop - cols.start, axis=2)
+    def cells(batch, rows, cols):
+        shape = (batch.stop - batch.start, rows.stop - rows.start, cols.stop - cols.start)
+        return np.full(shape, rates[batch, None, None])
 
-    totals = _row_sums(cells, count, 1, channels)
-    return _stats(lambda batch: np.repeat(totals[batch], reps, axis=1), count, reps)
+    return _stats(cells, len(rates), reps, channels)
 
 
 def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
@@ -238,26 +225,26 @@ def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:
     distinct = list(dict.fromkeys(a for times in airtimes for a in times))
     lte_rates = lte_sum_rate(distinct, radio.bandwidth, gains)
 
-    # Each key is accounted at every distinct airtime of the sweep, which are
+    # Each collision rate lambda_base * wst_per_wap (all a draw depends on)
+    # is a key, accounted at every distinct airtime of the sweep, which are
     # its own airtimes: a psi sweep has one key, and the values of a
-    # wst_count or lambda_base sweep (a key each) share one duty cycle.
-    scenarios = (scenario_at(config, sweep, value) for value in sweep.values)
-    keys = [(scenario.topology, scenario.traffic) for scenario in scenarios]
+    # wst_count or lambda_base sweep (at most a key each) share one duty
+    # cycle.
+    keys = [lambda_base * wst for lambda_base, wst in collision_factors(config, sweep)]
     distinct_keys = list(dict.fromkeys(keys))
     # WiFi gets the window left by LTE-U.
     windows = np.array([t_total - a for a in distinct])
     # A work block of keys is drawn in one kernel run and accounted in one
     # pass; a key of more cells than a block is drawn on its own.
-    wifi = {}  # ((topology, traffic), LTE-U airtime) -> _wifi_stats
+    wifi = {}  # (collision rate, LTE-U airtime) -> _wifi_stats
     for group in _kernels.blocks(len(distinct_keys), reps * channels):
-        batch = distinct_keys[group]
-        rates = [traffic.lambda_base * topology.wst_per_wap for topology, traffic in batch]
+        rates = distinct_keys[group]
         collisions = None  # free the last group's totals before drawing
         collisions = collision_totals(
             rates, config.traffic.mu, config.seeds.traffic, reps, channels, t_total
         )
         stats = _wifi_stats(collisions, windows, radio.wifi_phy_rate)
-        wifi.update(zip(((key, a) for key in batch for a in distinct), stats))
+        wifi.update(zip(((rate, a) for rate in rates for a in distinct), stats))
     # The LTE-U stats come last, so that their replication-length rows never
     # sit beside a collision array.
     collisions = None

@@ -38,8 +38,8 @@ A long frame is assembled from parts computed at the level where they vary:
   per call;
 * the collision totals depend on the replication, the station counts and
   the traffic, not on the scheme: :func:`collision_totals` takes a
-  sequence of collision rates (one per ``(topology, traffic)`` key, with
-  one duration rate, seed and frame), derives every (replication,
+  sequence of collision rates (one per distinct ``lambda_base x
+  wst_per_wap`` of a sweep, with one duration rate, seed and frame), derives every (replication,
   channel) cell's stream from the traffic seed, the same at every rate,
   and draws the cells of all the rates in one run of the lockstep
   compound-Poisson kernel, each stream at its own rate, clipped at the

@@ -349,6 +349,18 @@ def grid_best_three_users(
         lo1, hi1 = max(0.0, y1[idx[1]] - pad), min(budget, y1[idx[1]] + pad)
 
 
+def sweep_scenario(config, sweep, value):
+    """The whole scenario :func:`sweep_rows_per_frame` simulates at one
+    value of ``sweep``: a ``wst_count`` or ``lambda_base`` value replaces
+    its field, and a ``psi`` value leaves the scenario as it is (it forces
+    the ruin-fair duty cycle instead)."""
+    if sweep.variable == "wst_count":
+        return replace(config, topology=replace(config.topology, wst_per_wap=int(value)))
+    if sweep.variable == "lambda_base":
+        return replace(config, traffic=replace(config.traffic, lambda_base=float(value)))
+    return config
+
+
 def sweep_rows_per_frame(config, sweep_name: str) -> list:
     """``run_sweep`` rows from one :func:`simulate_long_frame` call per frame.
 
@@ -363,13 +375,9 @@ def sweep_rows_per_frame(config, sweep_name: str) -> list:
     reps = config.seeds.replications
     rows = []
     for value in sweep.values:
-        scenario = config
+        scenario = sweep_scenario(config, sweep, value)
         ruin_duty = None
-        if sweep.variable == "wst_count":
-            scenario = replace(config, topology=replace(config.topology, wst_per_wap=int(value)))
-        elif sweep.variable == "lambda_base":
-            scenario = replace(config, traffic=replace(config.traffic, lambda_base=float(value)))
-        else:
+        if sweep.variable == "psi":
             psi = float(value)
             ruin_duty = DutyCycleResult(lte_duty_cycle(psi, config.frame, config.policy), psi)
         duty = ruin_duty if ruin_duty is not None else duty_cycle_from_surplus(

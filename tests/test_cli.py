@@ -134,14 +134,49 @@ def test_run_twice_is_byte_identical(config_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_run_output_collision_exits_1(config_file, tmp_path, capsys):
-    """A directory where an output file goes is found only on writing."""
+def test_run_output_collision_exits_2_before_any_sweep(
+    config_file, tmp_path, monkeypatch, capsys
+):
+    """A directory where an output file goes is refused before any sweep
+    runs, and nothing is written."""
     out = tmp_path / "out"
     (out / "sweep_psi.csv").mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, name: calls.append(name))
     code = main(["run", "--config", str(config_file), "--sweep", "psi", "--out", str(out)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: --out" in err and f"{out / 'sweep_psi.csv'} is a directory" in err
+    assert calls == []
     assert sorted(path.name for path in out.iterdir()) == ["sweep_psi.csv"]
+    assert not any((out / "sweep_psi.csv").iterdir())
+
+
+def test_run_output_collision_in_a_later_sweep_exits_2(
+    config_file, tmp_path, monkeypatch, capsys
+):
+    """Without --sweep, a directory at the last sweep's manifest is refused
+    before the first sweep runs: no earlier sweep's files are left behind."""
+    out = tmp_path / "out"
+    (out / "manifest_psi.json").mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config, name: calls.append(name))
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    assert f"{out / 'manifest_psi.json'} is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(path.name for path in out.iterdir()) == ["manifest_psi.json"]
+
+
+def test_run_output_symlink_to_a_directory_is_replaced(config_file, tmp_path):
+    """A symlink at an output path is replaced by the file, as a rename
+    does, and the directory it points to is left alone."""
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (out / "sweep_psi.csv").symlink_to(elsewhere, target_is_directory=True)
+    assert main(["run", "--config", str(config_file), "--sweep", "psi", "--out", str(out)]) == 0
+    assert (out / "sweep_psi.csv").is_file() and not (out / "sweep_psi.csv").is_symlink()
+    assert list(elsewhere.iterdir()) == []
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])

@@ -4,12 +4,14 @@ import json
 import sys
 
 import pytest
+from oracles import sweep_scenario
 
 import ruinfair.config
 from ruinfair import ConfigError, PolicyKind
 from ruinfair.config import (
     ScenarioConfig,
     Sweep,
+    collision_factors,
     load_scenario,
     parse_scenario,
     scenario_to_dict,
@@ -187,6 +189,30 @@ def test_scenario_requires_at_least_one_sweep():
 def test_sweep_variable_whitelist():
     with pytest.raises(ConfigError):
         Sweep(variable="frequency", values=(1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"variable": "wst_count", "values": [1, 5, 10, 20]},
+        {"variable": "lambda_base", "values": [0.1, 10, 49.9]},
+        {"variable": "psi", "values": [0.0, 0.5, 1.0]},
+    ],
+    ids=["wst_count", "lambda_base", "psi"],
+)
+def test_collision_factors_are_those_of_the_simulated_scenario(sweep):
+    """Each value's ``(lambda_base, wst_per_wap)``, of the same types, is
+    the one of the whole scenario the per-frame oracle simulates there; a
+    psi sweep repeats the scenario's own pair."""
+    config = parse_scenario({"traffic": {"lambda_base": 0.3}, "sweeps": {"s": sweep}})
+    sweep = config.sweeps["s"]
+    scenarios = [sweep_scenario(config, sweep, value) for value in sweep.values]
+    expected = [(s.traffic.lambda_base, s.topology.wst_per_wap) for s in scenarios]
+    pairs = collision_factors(config, sweep)
+    assert pairs == expected
+    assert [tuple(map(type, pair)) for pair in pairs] == [(float, int)] * len(expected)
+    if sweep.variable == "psi":
+        assert pairs == [(0.3, 10)] * 3
 
 
 class TestCrossFieldLimits:

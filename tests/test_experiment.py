@@ -204,8 +204,8 @@ class TestWorkReuse:
                     t_total = config.frame.total_duration
                     airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
                     # Topology and link budget once per sweep; collisions once
-                    # per group of max(1, _CHUNK // cells) (topology, traffic)
-                    # keys, one kernel call per chunk of the group's cells;
+                    # per group of max(1, _CHUNK // cells) keys (collision
+                    # rates), one kernel call per chunk of the group's cells;
                     # every positive LTE-U airtime water-filled once, serving
                     # every channel and value, in one call per block of
                     # _CHUNK // ue_count airtimes.
@@ -225,6 +225,23 @@ class TestWorkReuse:
                     }, (chunk, sweep_name, reps, waps)
                     assert len(water_filled) == positive
                     assert set(water_filled) == airtimes - {0.0}
+
+    def test_sweep_values_build_no_config_sections(self, monkeypatch, small_config):
+        """A wst_count or lambda_base value reaches the collision draw as
+        plain numbers: no ``TopologyConfig`` or ``TrafficConfig`` is built
+        (and validated again) per value."""
+        built = []
+        for cls in (sim.TopologyConfig, sim.TrafficConfig):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for name in ("wst", "lam"):
+            run_sweep(small_config, name)
+        assert built == []
 
     @pytest.mark.parametrize(
         "reps, waps, scenario",

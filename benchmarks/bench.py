@@ -31,8 +31,8 @@ measures both checkouts and writes ``BENCH_<label>-parent.json`` for
 runs are taken in pairs, the parent and the change at the same seed, and
 the side that runs first alternates from pair to pair; give at least ten
 seeds that were not used while the change was written (default 1-10).
-The ``ruinfair run`` timings alternate between the two checkouts run by
-run, and the two Tier-1 runs follow each other.  Both files carry a
+The ``ruinfair run`` timings, ``CLI_REPEAT`` a checkout, alternate between
+the two checkouts run by run, and the two Tier-1 runs follow each other.  Both files carry a
 ``pairs`` section: every pair, each side's median and quartiles, and per
 metric the change's wins, losses and ties, the median gap (change minus
 parent) and the parent's IQR; and each side's ``ruinfair run`` median.
@@ -60,7 +60,7 @@ SEEDS = [1, 2, 3, 4, 5]  # perfbench seeds; seed 0 is the digest-checked one
 PAIR_SEEDS = list(range(1, 11))
 PAIR_SHARE = 0.9  # share of the pairs the change must win to claim a gain
 SECONDS = 8.0  # perfbench --seconds per run
-CLI_REPEAT = 5
+CLI_REPEAT = 20
 KERNEL_TRIALS = 100_000
 KERNEL_REPEAT = 3
 

@@ -13,9 +13,10 @@
 #    admits (python3.N on PATH, and each pyenv version when pyenv is
 #    installed) compiles src/, tests/, perfbench/ and benchmarks/.
 # 3. Same seed, same bytes at every SIMD level, end to end: the default
-#    scenario's CSVs (whose water-filling takes log1p over 2-D arrays) and
-#    a congested lambda_base sweep's (whose collision draws run every
-#    value's cells, at rates 100 to 500, in one kernel run) are written
+#    scenario's CSVs (whose water-filling takes log1p over 2-D arrays), a
+#    congested lambda_base sweep's (whose collision draws run every
+#    value's cells, at rates 100 to 500, in one kernel run) and those of
+#    2,000 UEs behind one WAP (4,000 uniforms of the UE drops) are written
 #    again with NumPy's dispatch held to its baseline, and compared with
 #    cmp.  The CLI is imported from src/, as Tier-1 does.
 # 4. The benchmark's self-test, perfbench/selftest.py.
@@ -64,16 +65,18 @@ test "$seen" != " "
 echo "== same CSVs at NumPy's baseline SIMD dispatch"
 echo '{}' > "$tmp/scenario.json"
 echo '{"policy":{"kind":"thresholded_linear"},"sweeps":{"lambda":{"variable":"lambda_base","values":[10,20,30,40,50]}}}' > "$tmp/lambda.json"
+echo '{"topology":{"wap_count":1,"ue_count":2000}}' > "$tmp/ues.json"
 ruinfair() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m ruinfair.cli "$@"
 }
-for scenario in scenario lambda; do
-    ruinfair run --config "$tmp/$scenario.json" --out "$tmp/out"
-    NPY_ENABLE_CPU_FEATURES=NONE ruinfair run --config "$tmp/$scenario.json" --out "$tmp/baseline"
-done
-for name in sweep_psi.csv sweep_wst.csv sweep_lambda.csv; do
-    cmp "$tmp/out/$name" "$tmp/baseline/$name"
-    echo "$name: same bytes"
+for scenario in scenario lambda ues; do
+    ruinfair run --config "$tmp/$scenario.json" --out "$tmp/out/$scenario"
+    NPY_ENABLE_CPU_FEATURES=NONE ruinfair run --config "$tmp/$scenario.json" --out "$tmp/baseline/$scenario"
+    for csv in "$tmp/out/$scenario"/sweep_*.csv; do
+        name=$scenario/${csv##*/}
+        cmp "$csv" "$tmp/baseline/$name"
+        echo "$name: same bytes"
+    done
 done
 
 echo "== benchmark self-test"

@@ -1,13 +1,15 @@
-"""The Monte Carlo kernels, in NumPy lockstep, and the work-block rule.
+"""Every random draw of the package, in NumPy lockstep, and the work-block rule.
 
 The kernels advance the SplitMix64 streams of all trials at once instead of
-one trial at a time.  Substreams are counter-based (the seed of trial ``t``
-is ``mix64(seed + (t+1)*gamma)``, and draw ``j`` of a stream seeded with
-``s`` comes from the state ``s + j*gamma``, see :mod:`ruinfair.prng`), so
-every stream can be derived and stepped in one ``uint64`` array whose
-wrap-around is exactly the ``& MASK64`` of the scalar code.  Each step
-repeats the scalar recipe of :mod:`ruinfair.prng` with the same IEEE-754
-double operations, in the same order:
+one trial at a time, and so do the UE drops (:func:`uniforms`) and the
+exact replay; an int seed is taken mod 2**64 here.  Substreams are
+counter-based (the seed of trial ``t`` is ``mix64(seed + (t+1)*gamma)``,
+and draw ``j`` of a stream seeded with ``s`` comes from the state ``s +
+j*gamma``, see :mod:`ruinfair.prng`), so every stream can be derived and
+stepped in one ``uint64`` array whose wrap-around is exactly the ``&
+MASK64`` of the scalar code.  Each step repeats the scalar recipe of
+:mod:`ruinfair.prng` with the same IEEE-754 double operations, in the same
+order:
 
 * uniform ``(z >> 11) * 2**-53`` (exact: ``z >> 11`` fits in 53 bits);
 * exponential ``-log(1 - u) / rate``;
@@ -23,7 +25,7 @@ double operations, in the same order:
 **Work blocks.**  Both kernels take their trials, and the sweep's loops in
 ``sim`` and ``experiment`` their items, one :func:`blocks` slice at a time.
 
-**Draw blocks.**  All three loops draw through :func:`_uniforms`: a block is
+**Draw blocks.**  Every loop draws through :func:`_uniforms`: a block is
 ``width`` draws of each of the ``n_live`` streams still live, one row per
 draw and one column per stream, with ``width`` at most ``max(1, _BLOCK //
 n_live)``.  Each row is one whole-array operation, and the carried claims,
@@ -79,8 +81,9 @@ count needs only the sign of each decision, so it decides with ``np.log``
 (read through the one name ``_fast_log``) and replays exactly only the few
 paths whose decision the faster logarithm could have flipped: a
 floating-point filter with an exact fallback (Shewchuk, "Adaptive
-predicates", Discrete Comput. Geom. 18, 1997).  An unsure surplus path
-is replayed one draw at a time by :func:`_path_ruins`, with ``SplitMix64``.
+predicates", Discrete Comput. Geom. 18, 1997).  The unsure paths of a
+chunk are replayed together from their start states by :func:`_path_ruins`,
+with libm's logarithm and the scalar test at every period.
 
 **The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
 taken with ``np.log`` is off from the libm term by at most a few ulps,
@@ -180,8 +183,6 @@ the scalar collision draw's total clipped at ``cap``;
 ``tests/test_kernels.py`` pins that, the ruin count also with every path
 replayed (``_K`` huge) and with none (``_K = 0``), and the capped totals
 with every fast stream drawn again (``_K`` huge).
-:func:`_path_ruins` is not on a hot path: it steps one path with
-``SplitMix64`` for the exact fallback.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ import sys
 import numpy as np
 
 from . import prng
+from .prng import _POISSON_LAM_MAX  # the recipe's range; duty and config check it too
 
 BACKEND = "lockstep"
 
@@ -203,6 +205,7 @@ __all__ = [
     "chance_mc_count",
     "compound_poisson_totals",
     "substream_pairs",
+    "uniforms",
     "blocks",
 ]
 
@@ -223,9 +226,7 @@ _EPS = 2.0**-52
 _TINY = math.ulp(0.0)
 _LOWEST = -sys.float_info.max
 
-_GAMMA = np.uint64(prng._GOLDEN)
-_MIX1 = np.uint64(prng._MIX1)
-_MIX2 = np.uint64(prng._MIX2)
+_GAMMA, _MIX1, _MIX2 = (np.uint64(k) for k in (prng._GOLDEN, prng._MIX1, prng._MIX2))
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
@@ -249,21 +250,21 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def substream_pairs(seeds, index) -> np.ndarray:
-    """``prng.substream_seed(seed, i)`` element by element of the uint64
-    ``seeds`` (each already taken mod 2**64) and the indices ``index``,
-    which broadcast together."""
+    """``prng.substream_seed(seed, i)`` element by element of ``seeds``, an
+    int (taken mod 2**64) or uint64 states, and the indices ``index``, which
+    broadcast together."""
+    if isinstance(seeds, int):
+        seeds = np.uint64(seeds & prng._MASK64)
     return _mix64(seeds + (np.asarray(index, dtype=np.uint64) + 1) * _GAMMA)
 
 
 def _substreams(seed: int, start: int, stop: int) -> np.ndarray:
     """States of trials ``start .. stop-1``: ``substream_seed(seed, t)`` each."""
-    return substream_pairs(
-        np.uint64(seed & prng._MASK64), np.arange(start, stop, dtype=np.uint64)
-    )
+    return substream_pairs(seed, np.arange(start, stop, dtype=np.uint64))
 
 
 def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
-    """``SplitMix64.uniform`` draws ``start+1 .. start+width`` of each stream
+    """The uniforms ``start+1 .. start+width`` of each stream of ``states``
     as one ``width x len(states)`` block: one row per draw, one column per
     stream (see "Draw blocks" in the module docstring)."""
     steps = np.arange(start + 1, start + width + 1, dtype=np.uint64) * _GAMMA
@@ -274,6 +275,15 @@ def _uniforms(states: np.ndarray, start: int, width: int) -> np.ndarray:
     block = bits.view(np.int64).astype(np.float64)
     block *= prng._INV_2_53
     return block
+
+
+def uniforms(seed: int, start: int, count: int):
+    """The uniforms ``start+1 .. start+count`` of the stream seeded with
+    ``seed`` (taken mod 2**64), in order, drawn one :func:`blocks` work block
+    at a time."""
+    state = np.array([seed & prng._MASK64], dtype=np.uint64)
+    for block in blocks(count):
+        yield from _uniforms(state, start + block.start, block.stop - block.start).ravel().tolist()
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -293,16 +303,23 @@ def _cut(level: float, a: float, b: float) -> float:
     return cut if level - below > below * a + b else -math.inf
 
 
-def _path_ruins(u: float, c: float, mu_prime: float, n: int, seed: int) -> bool:
-    """Whether the surplus path of ``SplitMix64(seed)`` goes negative by
-    period n, drawn and tested one period at a time by the scalar recipe."""
-    rng = prng.SplitMix64(seed)
-    claims = 0.0
-    for s in range(1, n + 1):
-        claims += rng.exponential(mu_prime)
-        if u + s * c - claims < 0.0:
-            return True
-    return False
+def _path_ruins(u, c, mu_prime: float, n: int, states: np.ndarray) -> np.ndarray:
+    """Whether the surplus path of each stream of ``states`` goes negative
+    by period n, by the scalar recipe with libm's logarithm, tested at every
+    period: drawn a block of periods at a time, as in :func:`_chunk_ruins`."""
+    ruined = np.zeros(len(states), dtype=bool)
+    claims = np.zeros(len(states))
+    drawn = 0
+    # A subnormal rate overflows a claim to inf (inf - inf is NaN), as in the scalar draw.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while drawn < n and len(states):
+            width = max(1, min(_BLOCK // len(states), n - drawn))
+            steps = -_libm_log(1.0 - _uniforms(states, drawn, width).ravel()) / mu_prime
+            for s, step in enumerate(steps.reshape(width, -1), drawn + 1):
+                claims += step
+                ruined |= u + s * c - claims < 0.0
+            drawn += width
+    return ruined
 
 
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
@@ -315,8 +332,8 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
     whose claims reach the period's cut take the exact test.  A path that
     leaves is marked with ``claims = -inf``, which no later draw lifts, and
     the arrays drop the marked rows between blocks once at least half of
-    them are marked.  The unsure paths are replayed from their start states
-    by the scalar :func:`_path_ruins`.
+    them are marked.  The unsure paths are replayed together from their
+    start states by :func:`_path_ruins`.
     """
     states = _substreams(seed, start, stop)
     claims = np.zeros(len(states))
@@ -364,8 +381,7 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
                 keep = np.flatnonzero(claims > -math.inf)
                 states, claims, marked = states[keep], claims[keep], 0
     if unsure:
-        for start_state in np.concatenate(unsure).tolist():
-            ruined += _path_ruins(u, c, mu_prime, n, start_state)
+        ruined += int(np.count_nonzero(_path_ruins(u, c, mu_prime, n, np.concatenate(unsure))))
     return ruined
 
 
@@ -376,8 +392,8 @@ def ruin_mc_count(
 
     Raises:
         ValueError: If a draw is needed (``n >= 1`` and ``trials >= 1``) and
-            ``mu_prime`` is not a positive finite rate, as
-            ``SplitMix64.exponential`` does; checked once per call.
+            ``mu_prime`` is not a positive finite rate, as the recipe's
+            exponential draw does; checked once per call.
     """
     if n < 1 or trials < 1:
         return 0
@@ -397,7 +413,7 @@ def _rate_table(lam, n: int):
     Each distinct mean is checked in first-seen order.
 
     Raises:
-        ValueError: For the first mean not in ``[0, prng._POISSON_LAM_MAX]``,
+        ValueError: For the first mean not in ``[0, _POISSON_LAM_MAX]``,
             the range of the Poisson recipe in :mod:`ruinfair.prng`.
     """
     if np.ndim(lam) == 0:
@@ -408,9 +424,9 @@ def _rate_table(lam, n: int):
         one = len(lam) and lam.min() == lam.max()
         rates = [float(lam[0])] if one else list(dict.fromkeys(lam.tolist()))
     for rate in rates:
-        if not 0.0 <= rate <= prng._POISSON_LAM_MAX:
+        if not 0.0 <= rate <= _POISSON_LAM_MAX:
             raise ValueError(
-                f"poisson mean must be in [0, {prng._POISSON_LAM_MAX}], got {rate}"
+                f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {rate}"
             )
     if len(rates) < 2:
         return rates, np.zeros(n, dtype=np.intp)
@@ -477,7 +493,7 @@ def compound_poisson_totals(
 
     Raises:
         ValueError: As :func:`_rate_table` does, if there is a stream; as
-            ``SplitMix64.exponential`` does, if some count is positive and
+            the recipe's exponential draw does, if some count is positive and
             ``mu`` is not a positive finite rate.  Each distinct rate is
             checked once per call.
     """

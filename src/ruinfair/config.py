@@ -59,7 +59,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 from .allocation import snr_utility
 from .duty import DutyCyclePolicy, FrameConfig
 from .errors import ConfigError
-from .prng import _POISSON_LAM_MAX
+from ._kernels import _POISSON_LAM_MAX
 from .sim import RadioConfig, TopologyConfig, TrafficConfig
 
 __all__ = [

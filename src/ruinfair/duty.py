@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import _kernels
-from .prng import _POISSON_LAM_MAX
+from ._kernels import _POISSON_LAM_MAX
 from .ruin import SurplusParams, ruin_probability_exact
 
 __all__ = [

@@ -40,7 +40,8 @@ probability, and the first two are read as plain numbers
   which costs nothing extra: a ``psi`` sweep has one key, and a
   ``wst_count`` or ``lambda_base`` sweep one duty cycle, so its keys share
   their airtimes; then, after the last collision array is freed, the LTE-U
-  sum rate of every airtime, the same rate in every replication.
+  sum rate of every airtime, summed over the channels once for all
+  replications.
 
 Both take one accounting path, ``_stats``: one total per (key and
 airtime, or airtime) and replication, summed over channels left to right,
@@ -197,13 +198,17 @@ def _wifi_stats(
 def _lte_stats(rates: np.ndarray, channels: int, reps: int) -> list[tuple[float, float]]:
     """Mean and std over ``reps`` replications of each LTE-U sum rate of
     ``rates`` summed over ``channels`` channels (the same in each and in
-    every replication)."""
+    every replication): the channel sum of one replication stands for all."""
 
-    def cells(batch, rows, cols):
-        shape = (batch.stop - batch.start, rows.stop - rows.start, cols.stop - cols.start)
-        return np.full(shape, rates[batch, None, None])
+    def repeat(values):
+        def cells(batch, rows, cols):
+            shape = (batch.stop - batch.start, rows.stop - rows.start, cols.stop - cols.start)
+            return np.full(shape, values[batch, None, None])
 
-    return _stats(cells, len(rates), reps, channels)
+        return cells
+
+    totals = np.array([total for total, _ in _stats(repeat(rates), len(rates), 1, channels)])
+    return _stats(repeat(totals), len(totals), reps, 1)
 
 
 def run_sweep(config: ScenarioConfig, sweep_name: str) -> list[SweepRow]:

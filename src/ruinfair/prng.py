@@ -1,12 +1,13 @@
-"""Portable seeded random source used by every stochastic routine.
+"""The portable seeded random recipe that every stochastic routine follows.
 
 The generator is SplitMix64 (Vigna, 2015; public domain): a 64-bit counter
 advanced by the golden-gamma constant, finalized by two xor-multiply mixing
 rounds.  It was chosen over ``numpy.random`` because the whole algorithm fits
 in a dozen lines and can be re-implemented exactly in any language, which
-keeps Monte Carlo results reproducible bit-for-bit between the lockstep
-kernels and the scalar references they are tested against (and across
-future ports).
+keeps Monte Carlo results reproducible bit-for-bit between implementations:
+the package's lockstep kernels (:mod:`ruinfair._kernels`) and the scalar
+generator of ``tests/oracles.py`` they are pinned to.  Draw ``j`` of the
+stream seeded with ``s`` (mod 2**64) mixes the state ``s + j*gamma``.
 
 Derived quantities are pinned to fixed recipes so that two implementations
 consuming the same uniform stream produce identical samples:
@@ -24,9 +25,7 @@ with the master seed.  Trials are therefore independent of evaluation order.
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["SplitMix64", "substream_seed"]
+__all__ = ["substream_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,25 +55,3 @@ def substream_seed(seed: int, index: int) -> int:
         raise ValueError(f"substream index must be >= 0, got {index}")
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
-
-class SplitMix64:
-    """Minimal deterministic RNG; one instance per logical sample stream."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-    def exponential(self, rate: float) -> float:
-        """Exponential variate with the given rate (mean ``1/rate``)."""
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"exponential rate must be positive and finite, got {rate}")
-        return -math.log(1.0 - self.uniform()) / rate

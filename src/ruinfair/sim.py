@@ -49,7 +49,8 @@ A long frame is assembled from parts computed at the level where they vary:
   total reaches the frame length.
 
 ``experiment.run_sweep`` computes each part once per distinct input and does
-the frame accounting as array operations.  ``tests/oracles.py`` holds the
+the frame accounting as array operations.  The UE drops and the collision
+totals are drawn by :mod:`ruinfair._kernels`.  ``tests/oracles.py`` holds the
 scalar specification of a long frame (one collision draw at a time, the
 accounting channel by channel), and the tests pin the sweep to it bit for
 bit.
@@ -68,7 +69,6 @@ from . import _kernels
 from .allocation import snr_utility, water_fill_batch
 from .duty import CollisionModel, DutyCycleResult
 from .errors import ConfigError
-from .prng import _GOLDEN, _MASK64, SplitMix64
 
 __all__ = [
     "Scheme",
@@ -188,21 +188,21 @@ def generate_topology(seed: int, config: TopologyConfig) -> tuple[tuple[float, f
     """Drop the UEs uniformly inside the SBS disk, deterministically.
 
     Returns one ``(x, y)`` pair per UE, relative to the SBS at the origin.
-    The UEs take the uniforms of ``SplitMix64(seed)`` that follow the first
-    ``2 * wap_count``, which would place the WAPs.  No output reads a WAP's
-    position, so the stream starts past them instead of drawing them: each
-    draw adds the golden gamma to a SplitMix64 state.  Station counts
-    consume no randomness, so varying ``wst_per_wap`` leaves every position
-    unchanged for a fixed seed.
+    The UEs take the uniforms of the stream seeded with ``seed`` that follow
+    the first ``2 * wap_count``, which would place the WAPs, two a UE.  No
+    output reads a WAP's position, so the stream starts past them instead
+    of drawing them (``_kernels.uniforms``).  Station counts consume no
+    randomness, so varying ``wst_per_wap`` leaves every position unchanged
+    for a fixed seed.
     """
-    rng = SplitMix64(seed + 2 * config.wap_count * _GOLDEN)
+    draws = _kernels.uniforms(seed, 2 * config.wap_count, 2 * config.ue_count)
 
-    def disk_point(radius: float) -> tuple[float, float]:
-        r = radius * math.sqrt(rng.uniform())
-        theta = 2.0 * math.pi * rng.uniform()
+    def disk_point(u_radius: float, u_angle: float) -> tuple[float, float]:
+        r = config.sbs_radius * math.sqrt(u_radius)
+        theta = 2.0 * math.pi * u_angle
         return (r * math.cos(theta), r * math.sin(theta))
 
-    return tuple(disk_point(config.sbs_radius) for _ in range(config.ue_count))
+    return tuple(disk_point(u, v) for u, v in zip(draws, draws))
 
 
 def link_budget(positions, radio: RadioConfig) -> np.ndarray:
@@ -267,11 +267,11 @@ def collision_totals(
     replication ``0 .. reps-1`` (second) and channel ``0 .. channels-1``
     (third), clipped to the long frame ``t_total``.
 
-    Replication r of the master ``seed`` (taken mod 2**64, as
-    :mod:`ruinfair.prng` does) draws channel k from the substream seed
+    Replication r of the master ``seed`` (taken mod 2**64 by
+    :mod:`ruinfair._kernels`) draws channel k from the substream seed
     ``substream_seed(substream_seed(seed, r), k)`` at every rate and for
     every scheme: entry ``[i, r, k]`` is a Poisson(``rates[i]``) count of
-    exponential(``mu``) durations drawn from ``SplitMix64`` of that seed,
+    exponential(``mu``) durations drawn from the stream of that seed,
     added left to right and clipped at ``t_total``.  Each rate is checked
     as the scalar draw checks it (``CollisionModel``).  No WiFi window is
     longer than the frame, so clipping at the window afterwards gives the
@@ -284,14 +284,13 @@ def collision_totals(
     the remainder), so no more than one block of states is held at a time.
     """
     lams = np.array([CollisionModel(rate, mu).lambda_k for rate in rates], dtype=float)
-    master = np.uint64(seed & _MASK64)
     per_rate = reps * channels
     cells = len(lams) * per_rate
     totals = np.empty(cells)
     for block in _kernels.blocks(cells):
         cell = np.arange(block.start, block.stop)
         local = cell % per_rate
-        rows = _kernels.substream_pairs(master, local // channels)
+        rows = _kernels.substream_pairs(seed, local // channels)
         states = _kernels.substream_pairs(rows, local % channels)
         totals[block] = _kernels.compound_poisson_totals(
             states, lams[cell // per_rate], mu, t_total

@@ -5,12 +5,16 @@ integration, exhaustive grid search, or scalar loops that take one trial
 and one draw at a time.  None of it shares code with the algorithm it
 checks, so agreement is evidence, not tautology.
 
-The scalar specifications (the Poisson count, the Monte Carlo counts, the
-collision draw and the long frame) draw from the package's ``SplitMix64``
-with the recipes documented in :mod:`ruinfair.prng`, one stream at a time,
-where the package draws all streams in lockstep.  :func:`water_fill`
-solves one duty cycle at a time, where the package solves a vector of them
-at once.  The long frame takes this water-filling, and the package's duty
+:class:`SplitMix64` is the scalar generator of the recipes documented in
+:mod:`ruinfair.prng`, written out here with its own constants and mix: the
+package has no scalar generator, as every draw it makes goes through the
+lockstep kernels of ``ruinfair._kernels``, so this class is the reference
+they are pinned to (``tests/test_prng.py`` pins both to the published
+SplitMix64 vectors).  The scalar specifications (the Poisson count, the
+Monte Carlo counts, the collision draw and the long frame) draw from it one
+stream at a time, where the package draws all streams in lockstep.
+:func:`water_fill` solves one duty cycle at a time, where the package solves
+a vector of them at once.  The long frame takes this water-filling, and the package's duty
 cycle and link budget as they are: it pins how the sweep runner reuses
 them, not the parts themselves.
 """
@@ -40,8 +44,37 @@ from ruinfair import (
     lte_duty_cycle,
 )
 from ruinfair.experiment import SweepRow
-from ruinfair.prng import _POISSON_LAM_MAX, SplitMix64, substream_seed
+from ruinfair.prng import _POISSON_LAM_MAX, substream_seed
 from ruinfair.sim import scheme_lte_time
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 (Vigna, 2015), one draw at a time: the state advances by
+    the golden gamma and each output is its mix; the seed is taken mod
+    2**64."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """Uniform double in [0, 1) from the top 53 bits of the next output."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def exponential(self, rate: float) -> float:
+        """Exponential variate by inverse CDF, ``-log(1 - u) / rate``, with
+        libm's logarithm."""
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"exponential rate must be positive and finite, got {rate}")
+        return -math.log(1.0 - self.uniform()) / rate
 
 
 def poisson(rng: SplitMix64, lam: float) -> int:

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import sweep_rows_per_frame
 
@@ -242,6 +243,36 @@ class TestWorkReuse:
         for name in ("wst", "lam"):
             run_sweep(small_config, name)
         assert built == []
+
+    @pytest.mark.parametrize("chunk", [_kernels._CHUNK, 4])
+    @pytest.mark.parametrize("reps, channels", [(1, 1), (1, 12), (20, 3), (7, 10)])
+    def test_lte_accounting_sums_each_rate_once(self, monkeypatch, chunk, reps, channels):
+        """The LTE-U rate is the same on every channel and in every
+        replication, so its accounting builds at most ``count x (channels +
+        reps)`` cells, not ``count x reps x channels``, and its stats are
+        those of the whole grid bit for bit."""
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        rates = np.array([0.0, 0.1, 1 / 3, 2.2e7 + 0.7, 9.9e6 / 7])
+
+        def grid(batch, rows, cols):
+            shape = (batch.stop - batch.start, rows.stop - rows.start, cols.stop - cols.start)
+            return np.full(shape, rates[batch, None, None])
+
+        expected = experiment._stats(grid, len(rates), reps, channels)
+        built = []
+        stats = experiment._stats
+
+        def counted(cells, count, reps, channels):
+            def counted_cells(*block):
+                work = cells(*block)
+                built.append(work.size)
+                return work
+
+            return stats(counted_cells, count, reps, channels)
+
+        monkeypatch.setattr(experiment, "_stats", counted)
+        assert experiment._lte_stats(rates, channels, reps) == expected
+        assert sum(built) <= len(rates) * (channels + reps)
 
     @pytest.mark.parametrize(
         "reps, waps, scenario",

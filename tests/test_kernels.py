@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import sample_collisions
+from oracles import SplitMix64, sample_collisions
 from ruinfair import _kernels
-from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.prng import substream_seed
 
 KERNELS = pytest.param(_kernels, id=_kernels.BACKEND)
 PURE = pytest.param(oracles, id="pure")
@@ -107,15 +107,16 @@ def test_path_values_follow_premium_and_claims():
 
 
 def test_path_ruins_follow_path_values():
-    """The kernel's exact replay ruins by period h exactly when one of the
-    oracle's values[1..h] is negative, on 2,000 substreams."""
+    """The kernel's exact replay ruins a path by period h exactly when one of
+    the oracle's values[1..h] is negative: one replay of 2,000 substreams
+    per horizon, compared path by path."""
     u, c, rate, n = 2.0, 0.5, 0.8, 10
-    for t in range(2000):
-        seed = substream_seed(31, t)
-        values = oracles.surplus_path_values(u, c, rate, n, seed)
-        for h in range(n + 1):
-            ruined = any(v < 0.0 for v in values[1 : h + 1])
-            assert _kernels._path_ruins(u, c, rate, h, seed) == ruined
+    seeds = [substream_seed(31, t) for t in range(2000)]
+    paths = [oracles.surplus_path_values(u, c, rate, n, seed) for seed in seeds]
+    states = np.array(seeds, dtype=np.uint64)
+    for h in range(n + 1):
+        ruined = _kernels._path_ruins(u, c, rate, h, states)
+        assert ruined.tolist() == [any(v < 0.0 for v in values[1 : h + 1]) for values in paths]
 
 
 @pytest.mark.parametrize(
@@ -371,14 +372,14 @@ RUIN_ARGS = [
 
 
 def _count_replays(monkeypatch):
-    """Count the surplus paths that the filter replays exactly with the
-    scalar ``_kernels._path_ruins`` fallback."""
+    """The start states of the surplus paths that the filter replays exactly
+    with ``_kernels._path_ruins``, one entry per path."""
     replayed = []
     path_ruins = _kernels._path_ruins
 
-    def counted_path_ruins(*args):
-        replayed.append(args)
-        return path_ruins(*args)
+    def counted_path_ruins(u, c, mu_prime, n, states):
+        replayed.extend(states.tolist())
+        return path_ruins(u, c, mu_prime, n, states)
 
     monkeypatch.setattr(_kernels, "_path_ruins", counted_path_ruins)
     return replayed

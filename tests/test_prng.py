@@ -2,16 +2,20 @@
 
 The golden vectors were produced by the canonical public-domain C
 implementation of SplitMix64 (compiled separately); they pin the stream
-bit-for-bit so any port can be checked against the same numbers.
+bit-for-bit so any port can be checked against the same numbers.  They pin
+both the scalar generator of ``oracles`` and the package's own draws, the
+lockstep kernels'.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
+from oracles import SplitMix64
 from ruinfair import _kernels
-from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.prng import substream_seed
 
 GOLDEN_U64 = {
     0: [
@@ -49,12 +53,15 @@ GOLDEN_UNIFORMS_42 = [
 def test_u64_stream_matches_reference(seed):
     rng = SplitMix64(seed)
     assert [rng.next_u64() for _ in range(5)] == GOLDEN_U64[seed]
+    states = np.uint64(seed) + np.arange(1, 6, dtype=np.uint64) * _kernels._GAMMA
+    assert _kernels._mix64(states).tolist() == GOLDEN_U64[seed]
 
 
 def test_uniform_matches_reference():
     rng = SplitMix64(42)
     for expected in GOLDEN_UNIFORMS_42:
         assert rng.uniform() == expected
+    assert list(_kernels.uniforms(42, 0, 4)) == GOLDEN_UNIFORMS_42
 
 
 def test_uniform_range_and_determinism():
@@ -69,6 +76,8 @@ def test_seed_is_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
     # negative seeds take their two's-complement image
     assert SplitMix64(-1).next_u64() == SplitMix64(2**64 - 1).next_u64()
+    for seed, masked in ((2**64 + 5, 5), (-1, 2**64 - 1)):
+        assert list(_kernels.uniforms(seed, 3, 4)) == list(_kernels.uniforms(masked, 3, 4))
 
 
 def test_exponential_is_inverse_cdf_of_stream():

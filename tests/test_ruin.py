@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,11 +139,13 @@ def surplus_path(params, seed):
     )
 
 
-def path_ruins(params, seed):
-    """Whether that path goes negative by the horizon (the exact fallback)."""
+def path_ruins(params, seeds):
+    """Whether each of those paths goes negative by the horizon, in one call
+    of the kernel's exact replay."""
+    states = np.array(list(seeds), dtype=np.uint64)
     return _kernels._path_ruins(
-        params.initial_capital, params.premium, params.claim_rate, params.horizon, seed
-    )
+        params.initial_capital, params.premium, params.claim_rate, params.horizon, states
+    ).tolist()
 
 
 class TestSimulatePath:
@@ -150,12 +153,12 @@ class TestSimulatePath:
         params = SurplusParams(10.0, 1.0, 1e6, 5)
         for seed in range(50):
             assert min(surplus_path(params, seed)) >= 10.0
-            assert not path_ruins(params, seed)
+        assert not any(path_ruins(params, range(50)))
 
     def test_one_period_ruin_is_claim_exceeding_income(self):
         params = SurplusParams(0.0, 1.0, 1.0, 1)
-        for seed in [*range(200), *(substream_seed(3, t) for t in range(2000))]:
-            assert path_ruins(params, seed) == (surplus_path(params, seed)[1] < 0.0)
+        seeds = [*range(200), *(substream_seed(3, t) for t in range(2000))]
+        assert path_ruins(params, seeds) == [surplus_path(params, s)[1] < 0.0 for s in seeds]
 
     def test_path_shape_and_start(self):
         params = SurplusParams(2.0, 0.5, 1.0, 7)
@@ -167,13 +170,16 @@ class TestSimulatePath:
         """A path keeps evolving past ruin: it ruins by every horizon from its
         first negative period on, and by none before."""
         params = SurplusParams(0.0, 0.2, 0.9, 30)
-        for seed in range(100):
-            path = surplus_path(params, seed)
-            negatives = [s for s, v in enumerate(path) if s > 0 and v < 0.0]
-            for horizon in range(1, params.horizon + 1):
-                shorter = dataclasses.replace(params, horizon=horizon)
+        seeds = range(100)
+        paths = [surplus_path(params, seed) for seed in seeds]
+        for horizon in range(1, params.horizon + 1):
+            shorter = dataclasses.replace(params, horizon=horizon)
+            expected = []
+            for seed, path in zip(seeds, paths):
                 assert surplus_path(shorter, seed) == path[: horizon + 1]
-                assert path_ruins(shorter, seed) == bool(negatives and negatives[0] <= horizon)
+                negatives = [s for s, v in enumerate(path) if s > 0 and v < 0.0]
+                expected.append(bool(negatives and negatives[0] <= horizon))
+            assert path_ruins(shorter, seeds) == expected
 
     def test_deterministic_for_fixed_seed(self):
         params = SurplusParams(1.0, 1.0, 1.0, 10)
@@ -198,7 +204,7 @@ class TestMonteCarlo:
     def test_estimate_counts_ruined_paths(self):
         params = SurplusParams(0.5, 0.8, 1.1, 6)
         trials, seed = 500, 9
-        ruined = sum(path_ruins(params, substream_seed(seed, t)) for t in range(trials))
+        ruined = sum(path_ruins(params, (substream_seed(seed, t) for t in range(trials))))
         est = ruin_probability_mc(params, trials, seed)
         assert est.estimate == ruined / trials
 

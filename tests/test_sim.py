@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import sample_collisions, simulate_long_frame
+from oracles import SplitMix64, sample_collisions, simulate_long_frame
 from ruinfair import (
     ConfigError,
     DutyCyclePolicy,
@@ -22,7 +22,7 @@ from ruinfair import (
     path_gain,
     snr_utility,
 )
-from ruinfair.prng import SplitMix64, substream_seed
+from ruinfair.prng import substream_seed
 from ruinfair.sim import collision_totals
 
 LINEAR = DutyCyclePolicy(kind=PolicyKind.LINEAR)
@@ -54,12 +54,19 @@ class TestGenerateTopology:
         dense = small_positions(seed=4, wst_per_wap=20)
         assert sparse == dense
 
-    @pytest.mark.parametrize("waps", [1, 3, 10**5])
-    def test_ues_follow_the_wap_draws(self, waps):
+    @pytest.mark.parametrize(
+        "waps,seed",
+        [
+            *(pytest.param(waps, 11, id=f"{waps}") for waps in (1, 3, 10**5)),
+            *(pytest.param(3, seed, id=f"3-seed={seed}") for seed in (-1, 2**64 + 11)),
+        ],
+    )
+    def test_ues_follow_the_wap_draws(self, waps, seed):
         """The UEs are where a stream that first places every WAP (two
-        uniforms each) puts them, bit for bit."""
+        uniforms each) puts them, bit for bit; a seed outside [0, 2**64)
+        places them as the seed taken mod 2**64."""
         config = small_sites(wap_count=waps)
-        rng = SplitMix64(11)
+        rng = SplitMix64(seed)
         for _ in range(2 * waps):
             rng.uniform()
         expected = []
@@ -67,7 +74,8 @@ class TestGenerateTopology:
             r = config.sbs_radius * math.sqrt(rng.uniform())
             theta = 2.0 * math.pi * rng.uniform()
             expected.append((r * math.cos(theta), r * math.sin(theta)))
-        assert list(generate_topology(11, config)) == expected
+        assert list(generate_topology(seed, config)) == expected
+        assert generate_topology(seed % 2**64, config) == generate_topology(seed, config)
 
     def test_rejects_zero_ues(self):
         with pytest.raises(ConfigError):

@@ -295,22 +295,25 @@ def _load(name: str, path: Path):
 
 def _collision_draws(scalar, lockstep):
     """Scalar and lockstep collision totals with the chance kernels' calling
-    convention, ``(rates, mu, cap, trials, seed)``: trial ``t`` draws at
-    ``rates[t % len(rates)]`` from ``substream_seed(seed, t)``, and its total
-    is clipped at ``cap``."""
+    convention, ``(rates, mu, cap, trials, seed)``: each of the first
+    ``trials // len(rates)`` streams, stream ``i`` drawn from
+    ``substream_seed(seed, i)``, is drawn at every rate, and each total is
+    clipped at ``cap``; the totals come rate by rate.  A checkout whose
+    kernel takes one mean per stream (before it read every rate off one
+    sequence of products) draws the same cells as that many streams."""
     import numpy as np
     from ruinfair.prng import substream_seed
 
     def pure(rates, mu, cap, trials, seed):
-        draws = (
-            scalar.sample_collisions(rates[t % len(rates)], mu, substream_seed(seed, t))
-            for t in range(trials)
-        )
+        seeds = [substream_seed(seed, i) for i in range(trials // len(rates))]
+        draws = (scalar.sample_collisions(rate, mu, s) for rate in rates for s in seeds)
         return [min(draw.total, cap) for draw in draws]
 
     def lockstep_totals(rates, mu, cap, trials, seed):
-        states = lockstep._substreams(seed, 0, trials)
-        return lockstep.compound_poisson_totals(states, np.resize(rates, trials), mu, cap).tolist()
+        states = lockstep._substreams(seed, 0, trials // len(rates))
+        if hasattr(lockstep, "_rate_table"):
+            states, rates = np.tile(states, len(rates)), np.repeat(rates, len(states))
+        return lockstep.compound_poisson_totals(states, rates, mu, cap).ravel().tolist()
 
     return pure, lockstep_totals
 

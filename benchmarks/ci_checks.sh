@@ -14,11 +14,14 @@
 #    installed) compiles src/, tests/, perfbench/ and benchmarks/.
 # 3. Same seed, same bytes at every SIMD level, end to end: the default
 #    scenario's CSVs (whose water-filling takes log1p over 2-D arrays), a
-#    congested lambda_base sweep's (whose collision draws run every
-#    value's cells, at rates 100 to 500, in one kernel run) and those of
-#    2,000 UEs behind one WAP (4,000 uniforms of the UE drops) are written
-#    again with NumPy's dispatch held to its baseline, and compared with
-#    cmp.  The CLI is imported from src/, as Tier-1 does.
+#    congested lambda_base sweep's (whose collision draws read the counts
+#    at rates 100 to 500 off one sequence of products per cell, in one
+#    kernel run), a 30,000-replication wst_count sweep's (90,000 cells a
+#    key, so each key takes two kernel blocks, and the fast-log
+#    certificate runs at every rate, 1 to 10) and those of 2,000 UEs behind
+#    one WAP (4,000 uniforms of the UE drops) are written again with
+#    NumPy's dispatch held to its baseline, and compared with cmp.  The
+#    CLI is imported from src/, as Tier-1 does.
 # 4. The benchmark's self-test, perfbench/selftest.py.
 # 5. perfbench/run.py on every workload at seed 0 and seed 1 untraced, and
 #    at seed 0 traced: nine runs, each of whose last line must read
@@ -65,11 +68,12 @@ test "$seen" != " "
 echo "== same CSVs at NumPy's baseline SIMD dispatch"
 echo '{}' > "$tmp/scenario.json"
 echo '{"policy":{"kind":"thresholded_linear"},"sweeps":{"lambda":{"variable":"lambda_base","values":[10,20,30,40,50]}}}' > "$tmp/lambda.json"
+echo '{"seeds":{"replications":30000},"sweeps":{"w":{"variable":"wst_count","values":[5,10,20,50]}}}' > "$tmp/wst.json"
 echo '{"topology":{"wap_count":1,"ue_count":2000}}' > "$tmp/ues.json"
 ruinfair() {
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m ruinfair.cli "$@"
 }
-for scenario in scenario lambda ues; do
+for scenario in scenario lambda wst ues; do
     ruinfair run --config "$tmp/$scenario.json" --out "$tmp/out/$scenario"
     NPY_ENABLE_CPU_FEATURES=NONE ruinfair run --config "$tmp/$scenario.json" --out "$tmp/baseline/$scenario"
     for csv in "$tmp/out/$scenario"/sweep_*.csv; do

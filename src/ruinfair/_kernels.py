@@ -52,10 +52,19 @@ sums, and capped duration sums that reach their cap) are dropped after
 each block, so the cost of a block is proportional to the streams still
 live.
 
-**Per-stream rates.**  :func:`compound_poisson_totals` takes the Poisson
-mean as one float or as one mean per stream, so the sweep draws the cells
-of all its collision keys in one run; the duration rate and the cap are
-shared.  Each distinct mean is checked once, and its limit is
+**Shared products.**  Knuth's running product ``p_j = u_1 * ... * u_j``
+of a stream does not depend on the Poisson mean; only the limit
+``exp(-lam)`` does, and the count at ``lam`` is the number of ``j`` with
+``p_j > exp(-lam)``.  So :func:`compound_poisson_totals` takes a sequence
+of means that every stream shares, draws each stream's products once, up
+to the largest mean, and reads every mean's count off them, comparing a
+block's products with all the limits in one ``count_nonzero``: the
+products are carried bit for bit, so each count is that of a draw at its
+mean alone.  The sweep's collision keys reuse the same streams at every
+rate, so a sweep draws the products of a cell once, not once a key.  The
+durations are then drawn per (mean, stream) pair, each pair a stream of
+its own in what follows; the duration rate and the cap are shared.  Each
+distinct mean is checked once, in first-seen order, and its limit is
 ``math.exp(-lam)``, the scalar recipe's bits (``np.exp`` may differ in the
 last bit).
 
@@ -406,56 +415,35 @@ def ruin_mc_count(
     )
 
 
-def _rate_table(lam, n: int):
-    """The distinct Poisson means of ``lam``, a float or one mean for each
-    of ``n`` streams, and the index of each stream's mean among them.
+def _poisson_counts(states: np.ndarray, lams) -> np.ndarray:
+    """The Poisson counts of :mod:`ruinfair.prng`'s recipe, drawn from
+    ``SplitMix64(s)`` for every state ``s``: entry ``[r, i]`` is the count
+    of mean ``lams[r]`` of stream ``i``.
 
-    Each distinct mean is checked in first-seen order.
-
-    Raises:
-        ValueError: For the first mean not in ``[0, _POISSON_LAM_MAX]``,
-            the range of the Poisson recipe in :mod:`ruinfair.prng`.
-    """
-    if np.ndim(lam) == 0:
-        rates = [lam]
-    else:
-        lam = np.asarray(lam, dtype=np.float64)
-        # A chunk of one collision key has one rate; skip the Python pass.
-        one = len(lam) and lam.min() == lam.max()
-        rates = [float(lam[0])] if one else list(dict.fromkeys(lam.tolist()))
-    for rate in rates:
-        if not 0.0 <= rate <= _POISSON_LAM_MAX:
-            raise ValueError(
-                f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {rate}"
-            )
-    if len(rates) < 2:
-        return rates, np.zeros(n, dtype=np.intp)
-    rates.sort()
-    return rates, np.searchsorted(rates, lam)
-
-
-def _poisson_counts(states: np.ndarray, lam) -> np.ndarray:
-    """The Poisson count of :mod:`ruinfair.prng`'s recipe, drawn from
-    ``SplitMix64(s)`` for every state ``s``, with ``lam`` a float or one
-    mean per stream.
-
-    The running products only shrink (each uniform is below 1), so a
-    stream's count is the number of products above its ``exp(-lam)``; it is
-    complete at the first block where some product is not.  A count of k
-    takes k + 1 uniforms.  The first blocks reach the largest mean plus
-    three standard deviations of that; later ones are one standard
-    deviation wide, so few draws are wasted.  Each limit is ``math.exp``'s,
-    the scalar recipe's bits.
+    The running products only shrink (each uniform is below 1) and do not
+    depend on the mean, so a stream's count at mean ``lam`` is the number
+    of its products above ``exp(-lam)``: one sequence of products serves
+    every mean.  A stream is drawn until a product falls to the smallest
+    limit, that of the largest mean; a count of k takes k + 1 uniforms.
+    The first blocks reach the largest mean plus three standard deviations
+    of that; later ones are one standard deviation wide, so few draws are
+    wasted.  Each limit is ``math.exp``'s, the scalar recipe's bits.
 
     Raises:
-        ValueError: As :func:`_rate_table` does.
+        ValueError: For the first distinct mean, in first-seen order, not
+            in ``[0, _POISSON_LAM_MAX]``, the range of the Poisson recipe in
+            :mod:`ruinfair.prng`.
     """
-    rates, which = _rate_table(lam, len(states))
-    limit = np.array([math.exp(-rate) for rate in rates])[which]
-    top = max(rates, default=0.0)
+    lams = np.asarray(lams, dtype=np.float64).tolist()
+    for lam in dict.fromkeys(lams):
+        if not 0.0 <= lam <= _POISSON_LAM_MAX:
+            raise ValueError(f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {lam}")
+    limits = np.array([math.exp(-lam) for lam in lams])[:, None]
+    top = max(lams)
+    lowest = int(limits.argmin())
     typical = math.ceil(top + 3.0 * math.sqrt(top)) + 1
     tail = math.ceil(math.sqrt(top)) + 1
-    counts = np.zeros(len(states), dtype=np.int64)
+    counts = np.zeros((len(lams), len(states)), dtype=np.int64)
     product = np.ones(len(states))
     live = np.arange(len(states))
     drawn = 0
@@ -464,52 +452,57 @@ def _poisson_counts(states: np.ndarray, lam) -> np.ndarray:
         block = _uniforms(states[live], drawn, width)
         block[0] *= product[live]
         np.multiply.accumulate(block, axis=0, out=block)
-        above = np.count_nonzero(block > limit[live], axis=0)
-        counts[live] += above
+        above = np.count_nonzero(block[:, None, :] > limits, axis=0)
+        counts[:, live] += above
         product[live] = block[-1]
-        live = live[above == width]
+        live = live[above[lowest] == width]
         drawn += width
     return counts
 
 
 def compound_poisson_totals(
-    states: np.ndarray, lam, mu: float, cap: float
+    states: np.ndarray, lams, mu: float, cap: float
 ) -> np.ndarray:
-    """Compound-Poisson total of every stream, drawn in lockstep and clipped
-    to ``cap``.
+    """Compound-Poisson total of every stream at every mean of ``lams``,
+    drawn in lockstep and clipped to ``cap``: a ``len(lams) x len(states)``
+    array.
 
-    Stream ``i`` replays ``SplitMix64(states[i])``: a Poisson count by
-    Knuth's method, of mean ``lam`` (a float, or ``lam[i]`` for one mean per
-    stream), then that many exponential(``mu``) durations, each ``-log(1 -
-    u) / mu`` with libm's logarithm, added left to right from ``0.0``.  Each
-    result equals the scalar draw's total clipped to ``cap`` bit for bit
-    (``cap = math.inf`` leaves the totals whole).  A stream stops drawing
+    Entry ``[r, i]`` replays ``SplitMix64(states[i])``: a Poisson count by
+    Knuth's method, of mean ``lams[r]``, then that many
+    exponential(``mu``) durations, each ``-log(1 - u) / mu`` with libm's
+    logarithm, added left to right from ``0.0``.  Each result equals the
+    scalar draw's total clipped to ``cap`` bit for bit (``cap = math.inf``
+    leaves the totals whole).  The counts of all the means are read off
+    one sequence of products per stream (:func:`_poisson_counts`); the
+    durations are drawn per (mean, stream) pair.  A pair stops drawing
     durations once its running total reaches ``cap``, which leaves the
-    clipped total unchanged (the partial sums never decrease).  A stream of
+    clipped total unchanged (the partial sums never decrease).  A pair of
     at least ``2 * cap * mu`` durations takes ``_fast_log`` and is drawn
     again with libm's only if its total does not certify the cap (see "The
     cap certificate" in the module docstring).  Draws are made in blocks of
     at most ``max(_BLOCK, len(states))`` elements.
 
     Raises:
-        ValueError: As :func:`_rate_table` does, if there is a stream; as
-            the recipe's exponential draw does, if some count is positive and
-            ``mu`` is not a positive finite rate.  Each distinct rate is
+        ValueError: As :func:`_poisson_counts` does, if there is a stream;
+            as the recipe's exponential draw does, if some count is positive
+            and ``mu`` is not a positive finite rate.  Each distinct mean is
             checked once per call.
     """
-    totals = np.zeros(len(states))
-    if not len(states):
-        return totals
-    counts = _poisson_counts(states, lam)
+    shape = (len(lams), len(states))
+    totals = np.zeros(shape[0] * shape[1])
+    if not len(totals):
+        return totals.reshape(shape)
+    counts = _poisson_counts(states, lams)
+    # A count of k took k + 1 uniforms; the durations start after them.
+    after = (states + (counts.astype(np.uint64) + 1) * _GAMMA).ravel()
+    counts = counts.ravel()
     live = np.flatnonzero(counts)
     if len(live) and not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"exponential rate must be positive and finite, got {mu}")
-    # A count of k took k + 1 uniforms; the durations start after them.
-    after = states + (counts.astype(np.uint64) + 1) * _GAMMA
-    # A stream of at least 2*cap*mu durations expects at least twice the cap,
+    # A pair of at least 2*cap*mu durations expects at least twice the cap,
     # so it sums with _fast_log and keeps its total only if that certifies
     # the cap (see "The cap certificate"); none does when cap*mu is
-    # infinite.  The rest, and the fast streams that fail, take libm's.
+    # infinite.  The rest, and the fast pairs that fail, take libm's.
     fast = counts[live] >= 2.0 * cap * mu
     if fast.any():
         quick = live[fast]
@@ -522,7 +515,7 @@ def compound_poisson_totals(
         totals[redo] = 0.0
         live = np.concatenate((live[~fast], redo))
     _add_durations(totals, live, _libm_log, after, counts, mu, cap)
-    return np.minimum(totals, cap)
+    return np.minimum(totals, cap).reshape(shape)
 
 
 def _add_durations(totals, live, log, after, counts, mu: float, cap: float) -> None:
@@ -566,7 +559,7 @@ def _chance_draws(seed: int, start: int, stop: int, lam: float, mu: float):
     of :func:`chance_mc_count`, which do not depend on the LTE-U airtime or
     the threshold, so calls that differ only in those reuse them (see
     "Reuse" in the module docstring)."""
-    totals = compound_poisson_totals(_substreams(seed, start, stop), lam, mu, math.inf)
+    totals = compound_poisson_totals(_substreams(seed, start, stop), (lam,), mu, math.inf)[0]
     totals.flags.writeable = False
     return totals
 

@@ -25,11 +25,12 @@ probability, and the first two are read as plain numbers
   has one key, a ``wst_count`` or ``lambda_base`` sweep at most one per
   value.  Consecutive keys are drawn a work block (``_kernels.blocks``, a
   key being ``replications x channels`` cells) at a time, each block in
-  one ``sim.collision_totals`` call (one run of the lockstep
-  compound-Poisson kernel over a sequence of rates, which derives each
-  replication's stream from ``seeds.traffic`` itself), and only the
-  current block's array is held: at most about a block of cells, or one
-  key's array when a key has more;
+  one ``sim.collision_totals`` call, which derives each (replication,
+  channel) stream from ``seeds.traffic`` once and draws it at every rate
+  of the block in one run of the lockstep compound-Poisson kernel (the
+  Poisson counts of all the rates read off one sequence of products per
+  stream), and only the current block's array is held: at most about a
+  block of cells, or one key's array when a key has more;
 * once per sweep: the water-filled sum rate of every distinct positive
   LTE-U airtime (``sim.lte_sum_rate``, whose rates serve every channel and
   none of which depends on the replication seed), in one water-filling

@@ -39,11 +39,13 @@ A long frame is assembled from parts computed at the level where they vary:
 * the collision totals depend on the replication, the station counts and
   the traffic, not on the scheme: :func:`collision_totals` takes a
   sequence of collision rates (one per distinct ``lambda_base x
-  wst_per_wap`` of a sweep, with one duration rate, seed and frame), derives every (replication,
-  channel) cell's stream from the traffic seed, the same at every rate,
-  and draws the cells of all the rates in one run of the lockstep
-  compound-Poisson kernel, each stream at its own rate, clipped at the
-  frame length.  A single key is the same call with one rate.  The clip
+  wst_per_wap`` of a sweep, with one duration rate, seed and frame),
+  derives every (replication, channel) cell's stream once from the
+  traffic seed, the same at every rate, and draws each stream at all the
+  rates in one run of the lockstep compound-Poisson kernel, which reads
+  every rate's Poisson count off one sequence of Knuth products per
+  stream; each total is clipped at the frame length.  A single key is the
+  same call with one rate.  The clip
   loses nothing, as collision time is clipped at the WiFi window anyway
   and no window is longer than the frame; a draw stops once its running
   total reaches the frame length.
@@ -276,23 +278,19 @@ def collision_totals(
     as the scalar draw checks it (``CollisionModel``).  No WiFi window is
     longer than the frame, so clipping at the window afterwards gives the
     bits of the unclipped total clipped at the window, and a draw stops at
-    the frame: the durations beyond it are never drawn.  The cells of all
-    rates are drawn as one run of streams in row-major order, each with its
-    own rate, one work block of ``_kernels.blocks`` to a kernel call.  Each
-    call derives its cells' substream states from their flat indices (cell
-    ``i`` is rate ``i // (reps*channels)``, then replication and channel of
-    the remainder), so no more than one block of states is held at a time.
+    the frame: the durations beyond it are never drawn.  The (replication,
+    channel) streams are taken in row-major order, one work block of
+    ``_kernels.blocks`` (a stream being ``len(rates)`` cells) to a kernel
+    call that draws them at every rate.  Each call derives its streams'
+    substream states once from their flat indices (replication and
+    channel), so no more than one block of states is held at a time.
     """
-    lams = np.array([CollisionModel(rate, mu).lambda_k for rate in rates], dtype=float)
-    per_rate = reps * channels
-    cells = len(lams) * per_rate
-    totals = np.empty(cells)
-    for block in _kernels.blocks(cells):
-        cell = np.arange(block.start, block.stop)
-        local = cell % per_rate
-        rows = _kernels.substream_pairs(seed, local // channels)
-        states = _kernels.substream_pairs(rows, local % channels)
-        totals[block] = _kernels.compound_poisson_totals(
-            states, lams[cell // per_rate], mu, t_total
-        )
+    lams = [CollisionModel(rate, mu).lambda_k for rate in rates]
+    streams = reps * channels
+    totals = np.empty((len(lams), streams))
+    for block in _kernels.blocks(streams, len(lams)):
+        index = np.arange(block.start, block.stop)
+        rows = _kernels.substream_pairs(seed, index // channels)
+        states = _kernels.substream_pairs(rows, index % channels)
+        totals[:, block] = _kernels.compound_poisson_totals(states, lams, mu, t_total)
     return totals.reshape(len(lams), reps, channels)

@@ -206,7 +206,8 @@ class TestWorkReuse:
                     airtimes = {0.5 * t_total, t_total} | {row.alpha_star for row in rows}
                     # Topology and link budget once per sweep; collisions once
                     # per group of max(1, _CHUNK // cells) keys (collision
-                    # rates), one kernel call per chunk of the group's cells;
+                    # rates), one kernel call per block of max(1, _CHUNK //
+                    # size) streams, each drawn at every rate of the group;
                     # every positive LTE-U airtime water-filled once, serving
                     # every channel and value, in one call per block of
                     # _CHUNK // ue_count airtimes.
@@ -221,7 +222,7 @@ class TestWorkReuse:
                         "link_budget": 1,
                         "generate_topology": 1,
                         "compound_poisson_totals": sum(
-                            math.ceil(size * cells / chunk) for size in groups
+                            math.ceil(cells / max(1, chunk // size)) for size in groups
                         ),
                     }, (chunk, sweep_name, reps, waps)
                     assert len(water_filled) == positive

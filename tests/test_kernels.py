@@ -209,7 +209,7 @@ def test_compound_blocks_carry_over(monkeypatch, block, lam):
     monkeypatch.setattr(_kernels, "_BLOCK", block)
     seeds = [substream_seed(11, t) for t in range(24)]
     states = np.array(seeds, dtype=np.uint64)
-    totals = _kernels.compound_poisson_totals(states, lam, 450.0, math.inf)
+    totals = _kernels.compound_poisson_totals(states, (lam,), 450.0, math.inf)[0]
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
     args = (0.0, 0.5, lam, 450.0, 24, 11)
     assert _kernels.chance_mc_count(*args) == oracles.chance_mc_count(*args)
@@ -226,7 +226,7 @@ def test_compound_totals_match_scalar_streams(lam, streams):
     seeds = [substream_seed(2024, t) for t in range(streams)]
     states = _kernels._substreams(2024, 0, streams)
     assert states.tolist() == seeds
-    totals = _kernels.compound_poisson_totals(states, lam, 450.0, math.inf)
+    totals = _kernels.compound_poisson_totals(states, (lam,), 450.0, math.inf)[0]
     assert totals.tolist() == [sample_collisions(lam, 450.0, s).total for s in seeds]
 
 
@@ -240,16 +240,16 @@ def test_compound_totals_match_scalar_streams(lam, streams):
 )
 def test_capped_totals_are_clipped_uncapped_ones(lam, mu, cap):
     states = _kernels._substreams(8, 0, 64)
-    uncapped = _kernels.compound_poisson_totals(states, lam, mu, math.inf)
-    capped = _kernels.compound_poisson_totals(states, lam, mu, cap)
+    uncapped = _kernels.compound_poisson_totals(states, (lam,), mu, math.inf)
+    capped = _kernels.compound_poisson_totals(states, (lam,), mu, cap)
     assert capped.tolist() == np.minimum(uncapped, cap).tolist()
 
 
 def test_compound_totals_of_no_streams():
     """No stream draws anything, so even a bad rate goes unchecked."""
     no_streams = np.array([], dtype=np.uint64)
-    assert _kernels.compound_poisson_totals(no_streams, 2.0, 450.0, 0.01).shape == (0,)
-    assert _kernels.compound_poisson_totals(no_streams, math.nan, 0.0, 0.01).shape == (0,)
+    assert _kernels.compound_poisson_totals(no_streams, (2.0,), 450.0, 0.01).shape == (1, 0)
+    assert _kernels.compound_poisson_totals(no_streams, (math.nan,), 0.0, 0.01).shape == (1, 0)
 
 
 MIXED_RATES = [0.0, 1e-9, 2.0, 100.0, 500.0]
@@ -258,22 +258,39 @@ MIXED_RATES = [0.0, 1e-9, 2.0, 100.0, 500.0]
 @pytest.mark.parametrize("block", [1, 64])
 @pytest.mark.parametrize("cap", [0.0, 0.01, math.inf])
 def test_mixed_rates_equal_one_call_per_rate(monkeypatch, block, cap):
-    """One call with a rate per stream gives each stream the bits of the
-    call at its rate alone, whatever the neighbouring streams need."""
+    """One call at several rates gives each row the bits of the call at its
+    rate alone, whatever the other rates need of the shared products."""
     monkeypatch.setattr(_kernels, "_BLOCK", block)
     states = _kernels._substreams(13, 0, 12)
     expected = [
-        _kernels.compound_poisson_totals(states, lam, 450.0, cap) for lam in MIXED_RATES
+        _kernels.compound_poisson_totals(states, (lam,), 450.0, cap)[0] for lam in MIXED_RATES
     ]
-    mixed = _kernels.compound_poisson_totals(
-        np.tile(states, len(MIXED_RATES)), np.repeat(MIXED_RATES, len(states)), 450.0, cap
-    )
-    assert mixed.tolist() == np.concatenate(expected).tolist()
-    # Interleaved, so that every block holds streams of every rate.
-    interleaved = _kernels.compound_poisson_totals(
-        np.repeat(states, len(MIXED_RATES)), np.tile(MIXED_RATES, len(states)), 450.0, cap
-    )
-    assert interleaved.tolist() == np.stack(expected, axis=1).ravel().tolist()
+    mixed = _kernels.compound_poisson_totals(states, MIXED_RATES, 450.0, cap)
+    assert mixed.tolist() == np.stack(expected).tolist()
+    # Reversed, so that the largest mean, which every stream is drawn to,
+    # comes first.
+    reversed_rates = _kernels.compound_poisson_totals(states, MIXED_RATES[::-1], 450.0, cap)
+    assert reversed_rates.tolist() == np.stack(expected[::-1]).tolist()
+
+
+GRID_RATES = [500.0, 0.0, 2.0, 2.0, 1e-9, 100.0]
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("cap", [0.0, 0.01, math.inf])
+@pytest.mark.parametrize("mu", [450.0, 5e-324], ids=["mu450", "subnormal"])
+def test_grid_equals_clipped_scalar_draws(monkeypatch, block, cap, mu):
+    """Unsorted rates with a duplicate: entry ``[r, i]`` is the scalar draw
+    of stream ``i`` at rate ``r``, clipped at the cap.  ``sample_collisions``
+    takes positive rates only; a mean of 0 draws no collision."""
+    monkeypatch.setattr(_kernels, "_BLOCK", block)
+    seeds = [substream_seed(31, t) for t in range(10)]
+    states = np.array(seeds, dtype=np.uint64)
+    totals = _kernels.compound_poisson_totals(states, GRID_RATES, mu, cap)
+    assert totals.tolist() == [
+        [min(sample_collisions(rate, mu, seed).total, cap) if rate else 0.0 for seed in seeds]
+        for rate in GRID_RATES
+    ]
 
 
 @pytest.mark.parametrize("bad", [-1.0, 500.5, math.nan, math.inf])
@@ -284,18 +301,18 @@ def test_mixed_rates_reject_what_the_scalar_draw_rejects(bad, where):
     lam = np.array(MIXED_RATES * 2)
     lam[where] = bad
     with pytest.raises(ValueError) as mixed:
-        _kernels.compound_poisson_totals(_kernels._substreams(1, 0, len(lam)), lam, 450.0, 0.01)
+        _kernels.compound_poisson_totals(_kernels._substreams(1, 0, 3), lam, 450.0, 0.01)
     assert str(mixed.value) == str(scalar.value)
 
 
 def test_draws_follow_what_streams_still_need(monkeypatch):
-    """Rates 100 to 500 on 60 cells each, clipped at 10 ms with durations of
+    """Rates 100 to 500 on 60 streams, clipped at 10 ms with durations of
     mean 2.2 ms: the uniforms drawn stay within 1.2 times those the streams
-    consume (each count of k takes k + 1, then the durations up to the cap),
-    and the logarithms, libm's and the faster one together, within 1.6
-    times the durations up to the cap.  Blocks of a full mean plus three
-    standard deviations, drawn again whenever a stream is still live, took
-    1.37 and 2.1 times.  Every count here is at least twice the 4.5
+    consume (one sequence of products per stream, its count of k at rate
+    500 taking k + 1, then the durations up to the cap at each rate), and
+    the logarithms, libm's and the faster one together, within 1.6 times
+    the durations up to the cap.  Products drawn again for each rate took
+    3.3 times those uniforms.  Every count here is at least twice the 4.5
     durations of mean that reach the cap, so every stream is certified at
     the cap with the faster logarithm and none takes libm's."""
     drawn = {"uniforms": 0, "libm": 0, "fast": 0}
@@ -316,24 +333,27 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
     monkeypatch.setattr(_kernels, "_uniforms", counted_uniforms)
     monkeypatch.setattr(_kernels, "_libm_log", counted_libm_log)
     monkeypatch.setattr(_kernels, "_fast_log", counted_fast_log)
-    rates, cells, mu, cap = [100.0, 200.0, 300.0, 400.0, 500.0], 60, 450.0, 0.01
-    seeds = [substream_seed(2025, t) for t in range(cells)]
-    states = np.tile(np.array(seeds, dtype=np.uint64), len(rates))
-    totals = _kernels.compound_poisson_totals(states, np.repeat(rates, cells), mu, cap)
-    expected, uniforms_used, durations_used = [], 0, 0
+    rates, streams, mu, cap = [100.0, 200.0, 300.0, 400.0, 500.0], 60, 450.0, 0.01
+    seeds = [substream_seed(2025, t) for t in range(streams)]
+    states = np.array(seeds, dtype=np.uint64)
+    totals = _kernels.compound_poisson_totals(states, rates, mu, cap)
+    expected, durations_used = [], 0
+    uniforms_used = sum(sample_collisions(max(rates), mu, seed).count + 1 for seed in seeds)
     for lam in rates:
+        row = []
         for seed in seeds:
             draw = sample_collisions(lam, mu, seed)
             assert draw.count >= 2 * cap * mu
-            expected.append(min(draw.total, cap))
+            row.append(min(draw.total, cap))
             total, used = 0.0, 0
             for duration in draw.durations:
                 total += duration
                 used += 1
                 if total >= cap:
                     break
-            uniforms_used += draw.count + 1 + used
             durations_used += used
+        expected.append(row)
+    uniforms_used += durations_used
     assert totals.tolist() == expected
     assert uniforms_used <= drawn["uniforms"] <= 1.2 * uniforms_used
     assert durations_used <= drawn["libm"] + drawn["fast"] <= 1.6 * durations_used
@@ -492,10 +512,10 @@ def _flip_args(monkeypatch):
     ruin = (float(exact[t]), 0.0, rate, 1, t + 1, seed)
     monkeypatch.setattr(_kernels, "_fast_log", _log_one_ulp_off)
 
-    exact = _kernels.compound_poisson_totals(states, 2.0, rate, math.inf)
+    exact = _kernels.compound_poisson_totals(states, (2.0,), rate, math.inf)[0]
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_libm_log", _log_one_ulp_off)
-        fast = _kernels.compound_poisson_totals(states, 2.0, rate, math.inf)
+        fast = _kernels.compound_poisson_totals(states, (2.0,), rate, math.inf)[0]
     t = _first_flip(exact, fast)
     chance = (0.0, float(exact[t]), 2.0, rate, t + 1, seed)
     return ruin, chance
@@ -527,20 +547,20 @@ def test_cap_certificate_catches_fast_log_flips(monkeypatch):
     certificate's slack (``_K = 0``) it would be the cap."""
     rate, lam = 450.0, 2.0
     states = _kernels._substreams(5, 0, 4096)
-    exact = _kernels.compound_poisson_totals(states, lam, rate, math.inf)
+    exact = _kernels.compound_poisson_totals(states, (lam,), rate, math.inf)[0]
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_libm_log", _log_one_ulp_off)
-        fast = _kernels.compound_poisson_totals(states, lam, rate, math.inf)
-    counts = _kernels._poisson_counts(states, lam)
+        fast = _kernels.compound_poisson_totals(states, (lam,), rate, math.inf)[0]
+    counts = _kernels._poisson_counts(states, (lam,))[0]
     # Fast at a cap of its own fast total: at least 2 * cap * mu durations.
     t = _first_flip(exact, np.where(counts >= 2.0 * fast * rate, fast, -math.inf))
     cap, stream = float(fast[t]), states[t : t + 1]
     expected = min(sample_collisions(lam, rate, int(states[t])).total, cap)
     assert expected < cap
     monkeypatch.setattr(_kernels, "_fast_log", _log_one_ulp_off)
-    assert _kernels.compound_poisson_totals(stream, lam, rate, cap).tolist() == [expected]
+    assert _kernels.compound_poisson_totals(stream, (lam,), rate, cap).tolist() == [[expected]]
     monkeypatch.setattr(_kernels, "_K", 0)
-    assert _kernels.compound_poisson_totals(stream, lam, rate, cap).tolist() == [cap]
+    assert _kernels.compound_poisson_totals(stream, (lam,), rate, cap).tolist() == [[cap]]
 
 
 def _logged(monkeypatch):
@@ -566,42 +586,40 @@ def test_certificate_refused_everywhere_keeps_totals(monkeypatch):
     drawn again with libm's logarithm, in the same pass as the streams that
     were never fast (rate 2), and the totals keep their bits."""
     rates, cap = [2.0, 100.0, 300.0, 500.0], 0.01
-    states = np.tile(_kernels._substreams(21, 0, 40), len(rates))
-    lam = np.repeat(rates, 40)
+    seeds = _kernels._substreams(21, 0, 40)
     taken = _logged(monkeypatch)
-    _kernels.compound_poisson_totals(states[:40], lam[:40], 450.0, cap)
+    _kernels.compound_poisson_totals(seeds, rates[:1], 450.0, cap)
     exact = len(taken["_libm_log"])
-    shipped = _kernels.compound_poisson_totals(states, lam, 450.0, cap)
+    shipped = _kernels.compound_poisson_totals(seeds, rates, 450.0, cap)
     # Only the rate-2 streams take libm's logarithm.
     assert exact and len(taken["_libm_log"]) == 2 * exact and taken["_fast_log"]
     monkeypatch.setattr(_kernels, "_K", 1e300)
-    refused = _kernels.compound_poisson_totals(states, lam, 450.0, cap)
+    refused = _kernels.compound_poisson_totals(seeds, rates, 450.0, cap)
     assert refused.tolist() == shipped.tolist()
     # Each of the 120 fast streams takes at least one more.
     assert len(taken["_libm_log"]) >= 3 * exact + 120
     assert shipped.tolist() == [
-        min(sample_collisions(r, 450.0, s).total, cap) for r, s in zip(lam, states.tolist())
+        [min(sample_collisions(r, 450.0, s).total, cap) for s in seeds.tolist()] for r in rates
     ]
 
 
 @pytest.mark.parametrize("mu", [450.0, 5e-324], ids=["mu450", "subnormal"])
 @pytest.mark.parametrize("cap", [0.0, 0.01, math.inf])
 def test_mixed_rates_equal_clipped_scalar_draws(monkeypatch, mu, cap):
-    """Fast and exact streams side by side, interleaved in every block,
-    each total the scalar draw's clipped at the cap.  A stream's first
-    duration takes the faster logarithm exactly when its count is at least
-    ``2 * cap * mu``.  A subnormal ``mu`` makes every duration infinite,
-    which certifies nothing."""
+    """Fast and exact streams side by side, every rate in every block, each
+    total the scalar draw's clipped at the cap.  A stream's first duration
+    takes the faster logarithm exactly when its count is at least ``2 * cap
+    * mu``.  A subnormal ``mu`` makes every duration infinite, which
+    certifies nothing."""
     rates = [2.0, 100.0, 500.0]
-    states = _kernels._substreams(17, 0, 90)
-    lam = np.tile(rates, 30)
+    states = _kernels._substreams(17, 0, 30)
     taken = _logged(monkeypatch)
-    totals = _kernels.compound_poisson_totals(states, lam, mu, cap)
+    totals = _kernels.compound_poisson_totals(states, rates, mu, cap)
     assert totals.tolist() == [
-        min(sample_collisions(r, mu, s).total, cap) for r, s in zip(lam, states.tolist())
+        [min(sample_collisions(r, mu, s).total, cap) for s in states.tolist()] for r in rates
     ]
     fast_args = set(taken["_fast_log"])
-    for r, s in zip(lam, states.tolist()):
+    for r, s in itertools.product(rates, states.tolist()):
         rng = SplitMix64(s)
         count = oracles.poisson(rng, r)
         if count:
@@ -616,7 +634,7 @@ def test_uncapped_call_takes_no_fast_log(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_fast_log", refuse)
     states = _kernels._substreams(4, 0, 50)
-    totals = _kernels.compound_poisson_totals(states, 500.0, 450.0, math.inf)
+    totals = _kernels.compound_poisson_totals(states, (500.0,), 450.0, math.inf)[0]
     assert totals.tolist() == [sample_collisions(500.0, 450.0, s).total for s in states.tolist()]
 
 
@@ -626,9 +644,9 @@ def test_chance_draws_once_per_key(monkeypatch):
     drawn = []
     poisson_counts = _kernels._poisson_counts
 
-    def counted(states, lam):
-        drawn.append(len(states))
-        return poisson_counts(states, lam)
+    def counted(states, lams):
+        drawn.append((len(states), tuple(lams)))
+        return poisson_counts(states, lams)
 
     monkeypatch.setattr(_kernels, "_poisson_counts", counted)
     threshold, lam, mu, trials = 0.009, 2.0, 450.0, 400
@@ -636,7 +654,7 @@ def test_chance_draws_once_per_key(monkeypatch):
         for alpha in [0.0009 * i for i in range(11)]:
             args = (alpha, threshold, lam, mu, trials, seed)
             assert _kernels.chance_mc_count(*args) == oracles.chance_mc_count(*args)
-    assert drawn == [trials, trials]
+    assert drawn == [(trials, (lam,))] * 2
 
 
 def test_chance_draws_are_read_only():

@@ -100,14 +100,14 @@ def test_exponential_rejects_bad_rate():
 
 
 def test_poisson_zero_mean_is_always_zero():
-    counts = _kernels._poisson_counts(_kernels._substreams(3, 0, 100), 0.0)
+    counts = _kernels._poisson_counts(_kernels._substreams(3, 0, 100), (0.0,))[0]
     assert counts.tolist() == [0] * 100
 
 
 def test_poisson_mean_and_variance():
     n = 100_000
     lam = 2.0
-    draws = _kernels._poisson_counts(_kernels._substreams(11, 0, n), lam).tolist()
+    draws = _kernels._poisson_counts(_kernels._substreams(11, 0, n), (lam,))[0].tolist()
     mean = sum(draws) / n
     assert abs(mean - lam) <= 3.0 * math.sqrt(lam / n)
     var = sum((d - mean) ** 2 for d in draws) / (n - 1)
@@ -120,7 +120,7 @@ def test_poisson_rejects_out_of_range_mean():
         with pytest.raises(ValueError) as scalar:
             oracles.poisson(SplitMix64(0), lam)
         with pytest.raises(ValueError) as shipped:
-            _kernels._poisson_counts(states, lam)
+            _kernels._poisson_counts(states, (lam,))
         assert str(shipped.value) == str(scalar.value)
 
 

@@ -121,7 +121,7 @@ class TestSampleCollisions:
         # The shipped sampler at mean 2.0 for every seed: the count of
         # sample_collisions(2.0, 500.0, seed).
         n = 100_000
-        counts = _kernels._poisson_counts(np.arange(n, dtype=np.uint64), 2.0)
+        counts = _kernels._poisson_counts(np.arange(n, dtype=np.uint64), (2.0,))[0]
         mean = int(counts.sum()) / n
         assert abs(mean - 2.0) <= 3.0 * math.sqrt(2.0 / n)
 
@@ -130,7 +130,7 @@ class TestSampleCollisions:
         # seed with a collision: a count of k takes uniforms 0 .. k, and the
         # duration the uniform at index k + 1.
         states = np.arange(100_000, dtype=np.uint64)
-        counts = _kernels._poisson_counts(states, 1.0)
+        counts = _kernels._poisson_counts(states, (1.0,))[0]
         after = states[counts >= 1] + (counts[counts >= 1].astype(np.uint64) + 1) * _kernels._GAMMA
         durations = -_kernels._libm_log(1.0 - _kernels._uniforms(after, 0, 1)[0]) / 4.0
         count = len(durations)
@@ -189,7 +189,8 @@ class TestCollisionTotals:
 
     def test_rates_stack_along_the_first_axis(self, monkeypatch):
         """Each rate draws from the same (replication, channel) substreams,
-        also when a kernel call's chunk of cells spans two rates."""
+        also when a kernel call's block holds two streams at each rate (a
+        chunk of 7 cells), which splits every replication's row."""
         rates = [0.5, 7.5, 120.0]
         expected = [scalar_totals(lam, 99, 5, 6) for lam in rates]
         for chunk in (_kernels._CHUNK, 7):

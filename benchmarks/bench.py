@@ -36,6 +36,9 @@ the two checkouts run by run, and the two Tier-1 runs follow each other.  Both f
 ``pairs`` section: every pair, each side's median and quartiles, and per
 metric the change's wins, losses and ties, the median gap (change minus
 parent) and the parent's IQR; and each side's ``ruinfair run`` median.
+Every untraced run also keeps perfbench's unscaled pass time
+(``raw_pass_s``, from its info line), compared pair by pair next to
+``pass_s`` but never claimed.
 ``claim`` is true when the change won at least nine tenths of the pairs
 and its median beats the parent's by more than the parent's IQR.  Such a
 run takes about fifteen minutes on two CPUs.
@@ -132,14 +135,14 @@ def _src_env(root: Path) -> dict:
 
 
 def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int):
-    """One ``perfbench/run.py`` run: its env line and its result line."""
+    """One ``perfbench/run.py`` run: its env line, its info and its result line."""
     command = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(
         [sys.executable, *command],
         cwd=root, check=True, capture_output=True, text=True,
     ).stdout.splitlines()
-    return json.loads(out[0])["env"], json.loads(out[-1])
+    return json.loads(out[0])["env"], json.loads(out[1])["info"], json.loads(out[-1])
 
 
 def _summary(values: list[float]) -> dict:
@@ -155,14 +158,15 @@ def _metrics(result: dict) -> dict:
 def _untraced(roots: list[Path], workload: str, seeds: list[int], seconds: float):
     """One ``--trace 0`` run per root and seed; the root that runs first at a
     seed rotates from seed to seed.  Returns the env line and each root's
-    runs."""
+    runs, each with perfbench's unscaled pass time ``raw_pass_s``."""
     env, runs = {}, [[] for _ in roots]
     for i, seed in enumerate(seeds):
         for k in [(i + j) % len(roots) for j in range(len(roots))]:
-            env, result = _perfbench(roots[k], workload, seed, seconds, 0)
+            env, info, result = _perfbench(roots[k], workload, seed, seconds, 0)
             runs[k].append({"seed": seed, "first": k == i % len(roots),
                             "correct": result["correct"], "failed": result["failed"],
-                            "attempted": result["attempted"], "metrics": _metrics(result)})
+                            "attempted": result["attempted"], "metrics": _metrics(result),
+                            "raw_pass_s": info["raw_pass_s"]})
             print(f"{roots[k]} {workload} seed {seed}: {runs[k][-1]['metrics']}",
                   file=sys.stderr)
     return env, runs
@@ -181,7 +185,7 @@ def _summaries(runs: list[dict], better: dict) -> dict:
 def _traced(root: Path, workload: str, seeds: list[int], seconds: float) -> dict:
     traced = []
     for seed in [0, *seeds]:
-        _, result = _perfbench(root, workload, seed, seconds, 1)
+        _, _, result = _perfbench(root, workload, seed, seconds, 1)
         traced.append({"seed": seed, "correct": result["correct"], **_metrics(result)})
     layers = [name for name in traced[0] if name not in ("seed", "correct")]
     return {
@@ -207,34 +211,46 @@ def measure_workloads(roots: list[Path], seeds: list[int], seconds: float) -> li
     return measured
 
 
+def _paired(parent: list[float], change: list[float], sign: float) -> dict:
+    """Each side's median and quartiles, and the change's wins, losses and
+    ties over the pairs (``sign`` is 1 when lower is better, -1 when higher)."""
+    # Positive when the change is better.
+    gains = [sign * (p - c) for p, c in zip(parent, change)]
+    base, side = _summary(parent), _summary(change)
+    return {
+        "parent": {k: base[k] for k in ("median", "q1", "q3")},
+        "change": {k: side[k] for k in ("median", "q1", "q3")},
+        "wins": sum(g > 0 for g in gains),
+        "losses": sum(g < 0 for g in gains),
+        "ties": sum(g == 0 for g in gains),
+        "median_gap": side["median"] - base["median"],
+        "median_ratio": side["median"] / base["median"],
+        "parent_iqr": base["iqr"],
+    }
+
+
 def compare(parent: dict, change: dict, better: dict) -> dict:
-    """Pair by pair, the change's workloads section against the parent's."""
+    """Pair by pair, the change's workloads section against the parent's.
+    Next to ``pass_s`` comes ``raw_pass_s``, the same pass unscaled by the
+    host-speed reference; it is reported, never claimed."""
     pairs = {}
     for workload, side in change.items():
         base = parent[workload]
         metrics = {}
         for name, direction in better.items():
             sign = 1.0 if direction == "lower" else -1.0
-            # Positive when the change is better.
-            gains = [sign * (p["metrics"][name] - c["metrics"][name])
-                     for p, c in zip(base["runs"], side["runs"])]
-            gap = side["summary"][name]["median"] - base["summary"][name]["median"]
-            wins = sum(g > 0 for g in gains)
-            metrics[name] = {
-                "parent": {k: base["summary"][name][k] for k in ("median", "q1", "q3")},
-                "change": {k: side["summary"][name][k] for k in ("median", "q1", "q3")},
-                "wins": wins,
-                "losses": sum(g < 0 for g in gains),
-                "ties": sum(g == 0 for g in gains),
-                "median_gap": gap,
-                "median_ratio": side["summary"][name]["median"] / base["summary"][name]["median"],
-                "parent_iqr": base["summary"][name]["iqr"],
-                "claim": wins >= PAIR_SHARE * len(gains)
-                and -sign * gap > base["summary"][name]["iqr"],
-            }
+            stats = _paired([p["metrics"][name] for p in base["runs"]],
+                            [c["metrics"][name] for c in side["runs"]], sign)
+            stats["claim"] = (stats["wins"] >= PAIR_SHARE * len(base["runs"])
+                              and -sign * stats["median_gap"] > stats["parent_iqr"])
+            metrics[name] = stats
+            if name == "pass_s":
+                metrics["raw_pass_s"] = _paired([p["raw_pass_s"] for p in base["runs"]],
+                                                [c["raw_pass_s"] for c in side["runs"]], sign)
         pairs[workload] = {
             "runs": [{"seed": p["seed"], "parent_first": p["first"],
-                      "parent": p["metrics"], "change": c["metrics"]}
+                      "parent": {**p["metrics"], "raw_pass_s": p["raw_pass_s"]},
+                      "change": {**c["metrics"], "raw_pass_s": c["raw_pass_s"]}}
                      for p, c in zip(base["runs"], side["runs"])],
             "metrics": metrics,
         }
@@ -298,10 +314,7 @@ def _collision_draws(scalar, lockstep):
     convention, ``(rates, mu, cap, trials, seed)``: each of the first
     ``trials // len(rates)`` streams, stream ``i`` drawn from
     ``substream_seed(seed, i)``, is drawn at every rate, and each total is
-    clipped at ``cap``; the totals come rate by rate.  A checkout whose
-    kernel takes one mean per stream (before it read every rate off one
-    sequence of products) draws the same cells as that many streams."""
-    import numpy as np
+    clipped at ``cap``; the totals come rate by rate."""
     from ruinfair.prng import substream_seed
 
     def pure(rates, mu, cap, trials, seed):
@@ -311,8 +324,6 @@ def _collision_draws(scalar, lockstep):
 
     def lockstep_totals(rates, mu, cap, trials, seed):
         states = lockstep._substreams(seed, 0, trials // len(rates))
-        if hasattr(lockstep, "_rate_table"):
-            states, rates = np.tile(states, len(rates)), np.repeat(rates, len(states))
         return lockstep.compound_poisson_totals(states, rates, mu, cap).ravel().tolist()
 
     return pure, lockstep_totals

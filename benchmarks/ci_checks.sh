@@ -30,6 +30,10 @@
 #    monotone in LTE-U airtime, counts in range) are checked at every seed.
 #    The traced run (--trace 1) wraps every layer the library still has and
 #    lists the ones it lacks in its info line.
+# 6. mc-crosscheck at seed 0 again with NumPy's dispatch held to its
+#    baseline: its ruin and chance counts, checked against the digests,
+#    rest on _K covering the gap between np.log and libm's logarithm at
+#    every SIMD level, not only at the host's.
 
 set -euo pipefail
 
@@ -88,12 +92,18 @@ python3 perfbench/selftest.py
 
 echo "== benchmark output checks"
 # run.py exits 0 on wrong output, so the verdict is read from its last line.
+checked_run() {
+    out=$(python3 perfbench/run.py "$@" --seconds 1)
+    printf '%s\n' "$out"
+    printf '%s\n' "$out" | tail -n 1 | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+}
 for args in "--seed 0 --trace 0" "--seed 1 --trace 0" "--seed 0 --trace 1"; do
     for workload in sweep-default sweep-congested mc-crosscheck; do
-        out=$(python3 perfbench/run.py --workload "$workload" $args --seconds 1)
-        printf '%s\n' "$out"
-        printf '%s\n' "$out" | tail -n 1 | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+        checked_run --workload "$workload" $args
     done
 done
+
+echo "== Monte Carlo counts at NumPy's baseline SIMD dispatch"
+NPY_ENABLE_CPU_FEATURES=NONE checked_run --workload mc-crosscheck --seed 0
 
 echo "== all checks passed"

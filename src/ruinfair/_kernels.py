@@ -34,10 +34,13 @@ its blocks to what its live streams still need:
 
 * ``ruin_mc_count`` draws periods up to the horizon, takes ``_fast_log``
   of a whole block in one call, then steps its rows one period at a
-  time.  A path that leaves (ruined or unsure) is marked with ``claims =
-  -inf``, and the arrays drop the marked rows between blocks, once at
-  least half of them are marked, so a block starts with at most twice the
-  live paths and most blocks copy nothing.
+  time, where every row takes the exact test of "The error bound".  A
+  path that leaves (ruined or unsure) is marked with ``claims = -inf``,
+  which never leaves again: its margin is ``+inf`` (or NaN, once a claim
+  overflows) and its bound ``-inf`` (or NaN), so ``margin <= bound`` is
+  false.  The arrays drop the marked rows between blocks, once at least
+  half of them are marked, so a block starts with at most twice the live
+  paths and most blocks copy nothing.
 * The Poisson blocks add up to the largest mean plus three standard
   deviations (``typical - drawn``), then go one standard deviation at a
   time.
@@ -119,25 +122,6 @@ needed.  An infinite bound (an infinite or overflowing argument) marks the
 path unsure and a NaN margin decides "not ruined" with either logarithm,
 so non-finite arguments count as in the scalar recipe too.
 
-**The cut.**  At period ``s`` the exact test above takes ``margin =
-fl(level - claims)`` and ``bound = fl(fl(claims * a) + b)``, with the
-scalars ``level = u + s*c``, ``a = _K * s * eps >= 0`` and ``b``.  Rounding
-to nearest is monotone, so for ``x <= y`` the margin of ``x`` is at least
-that of ``y`` and its bound at most that of ``y``: if a path with claims
-``y`` stays (``margin > bound``), so does every path with claims ``x <=
-y``.  :func:`_cut` proposes ``cut = (level - 2*b) / (1 + a)``, a little
-below where the exact test starts to let paths leave, and checks that the
-largest double below ``cut`` stays, with the same double operations as the
-array code.  Every path with claims below ``cut`` has claims at most that
-double and stays too, so only the paths with ``claims >= cut`` take the
-exact test.  If the check fails (a NaN or infinite argument, say), the cut
-is ``-inf`` and every live path takes it.  Claims are sums of non-negative
-draws, never NaN, so each path is either below the cut or tested: no path
-the exact test would let leave is missed, and the counts are unchanged.
-A marked path's ``-inf`` would pass a ``-inf`` cut, so the kernel raises
-such a cut to the lowest finite double: every live path (claims at least
-``0.0``) still passes it and no marked one does.
-
 **The cap certificate.**  Let ``F`` be a fast stream's total after ``j``
 durations taken with ``_fast_log``, and ``S`` the scalar recipe's partial
 sum of the same ``j`` durations, taken with libm's.  Term by term the two
@@ -199,7 +183,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -233,7 +216,6 @@ _BLOCK = 1 << 14
 _K = 64
 _EPS = 2.0**-52
 _TINY = math.ulp(0.0)
-_LOWEST = -sys.float_info.max
 
 _GAMMA, _MIX1, _MIX2 = (np.uint64(k) for k in (prng._GOLDEN, prng._MIX1, prng._MIX2))
 _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
@@ -304,14 +286,6 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 _fast_log = np.log
 
 
-def _cut(level: float, a: float, b: float) -> float:
-    """A claims level below which no path leaves at this period (see "The
-    cut" in the module docstring); ``-inf`` when none is certified."""
-    cut = (level - 2.0 * b) / (1.0 + a)
-    below = math.nextafter(cut, -math.inf)
-    return cut if level - below > below * a + b else -math.inf
-
-
 def _path_ruins(u, c, mu_prime: float, n: int, states: np.ndarray) -> np.ndarray:
     """Whether the surplus path of each stream of ``states`` goes negative
     by period n, by the scalar recipe with libm's logarithm, tested at every
@@ -336,13 +310,14 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
 
     Draws the claims of the live paths a block of periods at a time, up to
     ``max(1, _BLOCK // live)`` periods, with ``_fast_log`` taken once per
-    block, then steps the block's periods one row at a time.  A path leaves
-    at its ruin or at the first period where it is unsure; only the paths
-    whose claims reach the period's cut take the exact test.  A path that
-    leaves is marked with ``claims = -inf``, which no later draw lifts, and
-    the arrays drop the marked rows between blocks once at least half of
-    them are marked.  The unsure paths are replayed together from their
-    start states by :func:`_path_ruins`.
+    block, then steps the block's periods one row at a time, every row
+    taking the exact test.  A path leaves at its ruin or at the first period
+    where it is unsure, and is marked with ``claims = -inf``: no later draw
+    lifts it, and its margin ``+inf`` (NaN after an overflow) never falls to
+    its bound ``-inf`` (or NaN), so it never leaves again.  The arrays drop
+    the marked rows between blocks once at least half of them are marked.
+    The unsure paths are replayed together from their start states by
+    :func:`_path_ruins`.
     """
     states = _substreams(seed, start, stop)
     claims = np.zeros(len(states))
@@ -361,22 +336,14 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
                 level = u + s * c
                 a = _K * s * _EPS
                 b = _K * s * (abs(level) * _EPS + _TINY)
-                # Live claims are at least 0.0, marked ones -inf or NaN; a
-                # -inf cut is raised to the lowest double so marked rows
-                # stay out.
-                tested = (claims >= max(_cut(level, a, b), _LOWEST)).nonzero()[0]
-                if not len(tested):
-                    continue
-                margin = claims[tested]
-                bound = margin * a
+                bound = claims * a
                 bound += b
-                np.subtract(level, margin, out=margin)
+                margin = level - claims
                 # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
-                leave = margin <= bound
-                gone = tested[leave]
+                gone = (margin <= bound).nonzero()[0]
                 if not len(gone):
                     continue
-                close = np.abs(margin[leave]) <= bound[leave]
+                close = np.abs(margin[gone]) <= bound[gone]
                 ruined += len(close) - int(np.count_nonzero(close))
                 unsure.append(states[gone[close]])
                 claims[gone] = -math.inf

@@ -416,25 +416,6 @@ def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
     assert len(replayed) == expected
 
 
-@pytest.mark.parametrize("every", [1, 2], ids=["every-period", "every-other-period"])
-def test_minus_inf_cut_keeps_counts(monkeypatch, every):
-    """A cut of ``-inf`` sends every live path to the exact test, which is
-    always sound, so the counts stay the oracle's.  Paths that left hold
-    ``claims = -inf`` (NaN once a claim overflows) until the arrays are
-    compacted, and must not be tested or counted again; in the second
-    argument set every path ruins in period 1 and compaction empties the
-    arrays."""
-    cut = _kernels._cut
-    periods = itertools.count()
-
-    def minus_inf_cut(*args):
-        return -math.inf if next(periods) % every == 0 else cut(*args)
-
-    monkeypatch.setattr(_kernels, "_cut", minus_inf_cut)
-    for args in [*RUIN_ARGS, (1e308, 1.0, 1e-308, 3, 50)]:
-        assert _kernels.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
-
-
 def test_lazy_compaction_across_chunks(monkeypatch):
     """Chunks of 8 paths, drawn one period per block: the arrays are
     compacted once half the rows have left, which happens in some chunks

@@ -40,8 +40,11 @@ Every untraced run also keeps perfbench's unscaled pass time
 (``raw_pass_s``, from its info line), compared pair by pair next to
 ``pass_s`` but never claimed.
 ``claim`` is true when the change won at least nine tenths of the pairs
-and its median beats the parent's by more than the parent's IQR.  Such a
-run takes about fifteen minutes on two CPUs.
+and its median beats the parent's by more than the parent's IQR.  The
+``ruin_mc_count`` kernel cases are also timed in one process, the parent's
+and the change's kernels called alternately ``KERNEL_PAIRS`` times each,
+and ``pairs.kernels`` keeps each side's median and best and the change's
+wins.  Such a run takes about fifteen minutes on two CPUs.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ SECONDS = 8.0  # perfbench --seconds per run
 CLI_REPEAT = 20
 KERNEL_TRIALS = 100_000
 KERNEL_REPEAT = 3
+KERNEL_PAIRS = 25  # alternating parent/change calls of each ruin case
 
 # (name, kernel, arguments before trials and seed, share of KERNEL_TRIALS).
 # Cases with many draws per trial run a fraction of the trials, so the
@@ -329,16 +333,59 @@ def _collision_draws(scalar, lockstep):
     return pure, lockstep_totals
 
 
+def _kernels_of(root: Path):
+    """The checkout's ``ruinfair._kernels``, imported afresh from its ``src``."""
+    # Another checkout's ruinfair may have been loaded before: load this one.
+    for name in [m for m in sys.modules if m.partition(".")[0] == "ruinfair"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(root / "src"))
+    return importlib.import_module("ruinfair._kernels")
+
+
+def _call_args(kernel_args: tuple, share: float, trials: int) -> tuple:
+    return (*kernel_args, max(1, round(trials * share)), 42)
+
+
+def measure_ruin_pairs(roots: list[Path], trials: int, pairs: int) -> dict:
+    """The ``ruin_mc_count`` cases of ``KERNEL_CASES`` with both checkouts'
+    kernels loaded in one process, called alternately, parent then change,
+    ``pairs`` times each after one untimed call each: per case, each side's
+    median and best and the change's wins.  Both sides' counts must agree."""
+    sides = [_kernels_of(root) for root in roots]
+    table = {}
+    for name, kernel, kernel_args, share in KERNEL_CASES:
+        if kernel != "ruin_mc_count":
+            continue
+        call_args = _call_args(kernel_args, share, trials)
+        counts = {kernels.ruin_mc_count(*call_args) for kernels in sides}
+        if len(counts) != 1:
+            raise SystemExit(f"{name}: parent and change count {sorted(counts)}")
+        times = [[] for _ in sides]
+        for _ in range(pairs):
+            for kernels, side in zip(sides, times):
+                started = time.perf_counter()
+                kernels.ruin_mc_count(*call_args)
+                side.append(time.perf_counter() - started)
+        parent, change = times
+        table[name] = {
+            "pairs": pairs,
+            "parent": {"median_s": statistics.median(parent), "best_s": min(parent)},
+            "change": {"median_s": statistics.median(change), "best_s": min(change)},
+            "wins": sum(c < p for p, c in zip(parent, change)),
+            "losses": sum(c > p for p, c in zip(parent, change)),
+        }
+        print(f"{name:<56} parent {statistics.median(parent):8.4f}s  "
+              f"change {statistics.median(change):8.4f}s  "
+              f"wins {table[name]['wins']}/{pairs}", file=sys.stderr)
+    return table
+
+
 def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     """Lockstep against the scalar reference, best of ``repeat`` each.
 
     The kernels are the checkout's ``ruinfair._kernels``.
     """
-    # Another checkout's ruinfair may have been loaded before: load this one.
-    for name in [m for m in sys.modules if m.partition(".")[0] == "ruinfair"]:
-        del sys.modules[name]
-    sys.path.insert(0, str(root / "src"))
-    import ruinfair._kernels as kernels
+    kernels = _kernels_of(root)
 
     # The checkout's scalar Monte Carlo counts, and the reference work that
     # perfbench scales the kernels' workload by.
@@ -351,7 +398,7 @@ def measure_kernels(root: Path, trials: int, repeat: int) -> list[dict]:
     clear = kernels._chance_draws.cache_clear
     table = []
     for name, kernel, kernel_args, share in KERNEL_CASES:
-        call_args = (*kernel_args, max(1, round(trials * share)), 42)
+        call_args = _call_args(kernel_args, share, trials)
         if kernel == "compound_poisson_totals":
             pure_fn, lockstep_fn = _collision_draws(scalar, kernels)
         else:
@@ -406,7 +453,8 @@ def main() -> int:
         roots.insert(0, args.against.resolve())
     seeds = args.seeds or (PAIR_SEEDS if args.against else SEEDS)
     settings = {"seeds": seeds, "seconds": SECONDS, "cli_repeat": CLI_REPEAT,
-                "kernel_trials": KERNEL_TRIALS, "kernel_repeat": KERNEL_REPEAT}
+                "kernel_trials": KERNEL_TRIALS, "kernel_repeat": KERNEL_REPEAT,
+                "kernel_pairs": KERNEL_PAIRS}
     measured = measure_workloads(roots, seeds, SECONDS)
     # The two end-to-end clocks of both roots run next to each other, so
     # that the host's drift over the workloads' minutes does not split them.
@@ -421,9 +469,11 @@ def main() -> int:
         pairs = compare(parent["workloads"], change["workloads"], better)
         cli_medians = {"parent_median_s": clis[0]["median_s"],
                        "change_median_s": clis[1]["median_s"]}
+        kernels = measure_ruin_pairs(roots, KERNEL_TRIALS, KERNEL_PAIRS)
         parent["pairs"] = change["pairs"] = {"parent": parent["tree"],
                                              "change": change["tree"], "workloads": pairs,
-                                             "cli_run_default": cli_medians}
+                                             "cli_run_default": cli_medians,
+                                             "kernels": kernels}
         _write(f"{args.label}-parent", parent)
     _write(args.label, reports[-1])
     return 0

@@ -34,13 +34,15 @@ its blocks to what its live streams still need:
 
 * ``ruin_mc_count`` draws periods up to the horizon, takes ``_fast_log``
   of a whole block in one call, then steps its rows one period at a
-  time, where every row takes the exact test of "The error bound".  A
-  path that leaves (ruined or unsure) is marked with ``claims = -inf``,
-  which never leaves again: its margin is ``+inf`` (or NaN, once a claim
-  overflows) and its bound ``-inf`` (or NaN), so ``margin <= bound`` is
-  false.  The arrays drop the marked rows between blocks, once at least
-  half of them are marked, so a block starts with at most twice the live
-  paths and most blocks copy nothing.
+  time, where every row compares the claims with the period's two
+  thresholds (see "The thresholds"): one comparison, ``claims >= lo``,
+  finds the paths that leave, ruined or unsure.  A path that leaves is
+  marked with ``claims = -inf``, which never leaves again: ``lo`` is
+  clamped at the most negative double, above ``-inf``, and a marked row
+  whose next claim overflows reads NaN, which compares false.  The arrays
+  drop the marked rows between blocks, once at least half of them are
+  marked, so a block starts with at most twice the live paths and most
+  blocks copy nothing.
 * The Poisson blocks add up to the largest mean plus three standard
   deviations (``typical - drawn``), then go one standard deviation at a
   time.
@@ -97,30 +99,79 @@ predicates", Discrete Comput. Geom. 18, 1997).  The unsure paths of a
 chunk are replayed together from their start states by :func:`_path_ruins`,
 with libm's logarithm and the scalar test at every period.
 
-**The error bound.**  Let ``eps = 2**-52``.  A term ``-log(1 - u) / rate``
-taken with ``np.log`` is off from the libm term by at most a few ulps,
-i.e. by a few ``eps`` times the term: the two logarithms of the same
-argument differ by at most a few ulps (``tests/test_kernels.py`` checks
-that the largest gap over 10**6 uniforms stays far below ``_K``), and the
-division adds half an ulp.  All the terms are positive, so after ``s``
-left-to-right additions each sum is within ``(s - 1) * eps / 2`` times
-itself of the exact sum of its own terms, and the two sums differ by at
-most about ``(s + m) * eps * claims`` for an ``m``-ulp logarithm.  The
-decision takes the sign of ``fl(a - b)``, which is the sign of ``a - b``
-(round-to-nearest subtraction is exact in sign, and zero only when
-``a == b``), so a decision taken with ``np.log`` is the libm one whenever
-``|a - b|`` exceeds the gap between the two sums.  A path is therefore
-*unsure*, and replayed exactly, when
+**The error bound.**  Let ``eps = 2**-52`` and ``tiny = 2**-1074``.  A
+term ``-log(1 - u) / rate`` taken with ``np.log`` is off from the libm term
+by at most a few ulps, i.e. by a few ``eps`` times the term: the two
+logarithms of the same argument differ by at most a few ulps
+(``tests/test_kernels.py`` checks that the largest gap over 10**6 uniforms
+is at most ``_K / 16`` ulps), and the division adds half an ulp.  All the
+terms are positive, so after ``s`` left-to-right additions each sum is
+within ``(s - 1) * eps / 2`` times itself of the exact sum of its own
+terms, and the claims ``F`` taken with ``np.log`` and ``C`` taken with
+libm's differ by at most
 
-    |u + s*c - claims|  <=  _K * s * (eps * (claims + |u + s*c|) + tiny)
+    g = (s + m) * eps * F + s * tiny
 
-at period ``s``.  The ``eps`` term bounds the relative error above;
-``tiny = 2**-1074`` bounds the absolute error of an operation whose result
-is subnormal, where relative bounds fail (claims of a rate near the
-largest double).  ``_K = 64`` leaves a wide margin over the few ulps
-needed.  An infinite bound (an infinite or overflowing argument) marks the
-path unsure and a NaN margin decides "not ruined" with either logarithm,
-so non-finite arguments count as in the scalar recipe too.
+for an ``m``-ulp logarithm; ``tiny`` bounds the absolute error of an
+operation whose result is subnormal, where relative bounds fail (claims of
+a rate near the largest double).  The scalar recipe ruins a path at period
+``s`` when ``L - C < 0.0``, with the level ``L = u + s*c``, and that is
+``C > L`` exactly (round-to-nearest subtraction is exact in sign, and zero
+only when ``L == C``).  So a decision taken with ``F`` is libm's whenever
+every number within ``g`` of ``F`` lies on the same side of ``L``.  The
+kernel calls a path *unsure*, and replays it exactly, when
+
+    |L - F|  <=  _K * s * (eps * (F + |L|) + tiny)
+
+holds in real numbers at period ``s``: live below that band, ruined above
+it.  ``_K = 64`` leaves a wide margin over the ``s + m`` needed.
+
+**The thresholds.**  Solved for ``F``, with ``A = _K*s*eps`` and ``B =
+_K*s*(|L|*eps + tiny)``, the band is ``lo <= F <= hi`` for
+
+    lo = (L - B) / (1 + A)        hi = (L + B) / (1 - A),
+
+and :func:`_thresholds` computes both once per period as floats ``a``,
+``b``, ``lo`` and ``hi``, so a period costs one comparison of the claims,
+``claims >= lo``; of the paths that leave, those with ``hi < F < inf`` are
+ruined and the rest unsure.  Each threshold is three roundings (the sum,
+the denominator and the quotient) off its formula in ``a`` and ``b``, and
+``a >= A * (1 - eps/2)`` and ``b >= (1 - 2*eps) * _K*s*(|L|*eps + tiny/2)``
+(``|L|*eps`` may underflow by ``tiny/2``).  A rounding is within ``eps/2``
+of its result, or within ``tiny/2`` for a subnormal quotient (a subnormal
+sum or difference is exact).  The slack covers them, for ``F >= 0``:
+
+* *Live.*  ``F < lo`` makes ``lo > 0``, so ``L > b``, and ``lo <= (1 +
+  2*eps) * (L - b) / (1 + a) + tiny/2``.  Hence ``L - F > a*F - 2*eps*(1
+  + a)*F + b - (1 + a)*tiny/2``, which is at least ``g`` for ``_K >= m +
+  4`` (the ``F`` terms need ``_K*s*(1 - 3*eps) >= s + m + 2``, the
+  ``tiny`` terms ``_K*s*(1 - 3*eps) >= 2*s + 1``).  So every number
+  within ``g`` of ``F`` is at most ``L``: not ruined.
+* *Ruined.*  With ``a < 1`` and ``L + b >= 0``, ``hi >= (1 - 2*eps) * (L
+  + b) / (1 - a) - tiny/2``, and ``F > hi`` gives ``F - L > a*F + (1 -
+  2*eps)*b - 2*eps*|L| - tiny/2``, which exceeds ``g`` for ``_K >= m +
+  1`` and ``_K >= 3``.  With ``L + b < 0`` every ``F >= 0`` exceeds
+  ``hi``, and rightly: ``L < -b < -s*tiny``, while ``F - g >= -s*tiny``
+  as ``(s + m)*eps < 1`` when ``a < 1``.  So every number within ``g`` of
+  ``F`` is above ``L``: ruined.
+* *Overflow.*  ``fl(L - b) = -inf`` makes ``lo = -inf``, clamped, so every
+  path leaves; ``hi`` overflows to ``+inf``, which rules no path ruined,
+  or to ``-inf`` only when ``L + b < 0``, covered above.  ``lo`` itself
+  cannot overflow, as ``1 + a >= 1``.
+
+``a >= 1`` (``_K*s*eps >= 1``) makes ``B >= |L|``, so the band reaches
+every ``F >= 0`` upwards and no path is surely ruined: ``hi = inf`` then,
+and every path that leaves is replayed (a ``_K`` of ``1e300`` replays them
+all).  Non-finite operands decide as the scalar recipe does:
+
+* ``L = +inf`` or NaN makes ``lo`` NaN (``inf - inf``), so no path leaves,
+  and the scalar test ``L - C < 0.0`` is false for every ``C``;
+* ``L = -inf`` makes ``lo = -inf``, clamped, and ``hi`` NaN, so every path
+  leaves unsure and the replay ruins it, as the scalar test does;
+* claims that overflow to ``inf`` leave unsure, since libm's may be finite
+  (at ``_K = 0`` too, which replays only those and exact ties);
+* the ``-inf`` marker, and a marked row gone NaN, never reach ``lo``; the
+  clamp is there for it, since ``lo = -inf`` would let it leave again.
 
 **The cap certificate.**  Let ``F`` be a fast stream's total after ``j``
 durations taken with ``_fast_log``, and ``S`` the scalar recipe's partial
@@ -174,8 +225,9 @@ The counts are bit-identical to the scalar, one-trial-at-a-time
 references of ``tests/oracles.py`` for every argument, and each total to
 the scalar collision draw's total clipped at ``cap``;
 ``tests/test_kernels.py`` pins that, the ruin count also with every path
-replayed (``_K`` huge) and with none (``_K = 0``), and the capped totals
-with every fast stream drawn again (``_K`` huge).
+replayed (``_K`` huge) and with next to none (``_K = 0``), the thresholds
+against the scalar test, and the capped totals with every fast stream drawn
+again (``_K`` huge).
 """
 
 from __future__ import annotations
@@ -183,6 +235,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -212,7 +265,7 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 14
 
 # Error bound of the np.log filter, in ulps per summed term (see the module
-# docstring); 0 replays no path, a huge value replays every one.
+# docstring); 0 replays only ties and infinite claims, a huge value every path.
 _K = 64
 _EPS = 2.0**-52
 _TINY = math.ulp(0.0)
@@ -305,19 +358,32 @@ def _path_ruins(u, c, mu_prime: float, n: int, states: np.ndarray) -> np.ndarray
     return ruined
 
 
+def _thresholds(level: float, s: int) -> tuple[float, float]:
+    """The claims thresholds ``(lo, hi)`` of the filter's test at period
+    ``s`` against the level ``u + s*c`` (see "The thresholds" in the module
+    docstring): a path leaves once ``claims >= lo``, and a leaving path is
+    ruined when ``hi < claims < inf`` and unsure otherwise."""
+    a = _K * s * _EPS
+    b = _K * s * (abs(level) * _EPS + _TINY)
+    # The clamp keeps the -inf marker below lo; max keeps a NaN first argument.
+    lo = max((level - b) / (1.0 + a), -sys.float_info.max)
+    hi = (level + b) / (1.0 - a) if a < 1.0 else math.inf
+    return lo, hi
+
+
 def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> int:
     """Ruined paths among trials ``start .. stop-1``.
 
     Draws the claims of the live paths a block of periods at a time, up to
     ``max(1, _BLOCK // live)`` periods, with ``_fast_log`` taken once per
     block, then steps the block's periods one row at a time, every row
-    taking the exact test.  A path leaves at its ruin or at the first period
-    where it is unsure, and is marked with ``claims = -inf``: no later draw
-    lifts it, and its margin ``+inf`` (NaN after an overflow) never falls to
-    its bound ``-inf`` (or NaN), so it never leaves again.  The arrays drop
-    the marked rows between blocks once at least half of them are marked.
-    The unsure paths are replayed together from their start states by
-    :func:`_path_ruins`.
+    comparing the claims with the period's two :func:`_thresholds`.  A path
+    leaves at its ruin or at the first period where it is unsure, and is
+    marked with ``claims = -inf``: no later draw lifts it (an overflow makes
+    it NaN), and neither ``-inf`` nor NaN reaches ``lo``, so it never leaves
+    again.  The arrays drop the marked rows between blocks once at least
+    half of them are marked.  The unsure paths, if any, are replayed
+    together from their start states by :func:`_path_ruins`.
     """
     states = _substreams(seed, start, stop)
     claims = np.zeros(len(states))
@@ -333,19 +399,17 @@ def _chunk_ruins(u, c, mu_prime, n: int, seed: int, start: int, stop: int) -> in
             steps /= mu_prime
             for s, step in enumerate(steps.reshape(width, -1), drawn + 1):
                 claims -= step
-                level = u + s * c
-                a = _K * s * _EPS
-                b = _K * s * (abs(level) * _EPS + _TINY)
-                bound = claims * a
-                bound += b
-                margin = level - claims
-                # margin <= bound: ruined (margin < 0) or unsure (|margin| <= bound).
-                gone = (margin <= bound).nonzero()[0]
+                lo, hi = _thresholds(u + s * c, s)
+                gone = (claims >= lo).nonzero()[0]
                 if not len(gone):
                     continue
-                close = np.abs(margin[gone]) <= bound[gone]
-                ruined += len(close) - int(np.count_nonzero(close))
-                unsure.append(states[gone[close]])
+                left = claims[gone]
+                # Infinite claims are unsure: the libm sum may be finite.
+                sure = (hi < left) & (left < math.inf)
+                sure_count = int(np.count_nonzero(sure))
+                ruined += sure_count
+                if sure_count < len(gone):
+                    unsure.append(states[gone[~sure]])
                 claims[gone] = -math.inf
                 marked += len(gone)
             # Dropped before the next block is drawn, so that one block's

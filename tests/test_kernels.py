@@ -8,6 +8,7 @@ replayed and with none.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,12 +394,12 @@ RUIN_ARGS = [
 
 def _count_replays(monkeypatch):
     """The start states of the surplus paths that the filter replays exactly
-    with ``_kernels._path_ruins``, one entry per path."""
+    with ``_kernels._path_ruins``, one list of states per call."""
     replayed = []
     path_ruins = _kernels._path_ruins
 
     def counted_path_ruins(u, c, mu_prime, n, states):
-        replayed.extend(states.tolist())
+        replayed.append(states.tolist())
         return path_ruins(u, c, mu_prime, n, states)
 
     monkeypatch.setattr(_kernels, "_path_ruins", counted_path_ruins)
@@ -407,13 +408,65 @@ def _count_replays(monkeypatch):
 
 @pytest.mark.parametrize("k,replay_all", [(1e300, True), (0, False)], ids=["all", "none"])
 def test_filter_replays_all_or_none(monkeypatch, k, replay_all):
-    """Counts equal the oracle's whether every path is replayed exactly or none is."""
+    """Counts equal the oracle's whether every path is replayed exactly or
+    none is; with none, ``_path_ruins`` is not called at all."""
     monkeypatch.setattr(_kernels, "_K", k)
     replayed = _count_replays(monkeypatch)
     for args in RUIN_ARGS:
         assert _kernels.ruin_mc_count(*args, 42) == oracles.ruin_mc_count(*args, 42)
     expected = sum(args[-1] for args in RUIN_ARGS) if replay_all else 0
-    assert len(replayed) == expected
+    assert sum(map(len, replayed)) == expected
+    assert replay_all or not replayed
+
+
+@pytest.mark.parametrize("k", [0, _kernels._K], ids=["unfiltered", "filtered"])
+def test_infinite_claims_are_replayed(monkeypatch, k):
+    """A claim that overflows to ``inf`` goes to the exact replay, with any
+    slack: the libm claims may be finite.  Checked with subnormal rates, and
+    with a faster logarithm that overflows every claim."""
+    monkeypatch.setattr(_kernels, "_K", k)
+    for rate in [5e-324, 1e-310, 1e-308]:
+        for args in [(1.0, 1.0, rate, 3, 100), (1e308, 1.0, rate, 3, 100)]:
+            assert _kernels.ruin_mc_count(*args, 9) == oracles.ruin_mc_count(*args, 9)
+    monkeypatch.setattr(_kernels, "_fast_log", lambda x: np.full(x.shape, -math.inf))
+    args = (0.3, 0.8, 1.5, 12, 300)
+    assert _kernels.ruin_mc_count(*args, 9) == oracles.ruin_mc_count(*args, 9)
+
+
+THRESHOLD_LEVELS = [0.0, 5e-324, 1.0, 1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("s", [1, 20, 2**46, 2**50])
+@pytest.mark.parametrize("level", THRESHOLD_LEVELS, ids=str)
+def test_thresholds_decide_as_the_scalar_test(level, s):
+    """A path the thresholds keep live, or count as ruined, at claims ``x``
+    is decided so by the scalar test ``level - x' < 0.0`` for every ``x'``
+    within ``(s + 4) * eps * x + s * tiny`` of ``x``: the gap between the
+    ``np.log`` and libm claims that ``_K`` covers.  Checked exactly, with
+    fractions, at claims ``level * (1 +- k*eps)`` for ``k <= 200``, at 0,
+    ``inf`` and NaN; the ``-inf`` marker never leaves."""
+    eps, tiny = Fraction(2) ** -52, Fraction(math.ulp(0.0))
+    lo, hi = _kernels._thresholds(level, s)
+    steps = [level * (1.0 + k * float(eps)) for k in range(-200, 201)]
+    decided = set()
+    for x in [*steps, 0.0, math.inf, math.nan, -math.inf]:
+        if x == -math.inf:
+            assert not x >= lo
+        if not x >= lo:
+            decided.add("live")
+            if math.isfinite(level) and math.isfinite(x):
+                assert Fraction(x) + (s + 4) * eps * abs(Fraction(x)) + s * tiny <= Fraction(level)
+            else:
+                assert not level - x < 0.0
+        elif hi < x < math.inf:
+            decided.add("ruined")
+            assert Fraction(x) - (s + 4) * eps * Fraction(x) - s * tiny > Fraction(level)
+        else:
+            decided.add("unsure")
+    if math.isnan(level) or level == math.inf:
+        assert decided == {"live"}
+    if s == 1 and 1.0 <= level < math.inf:
+        assert decided == {"live", "ruined", "unsure"}
 
 
 def test_lazy_compaction_across_chunks(monkeypatch):

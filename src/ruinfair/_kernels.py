@@ -45,7 +45,8 @@ its blocks to what its live streams still need:
   blocks copy nothing.
 * The Poisson blocks add up to the largest mean plus three standard
   deviations (``typical - drawn``), then go one standard deviation at a
-  time.
+  time.  A block compares its products only with the limits that some
+  stream crosses in it (see "Shared products").
 * The duration blocks add up to ``cap*mu + 1`` (about the durations a
   capped total takes to reach its cap), then go ``sqrt(cap*mu) + 1`` at a
   time.
@@ -62,16 +63,19 @@ of a stream does not depend on the Poisson mean; only the limit
 ``exp(-lam)`` does, and the count at ``lam`` is the number of ``j`` with
 ``p_j > exp(-lam)``.  So :func:`compound_poisson_totals` takes a sequence
 of means that every stream shares, draws each stream's products once, up
-to the largest mean, and reads every mean's count off them, comparing a
-block's products with all the limits in one ``count_nonzero``: the
-products are carried bit for bit, so each count is that of a draw at its
-mean alone.  The sweep's collision keys reuse the same streams at every
-rate, so a sweep draws the products of a cell once, not once a key.  The
-durations are then drawn per (mean, stream) pair, each pair a stream of
-its own in what follows; the duration rate and the cap are shared.  Each
-distinct mean is checked once, in first-seen order, and its limit is
-``math.exp(-lam)``, the scalar recipe's bits (``np.exp`` may differ in the
-last bit).
+to the largest mean, and reads every mean's count off them.  The products
+never grow, so a limit below every last product of a block counts the
+whole block, one at or above every first product counts nothing, and only
+the limits between are compared with the block, in one broadcast; on the
+congested sweep's five rates that is 0.6 of the comparisons of every
+product with every limit.  The products are carried bit for bit, so each
+count is that of a draw at its mean alone.  The sweep's collision keys
+reuse the same streams at every rate, so a sweep draws the products of a
+cell once, not once a key.  The durations are then drawn per (mean,
+stream) pair, each pair a stream of its own in what follows; the duration
+rate and the cap are shared.  Each distinct mean is checked once, in
+first-seen order, and its limit is ``math.exp(-lam)``, the scalar
+recipe's bits (``np.exp`` may differ in the last bit).
 
 **Which logarithm.**  NumPy's ``np.log`` has its own SIMD implementation,
 which differs from glibc's in the last bit on some inputs; libm's is taken
@@ -232,6 +236,7 @@ again (``_K`` huge).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -460,6 +465,16 @@ def _poisson_counts(states: np.ndarray, lams) -> np.ndarray:
     of that; later ones are one standard deviation wide, so few draws are
     wasted.  Each limit is ``math.exp``'s, the scalar recipe's bits.
 
+    A block compares its products only with the limits that some stream
+    crosses in it.  A limit at or above every product of the block counts
+    none of it, and one below every product counts all of it; only the
+    limits between are compared with the block, in one broadcast.  Taken
+    in increasing order of their means, the limits do not increase, so two
+    bisections find those between, one at the largest first product of the
+    block and one at the smallest last product.  The rows are then put in
+    the callers' order.  The live streams' states and products are kept
+    packed.
+
     Raises:
         ValueError: For the first distinct mean, in first-seen order, not
             in ``[0, _POISSON_LAM_MAX]``, the range of the Poisson recipe in
@@ -469,26 +484,39 @@ def _poisson_counts(states: np.ndarray, lams) -> np.ndarray:
     for lam in dict.fromkeys(lams):
         if not 0.0 <= lam <= _POISSON_LAM_MAX:
             raise ValueError(f"poisson mean must be in [0, {_POISSON_LAM_MAX}], got {lam}")
-    limits = np.array([math.exp(-lam) for lam in lams])[:, None]
-    top = max(lams)
-    lowest = int(limits.argmin())
+    means = sorted(set(lams))
+    rows = [means.index(lam) for lam in lams]
+    limits = np.array([math.exp(-mean) for mean in means])
+    bounds, stacked = (-limits).tolist(), limits[:, None, None]
+    top = means[-1]
     typical = math.ceil(top + 3.0 * math.sqrt(top)) + 1
     tail = math.ceil(math.sqrt(top)) + 1
-    counts = np.zeros((len(lams), len(states)), dtype=np.int64)
+    # A block is at most `typical` draws wide, so its counts fit this type,
+    # which NumPy sums bools into faster than into int64.
+    small = np.min_scalar_type(typical)
+    counts = np.zeros((len(means), len(states)), dtype=np.int64)
     product = np.ones(len(states))
     live = np.arange(len(states))
     drawn = 0
     while len(live):
         width = max(1, min(_BLOCK // len(live), max(tail, typical - drawn)))
-        block = _uniforms(states[live], drawn, width)
-        block[0] *= product[live]
+        block = _uniforms(states, drawn, width)
+        block[0] *= product
         np.multiply.accumulate(block, axis=0, out=block)
-        above = np.count_nonzero(block[:, None, :] > limits, axis=0)
-        counts[:, live] += above
-        product[live] = block[-1]
-        live = live[above[lowest] == width]
+        # Limits before `passed` count none of the block, those from `full`
+        # on all of it.
+        passed = bisect.bisect_right(bounds, -float(block[0].max()))
+        full = bisect.bisect_right(bounds, -float(block[-1].min()))
+        if passed < full:
+            counts[passed:full, live] += np.add.reduce(
+                block > stacked[passed:full], axis=1, dtype=small
+            )
+        if full < len(means):
+            counts[full:, live] += width
         drawn += width
-    return counts
+        keep = np.flatnonzero(block[-1] > limits[-1])
+        live, states, product = live[keep], states[keep], block[-1][keep]
+    return counts.take(rows, axis=0)
 
 
 def compound_poisson_totals(

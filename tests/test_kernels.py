@@ -361,6 +361,78 @@ def test_draws_follow_what_streams_still_need(monkeypatch):
     assert drawn["libm"] == 0
 
 
+# The sweeps' rate sets (congested, {}'s wst and psi), an unsorted grid with a
+# repeat, and means of 0, whose limit of 1.0 no product reaches.
+POISSON_RATE_SETS = [
+    (100.0, 200.0, 300.0, 400.0, 500.0),
+    (1.0, 2.0, 3.0, 4.0),
+    (2.0,),
+    (500.0, 0.0, 2.0, 2.0, 1e-9, 100.0),
+    (0.0,),
+    (0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("rates", POISSON_RATE_SETS, ids=lambda rates: ",".join(map(str, rates)))
+@pytest.mark.parametrize("streams", [1, 7, 200])
+def test_poisson_counts_match_scalar_in_every_limit_state(monkeypatch, rates, streams):
+    """Every count equals the scalar Poisson draw of its stream at its mean,
+    with blocks of one draw, of 64 and as shipped.  Across the blocks, each
+    rate set of more than one mean has limits full (below every product of
+    a block), open and passed (at or above every product of a block); at
+    rates 100 to 500 every limit takes all three."""
+    seeds = [substream_seed(17, t) for t in range(streams)]
+    expected = [[oracles.poisson(SplitMix64(seed), lam) for seed in seeds] for lam in rates]
+    states = np.array(seeds, dtype=np.uint64)
+    for block in [1, 64, _kernels._BLOCK]:
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        assert _kernels._poisson_counts(states, rates).tolist() == expected, block
+
+
+class _Compared(np.ndarray):
+    """A block of draws that tallies, in ``compared``, the products it
+    compares with the limits (the 1-D test of the last row against the
+    lowest limit, which streams go on, is not counted)."""
+
+    compared = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _Compared) else x
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if ufunc is np.greater and np.ndim(result) > 1:
+            _Compared.compared += np.size(result)
+        return result
+
+
+def test_limits_are_compared_only_where_streams_cross_them(monkeypatch):
+    """Rates 100 to 500 on 60 streams: the products are compared with at
+    most 0.65 of the limits of each block (0.60 here), as a limit below
+    every product of a block counts it whole and one at or above every
+    product counts none.  Comparing every product with every limit took
+    all of them."""
+    uniforms = _kernels._uniforms
+    drawn = {"products": 0}
+
+    def counted_uniforms(states, start, width):
+        drawn["products"] += len(states) * width
+        return uniforms(states, start, width).view(_Compared)
+
+    monkeypatch.setattr(_kernels, "_uniforms", counted_uniforms)
+    monkeypatch.setattr(_Compared, "compared", 0)
+    rates = (100.0, 200.0, 300.0, 400.0, 500.0)
+    states = _kernels._substreams(2025, 0, 60)
+    counts = _kernels._poisson_counts(states, rates)
+    seeds = [substream_seed(2025, t) for t in range(60)]
+    assert counts.tolist() == [
+        [oracles.poisson(SplitMix64(seed), lam) for seed in seeds] for lam in rates
+    ]
+    assert 0 < _Compared.compared <= 0.65 * len(rates) * drawn["products"]
+
+
 def _outcome(impl, args):
     try:
         return ("count", impl.chance_mc_count(*args))
